@@ -93,6 +93,16 @@ class SeededSampler:
         self.counter += 1
         return float(self._rng.normal(0.0, std))
 
+    def normals(self, std):
+        """One draw per entry of the array std, from one generator call.
+
+        Yields the same numbers as calling normal() on each entry in
+        order.
+        """
+        std = np.asarray(std, dtype=float)
+        self.counter += std.size
+        return self._rng.normal(0.0, std)
+
     def child(self, index):
         key = self._sequence.spawn_key + (int(index),)
         return SeededSampler(np.random.SeedSequence(self._sequence.entropy,
@@ -100,19 +110,35 @@ class SeededSampler:
 
 
 def sample_complex_gaussian(variance, sampler):
-    """One draw of CN(0, variance): independent N(0, variance/2) parts.
+    """Draws of CN(0, variance): independent N(0, variance/2) parts.
 
-    The real part is drawn before the imaginary part.  Zero variance
-    returns exactly 0j without consuming randomness.
+    variance may be a number, giving a complex number, or an ndarray,
+    giving a complex array of the same shape from one generator call.
+    Each real part is drawn before its imaginary part, entry by entry,
+    so the stream equals that of one scalar call per entry.  Zero
+    variances give exactly 0j without consuming randomness; the
+    sampler's counter advances by 2 per positive variance.
     """
-    if variance < 0:
-        raise NegativeVariance(f"variance {variance} is negative")
-    if variance == 0:
-        return 0j
-    std = math.sqrt(variance / 2.0)
-    re = sampler.normal(std)
-    im = sampler.normal(std)
-    return complex(re, im)
+    if not isinstance(variance, np.ndarray):
+        if not variance >= 0:
+            raise NegativeVariance(f"variance {variance} is not nonnegative")
+        if variance == 0:
+            return 0j
+        std = math.sqrt(variance / 2.0)
+        re = sampler.normal(std)
+        im = sampler.normal(std)
+        return complex(re, im)
+    variances = variance.astype(float, copy=False)
+    if not (variances >= 0).all():
+        raise NegativeVariance("variances must be nonnegative")
+    positive = variances > 0
+    out = np.zeros(variances.shape, dtype=complex)
+    if positive.any():
+        std = np.sqrt(variances[positive] / 2.0)
+        draws = sampler.normals(np.repeat(std, 2))
+        out.real[positive] = draws[0::2]
+        out.imag[positive] = draws[1::2]
+    return out
 
 
 def tau_marginal(workload, p=None):
@@ -187,13 +213,18 @@ def plan_from_tau(mu, tau_map):
     Zero-weight frequencies are dropped; the remaining ones get complex
     noise variance 2 tau / tau_a and squared budget share tau_a / tau.
     """
-    if mu <= 0:
-        raise BudgetMismatch(f"budget mu={mu} must be positive")
+    # mu * mu, not mu ** 2: overflow gives inf instead of raising
+    if not (mu > 0 and 0 < mu * mu < math.inf):
+        raise BudgetMismatch(f"budget mu={mu} must be positive with a "
+                             "finite, nonzero square")
     kept = {a: float(t) for a, t in tau_map.items() if t > 0}
     total = sum(kept.values())
     if total == 0:
         raise BudgetMismatch("no frequency has positive importance weight")
     tau_total = total / mu ** 2
+    if tau_total == math.inf:
+        raise BudgetMismatch(f"budget mu={mu} is so small that the noise "
+                             "variances overflow")
     variances = {a: 2.0 * tau_total / t for a, t in kept.items()}
     shares = {a: t / tau_total for a, t in kept.items()}
     return BudgetPlan(mu=float(mu), tau_total=tau_total, tau_map=kept,

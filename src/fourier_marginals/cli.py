@@ -67,8 +67,9 @@ class RunConfig:
     m_max: int = 10000
 
     def validated(self):
-        if not self.mu > 0:
-            raise ConfigError(f"mu must be positive, got {self.mu}")
+        if not (self.mu > 0 and 0 < self.mu * self.mu < math.inf):
+            raise ConfigError(f"mu must be positive with a finite, nonzero "
+                              f"square, got {self.mu}")
         if self.command == "release" and self.seed is None:
             raise ConfigError("release draws noise and needs --seed")
         if not self.tol > 0:

@@ -94,7 +94,8 @@ class Dataset:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.universe.d:
-            rows = rows.reshape(-1, self.universe.d)
+            raise LengthMismatch(f"rows of shape {rows.shape} are not "
+                                 f"(n, {self.universe.d})")
         object.__setattr__(self, "rows", rows)
         sizes = np.array(self.universe.domain_sizes)
         if rows.size and (rows.min() < 0 or (rows >= sizes).any()):
@@ -134,6 +135,8 @@ class Workload:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(canon),):
             raise LengthMismatch("one weight per set required")
+        if not np.isfinite(w).all():
+            raise AssignmentOutOfRange("weights must be finite")
         if (w < 0).any():
             raise AssignmentOutOfRange("negative weight")
         w = w.copy()
@@ -302,9 +305,10 @@ def read_dataset_csv(source, universe, names):
     """Read a dataset whose header row names the attributes.
 
     Columns may appear in any order and extra columns are rejected.
-    Integer cells are validated against the domain; non-integer cells
-    are assigned dense codes per attribute, in order of first
-    appearance.  Returns (dataset, value_maps) where value_maps[name]
+    A column holds either integer cells, validated against the domain,
+    or non-integer cells, assigned dense codes in order of first
+    appearance; a column mixing both is rejected.  Errors name the
+    offending line.  Returns (dataset, value_maps) where value_maps[name]
     gives the string-to-code mapping of attributes that needed one.
     """
     if hasattr(source, "read"):
@@ -331,9 +335,12 @@ def _parse_csv_rows(reader, universe, names):
         raise LengthMismatch(f"missing columns: {', '.join(missing)}")
     order = [position[name] for name in names]
     value_maps = {name: {} for name in names}
+    coded = [value_maps[name] for name in names]
+    blank = []
     out = []
     for line, raw in enumerate(reader, start=2):
         if not raw:
+            blank.append(line)
             continue
         if len(raw) != len(header):
             raise LengthMismatch(f"line {line}: expected {len(header)} cells")
@@ -343,17 +350,44 @@ def _parse_csv_rows(reader, universe, names):
             try:
                 value = int(cell)
             except ValueError:
-                codes = value_maps[names[j]]
+                codes = coded[j]
                 if cell not in codes:
+                    if not codes and out:
+                        raise _mixed_column(line, names[j])
                     if len(codes) >= universe.domain_sizes[j]:
                         raise AssignmentOutOfRange(
                             f"line {line}: attribute {names[j]!r} has more "
                             f"than {universe.domain_sizes[j]} distinct values")
                     codes[cell] = len(codes)
                 value = codes[cell]
+            else:
+                if coded[j]:
+                    raise _mixed_column(line, names[j])
             point.append(value)
         out.append(point)
-    rows = np.array(out, dtype=np.int64).reshape(len(out), universe.d)
-    dataset = Dataset(universe=universe, rows=rows)
+    try:
+        rows = np.array(out, dtype=np.int64).reshape(len(out), universe.d)
+        dataset = Dataset(universe=universe, rows=rows)
+    except (OverflowError, AssignmentOutOfRange):
+        # error path only: locate the first offending cell
+        rows = np.array(out, dtype=object).reshape(len(out), universe.d)
+        sizes = np.array(universe.domain_sizes)
+        bad = ((rows < 0) | (rows >= sizes)).astype(bool)
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        line = i + 2
+        for skipped in blank:
+            if skipped > line:
+                break
+            line += 1
+        raise AssignmentOutOfRange(
+            f"line {line}: value {rows[i, j]} of attribute {names[j]!r} "
+            f"outside [0, {sizes[j]})") from None
     value_maps = {name: codes for name, codes in value_maps.items() if codes}
     return dataset, value_maps
+
+
+def _mixed_column(line, name):
+    return AssignmentOutOfRange(
+        f"line {line}: attribute {name!r} mixes integer and non-integer "
+        "cells")

@@ -267,12 +267,11 @@ def _run_release(dataset, workload, tau_map, spectrum, mu, sampler,
 
     order = sorted(plan.tau_map)
     table = fourier.fourier_queries(dataset, order)
-    noisy = {}
-    for a in order:
-        noise = 0j
-        if sampler is not None:
-            noise = budget.sample_complex_gaussian(plan.variances[a], sampler)
-        noisy[a] = table.value(a) + noise
+    values = np.array([table.value(a) for a in order], dtype=complex)
+    if sampler is not None:
+        variances = np.array([plan.variances[a] for a in order], dtype=float)
+        values += budget.sample_complex_gaussian(variances, sampler)
+    noisy = dict(zip(order, values.tolist()))
 
     estimates = {members: _reconstruct(universe, members, noisy, spectrum)
                  for members in workload.sets}

@@ -173,6 +173,38 @@ class TestSampler(unittest.TestCase):
         other = budget.sample_complex_gaussian(1.0, base.child(1))
         self.assertNotEqual(first[0], other)
 
+    def test_array_form_matches_scalar_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        variances = rng.uniform(0.0, 5.0, size=5000)
+        variances[rng.random(5000) < 0.2] = 0.0
+        loop_sampler = budget.SeededSampler(17)
+        loop = np.array([budget.sample_complex_gaussian(v, loop_sampler)
+                         for v in variances])
+        vector_sampler = budget.SeededSampler(17)
+        vector = budget.sample_complex_gaussian(variances, vector_sampler)
+        self.assertEqual(vector.shape, variances.shape)
+        np.testing.assert_array_equal(vector.view(np.uint64),
+                                      loop.view(np.uint64))
+        positive = int((variances > 0).sum())
+        self.assertEqual(vector_sampler.counter, 2 * positive)
+        self.assertEqual(loop_sampler.counter, 2 * positive)
+        self.assertTrue((vector[variances == 0] == 0).all())
+        # the streams stay aligned after the vector call
+        self.assertEqual(budget.sample_complex_gaussian(1.0, loop_sampler),
+                         budget.sample_complex_gaussian(1.0, vector_sampler))
+
+    def test_array_form_edge_cases(self):
+        s = budget.SeededSampler(1)
+        out = budget.sample_complex_gaussian(np.zeros(4), s)
+        np.testing.assert_array_equal(out, np.zeros(4, dtype=complex))
+        self.assertEqual(budget.sample_complex_gaussian(np.array([]), s).size,
+                         0)
+        self.assertEqual(s.counter, 0)
+        for bad in ([1.0, -1.0], [1.0, float("nan")]):
+            with self.assertRaises(budget.NegativeVariance):
+                budget.sample_complex_gaussian(np.array(bad), s)
+        self.assertEqual(s.counter, 0)
+
     def test_component_variances(self):
         s = budget.SeededSampler(99)
         draws = np.array([budget.sample_complex_gaussian(2.0, s)
@@ -216,6 +248,13 @@ class TestAccounting(unittest.TestCase):
                                   variances={}, shares={})
         with self.assertRaises(budget.BudgetMismatch):
             budget.accounting(empty)
+
+    def test_unusable_mu_rejected(self):
+        tau = budget.tau_marginal(two_singletons())
+        for mu in (math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-200,
+                   1e-160, 1e200):
+            with self.assertRaises(budget.BudgetMismatch):
+                budget.plan_from_tau(mu, tau)
 
     def test_document_shape(self):
         plan = budget.plan_from_tau(1.5, budget.tau_marginal(two_singletons()))

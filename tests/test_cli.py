@@ -173,6 +173,41 @@ def test_mu_zero_exits_2(tmp_path, capsys):
     assert "mu" in err
 
 
+@pytest.mark.parametrize("mu", ["inf", "-inf", "nan", "1e-200", "1e-160",
+                                "1e200"])
+def test_unusable_mu_exits_2(tmp_path, capsys, mu):
+    workload = write_json(tmp_path, PAIR_DOC)
+    rows = write_rows(tmp_path)
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--mu", mu, "--seed", "1")
+    assert code == 2 and out == ""
+    assert "mu" in err and "Traceback" not in err
+    # a finite report (sigma near 1e160) is the right answer there
+    if mu != "1e-160":
+        code, _, err = run(capsys, "predict-error", "--workload", workload,
+                           "--mu", mu)
+        assert code == 2 and "mu" in err
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
+    doc = json.loads(json.dumps(PAIR_DOC))
+    doc["sets"][1]["weight"] = weight
+    workload = write_json(tmp_path, doc)
+    code, out, err = run(capsys, "predict-error", "--workload", workload)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_mixed_csv_column_exits_2_with_line(tmp_path, capsys):
+    workload = write_json(tmp_path, PAIR_DOC)
+    rows = write_rows(tmp_path, "a,b\n0,0\nred,1\n1,1\nblue,0\n")
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--seed", "1")
+    assert code == 2 and out == ""
+    assert "line 3" in err and "'a'" in err
+
+
 def test_missing_seed_exits_2(tmp_path, capsys):
     workload = write_json(tmp_path, PAIR_DOC)
     rows = write_rows(tmp_path)

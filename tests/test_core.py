@@ -172,6 +172,23 @@ def test_dataset_rejects_out_of_range_rows():
         core.Dataset(universe=u, rows=np.array([[0, 2]]))
 
 
+def test_dataset_rejects_wrong_shape():
+    u = core.build_universe([2, 2])
+    for rows in (np.zeros((3, 4)), np.zeros(4), np.zeros((2, 2, 1)),
+                 np.zeros((0, 3))):
+        with pytest.raises(core.LengthMismatch):
+            core.Dataset(universe=u, rows=rows)
+    assert core.Dataset(universe=u, rows=np.zeros((0, 2))).n == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_workload_rejects_non_finite_weights(bad):
+    u = core.build_universe([2, 2])
+    with pytest.raises(core.AssignmentOutOfRange, match="finite"):
+        core.Workload(universe=u, sets=((0,), (1,)),
+                      weights=np.array([1.0, bad]))
+
+
 WORKLOAD_DOC = {
     "attributes": [
         {"name": "color", "size": 3, "kind": "categorical"},
@@ -248,4 +265,30 @@ def test_read_dataset_csv_value_out_of_range():
         core.Dataset(universe=universe, rows=np.array([[0, 9]]))
     text = "color,age\na,0\nb,1\nc,2\nd,3\n"
     with pytest.raises(core.AssignmentOutOfRange):
+        core.read_dataset_csv(io.StringIO(text), universe, names)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("color,age\n0,0\nred,1\n", 3),
+    ("color,age\nred,0\nblue,1\n2,2\n", 4),
+    ("color,age\nred,0\n\n0,1\n", 4),
+])
+def test_read_dataset_csv_rejects_mixed_column(text, line):
+    universe, workload, names = core.read_workload_json(WORKLOAD_DOC)
+    with pytest.raises(core.AssignmentOutOfRange,
+                       match=f"line {line}: attribute 'color' mixes"):
+        core.read_dataset_csv(io.StringIO(text), universe, names)
+
+
+@pytest.mark.parametrize("text, line, cell", [
+    ("color,age\n0,0\n1,3\n2,4\n", 4, "value 4 of attribute 'age'"),
+    ("color,age\n0,0\n\n1,1\n\n-1,2\n", 6,
+     "value -1 of attribute 'color'"),
+    ("color,age\n0,1\n0,99999999999999999999\n", 3,
+     "value 99999999999999999999 of attribute 'age'"),
+])
+def test_read_dataset_csv_out_of_range_names_line(text, line, cell):
+    universe, workload, names = core.read_workload_json(WORKLOAD_DOC)
+    with pytest.raises(core.AssignmentOutOfRange,
+                       match=f"line {line}: {cell}"):
         core.read_dataset_csv(io.StringIO(text), universe, names)

@@ -6,6 +6,8 @@ exhaustively on small universes.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +65,99 @@ def test_characters_orthonormal(sizes):
     X, _ = character_matrix(u)
     gram = (X @ X.conj().T) / u.size
     np.testing.assert_allclose(gram, np.eye(u.size), atol=1e-10)
+
+
+def reference_fourier_queries(dataset, indices):
+    """F_a(D) = sum_i conj(chi_a(x_i)), one pass over the rows per index."""
+    sizes = np.array(dataset.universe.domain_sizes, dtype=np.int64)
+    entries = {}
+    for a in indices:
+        if dataset.n == 0:
+            entries[tuple(a)] = 0j
+            continue
+        avec = np.array(a, dtype=np.int64)
+        phases = ((dataset.rows * avec) % sizes) / sizes
+        entries[tuple(a)] = complex(
+            np.exp(-2j * np.pi * phases.sum(axis=1)).sum())
+    return entries
+
+
+@st.composite
+def frequency_cases(draw):
+    # small attributes, optionally one of size 512, so every support's
+    # histogram grid stays small while long axes are still exercised
+    sizes = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = 512
+    u = core.build_universe(sizes)
+    n = draw(st.sampled_from([0, 1, 2, 17, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.column_stack([rng.integers(0, m, size=n) for m in sizes])
+    data = core.Dataset(universe=u, rows=rows.reshape(n, u.d))
+    indices = []
+    for j, m in enumerate(sizes):
+        a = [0] * u.d
+        a[j] = draw(st.integers(1, m - 1))
+        indices.append(tuple(a))
+    indices.extend(draw(st.lists(
+        st.tuples(*(st.one_of(st.just(0), st.integers(0, m - 1))
+                    for m in sizes)), max_size=12)))
+    return data, indices
+
+
+@given(frequency_cases())
+@settings(max_examples=80, deadline=None)
+def test_fourier_queries_match_per_row_sum(case):
+    data, indices = case
+    slow = reference_fourier_queries(data, indices)
+    bound = 1e-9 * max(1, data.n)
+    # a limit of 0 forces the histogram path, inf the direct sum
+    for limit in (0, math.inf, fourier.DIRECT_TERMS_PER_SUPPORT):
+        with mock.patch.object(fourier, "DIRECT_TERMS_PER_SUPPORT", limit):
+            fast = fourier.fourier_queries(data, indices)
+        assert set(fast.entries) == set(slow)
+        for a, value in slow.items():
+            assert abs(fast.value(a) - value) <= bound
+
+
+def test_fourier_queries_paths_by_size():
+    # the tiny release takes the direct sum, which reproduces the
+    # per-row reference bit for bit; a larger dataset takes the
+    # histogram path and agrees to rounding
+    rng = np.random.default_rng(4)
+    u = core.build_universe([2, 2, 2, 2])
+    indices = [a for a in itertools.product(range(2), repeat=4)
+               if sum(a) <= 2]
+    for n, histogram in ((30, False), (5000, True)):
+        data = core.Dataset(universe=u, rows=rng.integers(0, 2, (n, 4)))
+        with mock.patch.object(fourier, "_histogram_sums",
+                               wraps=fourier._histogram_sums) as spy:
+            fast = fourier.fourier_queries(data, indices).entries
+        assert spy.called == histogram
+        slow = reference_fourier_queries(data, indices)
+        if histogram:
+            assert max(abs(fast[a] - slow[a]) for a in slow) <= 1e-9 * n
+        else:
+            assert fast == slow
+
+
+def test_fourier_queries_empty_support_and_empty_dataset():
+    u = core.build_universe([3, 512])
+    data = core.Dataset(universe=u, rows=np.array([[0, 5], [2, 511]]))
+    table = fourier.fourier_queries(data, [(0, 0), (1, 0), (0, 0)])
+    assert table.value((0, 0)) == 2 and isinstance(table.value((0, 0)),
+                                                   complex)
+    empty = core.Dataset(universe=u, rows=np.empty((0, 2), dtype=np.int64))
+    table = fourier.fourier_queries(empty, [(0, 0), (2, 7)])
+    assert table.entries == {(0, 0): 0j, (2, 7): 0j}
+
+
+def test_fourier_queries_validates_every_index():
+    u = core.build_universe([2, 3])
+    data = core.Dataset(universe=u, rows=np.array([[0, 1]]))
+    for bad in [(0, 3), (2, 0), (0,), (0, 0, 0)]:
+        with pytest.raises(core.AssignmentOutOfRange):
+            fourier.fourier_queries(data, [(0, 0), bad])
 
 
 def test_fourier_queries_zero_index_counts_rows():
