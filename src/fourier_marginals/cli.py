@@ -185,25 +185,16 @@ def _setup_logging():
             level=getattr(logging, level.upper(), logging.INFO))
 
 
-def _plain(value):
-    """JSON-ready copy: numpy scalars and containers become plain Python."""
-    if isinstance(value, dict):
-        return {key: _plain(inner) for key, inner in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(inner) for inner in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(inner) for inner in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+def _numpy_value(value):
+    """json.dumps hook: numpy arrays and scalars as plain Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _json_text(doc):
-    return json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2,
+                      default=_numpy_value) + "\n"
 
 
 def _emit(text, out):

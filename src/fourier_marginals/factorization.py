@@ -137,15 +137,8 @@ def _prepare(workload, p=None, kind=None):
     Extended workloads are replaced by their doubled-domain product
     form.  Marginal coefficients are exact ones, not transform output.
     """
-    kind = kind or workload.kind
-    w = _normalized(workload, p)
-    if kind == "extended":
-        embedding = mechanism.embed_extended(w.universe)
-        w = Workload(universe=embedding.embedded, sets=w.sets,
-                     weights=w.weights, kind="product", phi=embedding.phi)
-        kind = "product"
-    if kind == "product":
-        spectrum = fourier.phi_spectrum(w.phi_tables())
+    w, spectrum, _ = mechanism.as_product(_normalized(workload, p), kind)
+    if spectrum is not None:
         coeffs = spectrum.tables
         tau_map = budget.tau_product(w, spectrum=spectrum)
     else:

@@ -17,8 +17,12 @@ on each set,
                 (prod_{j in S} |phi_hat_j(a_j)|^2) / tau_a,
 
 and the weighted root mean squared error over the workload has the
-closed form (1/mu) sum_a tau_a.  predicted_error evaluates these
-formulas without any sampling.
+closed form (1/mu) sum_a tau_a.  Both are evaluated per member of the
+downward closure, from a budget.SubsetPlan: sigma_S^2 = tau D_S and
+sum_a tau_a = sum_R G_R r_R, so predicted_error and the per-set sigma
+of a release cost O(sum_S 2^|S|) and never enumerate frequencies.
+Marginal, product and extended workloads all go through as_product,
+which hands back the product form the plan is built from.
 
 Range queries over numerical attributes (prefixes t >= 0 counting
 x <= t, suffixes t < 0 counting x >= |t|) are handled by doubling each
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget, fourier
+from .budget import BadArity
 from .core import (NUMERICAL, AssignmentOutOfRange, Dataset,
                    FourierMarginalsError, Unestimable, Universe, Workload,
                    build_universe, normalize_weights)
@@ -48,10 +53,6 @@ from .core import (NUMERICAL, AssignmentOutOfRange, Dataset,
 
 class NonUniformDomain(FourierMarginalsError):
     """The all-k-way release needs every attribute size equal."""
-
-
-class BadArity(FourierMarginalsError):
-    """eta and zeta need m >= 2."""
 
 
 def eta(m):
@@ -149,10 +150,25 @@ def embed_extended(universe, workload=None):
                              phi=tuple(phi))
 
 
-def _embedded_workload(embedding, workload):
-    return Workload(universe=embedding.embedded, sets=workload.sets,
-                    weights=np.asarray(workload.weights), kind="product",
-                    phi=embedding.phi)
+def as_product(workload, kind=None):
+    """Product form of a workload: (workload, spectrum, embedding).
+
+    kind defaults to the workload's own.  Marginal workloads come back
+    unchanged with spectrum None (every |phi_hat_j| is 1); product
+    workloads come with the spectrum of their factor tables; extended
+    workloads are replaced by their doubled-domain product workload,
+    returned with its embedding.  Weights are carried over as given.
+    """
+    kind = kind or workload.kind
+    embedding = None
+    if kind == "extended":
+        embedding = embed_extended(workload.universe)
+        workload = Workload(universe=embedding.embedded, sets=workload.sets,
+                            weights=workload.weights, kind="product",
+                            phi=embedding.phi)
+    elif kind != "product":
+        return workload, None, None
+    return workload, fourier.phi_spectrum(workload.phi_tables()), embedding
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,37 +203,29 @@ class ReleaseResult:
         return float(table[tuple(target)])
 
 
-def _magnitudes(universe, spectrum):
-    if spectrum is None:
-        return None
-    return [np.abs(spectrum.tables[j]) for j in range(universe.d)]
-
-
 def _sub_frequencies(universe, members):
     for r in range(len(members) + 1):
         for sub in itertools.combinations(members, r):
             yield from fourier.frequency_vectors(universe, sub)
 
 
-def _set_sigma(universe, members, tau_map, tau_total, magnitudes):
-    """Per-query noise deviation of one set, inf when uncoverable.
+def _error_report(structure, roots, mu):
+    """Per-set sigma, weighted RMS and worst sigma from member roots.
 
-    Frequencies whose reconstruction coefficient vanishes are skipped;
-    any remaining frequency without budget makes the set unestimable.
+    sigma_S = sqrt(tau D_S), inf when S needs a frequency without
+    budget; the weighted RMS is (1/mu) sum_R G_R r_R.
     """
-    total = 0.0
-    for a in _sub_frequencies(universe, members):
-        num = 1.0
-        if magnitudes is not None:
-            for j in members:
-                num *= magnitudes[j][a[j]] ** 2
-        if num == 0.0:
-            continue
-        tau_a = tau_map.get(a, 0.0)
-        if tau_a <= 0.0:
-            return math.inf
-        total += num / tau_a
-    return math.sqrt(tau_total * total) / universe.subuniverse_size(members)
+    total = float(structure.gains @ roots)
+    derivatives = structure.derivatives(roots)
+    with np.errstate(invalid="ignore"):
+        sigma = np.sqrt(total / mu ** 2 * derivatives)
+    sigma[np.isinf(derivatives)] = math.inf
+    per_set_sigma = dict(zip(structure.sets, sigma.tolist()))
+    return {
+        "per_set_sigma": per_set_sigma,
+        "weighted_rms": total / mu,
+        "max_sigma": max(per_set_sigma.values(), default=0.0),
+    }
 
 
 def _reconstruct(universe, members, noisy, spectrum):
@@ -244,26 +252,34 @@ def _empty_plan(mu):
                              variances={}, shares={})
 
 
-def _run_release(dataset, workload, tau_map, spectrum, mu, sampler,
-                 plan, kind, embedding=None):
+def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
+                 embedding=None):
+    """Release a normalized product-form workload (spectrum None for
+    marginals).  A given plan is checked against the workload and mu
+    and used as it is; otherwise the plan is made from the weights."""
     universe = workload.universe
-    magnitudes = _magnitudes(universe, spectrum)
+    structure = budget.subset_plan(workload, spectrum)
+    roots = structure.roots(workload.weights)
     if plan is None:
+        tau_map = structure.tau_map(roots)
         if any(t > 0 for t in tau_map.values()):
             plan = budget.plan_from_tau(mu, tau_map)
         else:
             # every reconstruction coefficient is zero: the workload is
             # constant, released exactly, and consumes no budget
             plan = _empty_plan(mu)
-    per_set_sigma = {}
-    for members in workload.sets:
-        sigma = _set_sigma(universe, members, plan.tau_map,
-                           plan.tau_total, magnitudes)
+    else:
+        budget.check_plan(plan, structure, roots, mu)
+    if plan.tau_map:
+        budget.accounting(plan)
+    # sigma_S is invariant under scaling the plan, so the workload's
+    # own roots give the sigma of any plan that check_plan accepts
+    predicted = _error_report(structure, roots, mu)
+    for members, sigma in predicted["per_set_sigma"].items():
         if math.isinf(sigma):
             raise Unestimable(
                 f"set {members} needs frequencies with no budget; give it "
                 "positive weight or cover it by a larger weighted set")
-        per_set_sigma[members] = sigma
 
     order = sorted(plan.tau_map)
     table = fourier.fourier_queries(dataset, order)
@@ -275,23 +291,11 @@ def _run_release(dataset, workload, tau_map, spectrum, mu, sampler,
 
     estimates = {members: _reconstruct(universe, members, noisy, spectrum)
                  for members in workload.sets}
-    # robust to plans given in any scale: sigma_S is scale invariant and
-    # err^2 = sum_S p(S) sigma_S^2 for every plan
-    weights = np.asarray(workload.weights, dtype=float)
-    if weights.sum() > 0:
-        weights = weights / weights.sum()
-    weighted_rms = math.sqrt(sum(
-        pS * per_set_sigma[members] ** 2
-        for members, pS in zip(workload.sets, weights)))
-    predicted = {
-        "per_set_sigma": dict(per_set_sigma),
-        "weighted_rms": weighted_rms,
-        "max_sigma": max(per_set_sigma.values(), default=0.0),
-    }
     seed = sampler.seed if sampler is not None else None
     return ReleaseResult(kind=kind, workload=workload, estimates=estimates,
-                         per_set_sigma=per_set_sigma, plan=plan, seed=seed,
-                         predicted=predicted, embedding=embedding)
+                         per_set_sigma=dict(predicted["per_set_sigma"]),
+                         plan=plan, seed=seed, predicted=predicted,
+                         embedding=embedding)
 
 
 def release_marginals(dataset, workload, p=None, mu=1.0, sampler=None,
@@ -300,13 +304,13 @@ def release_marginals(dataset, workload, p=None, mu=1.0, sampler=None,
 
     Weights are normalized internally; every set of the workload is
     reconstructed, including zero-weight sets whose frequencies are
-    already paid for.  sampler=None skips the noise (test mode).
+    already paid for.  sampler=None skips the noise (test mode).  A
+    given plan is used as it is, after checks: it must be made for mu
+    and for this workload's weights, in any scale (BudgetMismatch).
     """
-    workload = _with_weights(workload, p)
-    workload = normalize_weights(workload)
-    tau_map = budget.tau_marginal(workload)
-    return _run_release(dataset, workload, tau_map, None, mu, sampler,
-                        plan, "marginal")
+    workload = normalize_weights(_with_weights(workload, p))
+    return _run_release(dataset, workload, None, mu, sampler, plan,
+                        "marginal")
 
 
 def release_product(dataset, workload, phi=None, p=None, mu=1.0,
@@ -315,14 +319,13 @@ def release_product(dataset, workload, phi=None, p=None, mu=1.0,
 
     phi overrides the workload's factor tables when given.  With the
     indicator-of-zero tables this is release_marginals, noise stream
-    included.
+    included.  A given plan is checked as in release_marginals.
     """
-    workload = _with_weights(workload, p, phi=phi, kind="product")
-    workload = normalize_weights(workload)
+    workload = normalize_weights(
+        _with_weights(workload, p, phi=phi, kind="product"))
     spectrum = fourier.phi_spectrum(workload.phi_tables())
-    tau_map = budget.tau_product(workload, spectrum=spectrum)
-    return _run_release(dataset, workload, tau_map, spectrum, mu, sampler,
-                        plan, "product")
+    return _run_release(dataset, workload, spectrum, mu, sampler, plan,
+                        "product")
 
 
 def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
@@ -332,21 +335,19 @@ def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
     estimate() accepts original targets (negative values select
     suffixes).  The released tables cover every target of every set.
     """
-    universe = workload.universe
-    embedding = embed_extended(universe)
+    inner, spectrum, embedding = as_product(
+        normalize_weights(_with_weights(workload, p)), "extended")
     embedded_dataset = Dataset(universe=embedding.embedded,
                                rows=dataset.rows)
-    inner = _with_weights(_embedded_workload(embedding, workload), p)
-    inner = normalize_weights(inner)
-    spectrum = fourier.phi_spectrum(inner.phi_tables())
-    tau_map = budget.tau_product(inner, spectrum=spectrum)
-    result = _run_release(embedded_dataset, inner, tau_map, spectrum, mu,
-                          sampler, None, "extended", embedding=embedding)
-    return result
+    return _run_release(embedded_dataset, inner, spectrum, mu, sampler,
+                        None, "extended", embedding=embedding)
 
 
 def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
-    """Private estimates of all k-way marginals of a uniform domain."""
+    """Private estimates of all k-way marginals of a uniform domain.
+
+    A given plan is checked as in release_marginals.
+    """
     universe = dataset.universe
     sizes = set(universe.domain_sizes)
     if len(sizes) != 1:
@@ -358,8 +359,8 @@ def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     sets = tuple(itertools.combinations(range(d), k))
     workload = Workload(universe=universe, sets=sets,
                         weights=np.full(len(sets), 1.0 / len(sets)))
-    return _run_release(dataset, workload, plan.tau_map, None, mu, sampler,
-                        plan, "marginal")
+    return _run_release(dataset, workload, None, mu, sampler, plan,
+                        "marginal")
 
 
 def _with_weights(workload, p, phi=None, kind=None):
@@ -378,35 +379,12 @@ def predicted_error(workload, p=None, mu=1.0, kind=None):
     Returns per-set noise deviations, the weighted root mean squared
     error (1/mu) sum_a tau_a, and the worst per-set deviation.
     Unestimable zero-weight sets are reported with sigma = inf instead
-    of raising.
+    of raising.  Costs O(sum_S 2^|S|), whatever the domain sizes.
     """
-    kind = kind or workload.kind
-    workload = _with_weights(workload, p)
-    workload = normalize_weights(workload)
-    if kind == "extended":
-        embedding = embed_extended(workload.universe)
-        workload = _embedded_workload(embedding, workload)
-        spectrum = fourier.phi_spectrum(workload.phi_tables())
-        tau_map = budget.tau_product(workload, spectrum=spectrum)
-    elif kind == "product":
-        spectrum = fourier.phi_spectrum(workload.phi_tables())
-        tau_map = budget.tau_product(workload, spectrum=spectrum)
-    else:
-        spectrum = None
-        tau_map = budget.tau_marginal(workload)
-    universe = workload.universe
-    magnitudes = _magnitudes(universe, spectrum)
-    tau_total = sum(tau_map.values()) / mu ** 2
-    per_set_sigma = {
-        members: _set_sigma(universe, members, tau_map, tau_total,
-                            magnitudes)
-        for members in workload.sets
-    }
-    return {
-        "per_set_sigma": per_set_sigma,
-        "weighted_rms": sum(tau_map.values()) / mu,
-        "max_sigma": max(per_set_sigma.values(), default=0.0),
-    }
+    workload = normalize_weights(_with_weights(workload, p))
+    workload, spectrum, _ = as_product(workload, kind)
+    structure = budget.subset_plan(workload, spectrum)
+    return _error_report(structure, structure.roots(workload.weights), mu)
 
 
 def k_way_sigma(d, k, m, mu=1.0):
@@ -415,13 +393,8 @@ def k_way_sigma(d, k, m, mu=1.0):
     sigma = (1 / (mu m^k sqrt(binom(d,k)))) *
             sum_l binom(d,l) (m-1)^l sqrt(binom(d-l, k-l)).
     """
-    if not 1 <= k <= d:
-        raise budget.BadArity(f"need 1 <= k <= d, got k={k}, d={d}")
-    if m < 2:
-        raise budget.BadArity(f"need m >= 2, got m={m}")
-    total = sum(math.comb(d, l) * (m - 1) ** l
-                * math.sqrt(math.comb(d - l, k - l)) for l in range(k + 1))
-    return total / (mu * m ** k * math.sqrt(math.comb(d, k)))
+    return budget.k_way_tau_sum(d, k, m) \
+        / (mu * m ** k * math.sqrt(math.comb(d, k)))
 
 
 def gaussian_baseline_sigma(num_queries_sets, mu=1.0):

@@ -2,7 +2,10 @@
 
 The weighted error of a release is (1/mu) sum_R G_R sqrt(c_R(p)), a
 concave function of the workload weights p on the simplex, and the
-max-variance guarantee is its value at the maximizing p*.  At p* the
+max-variance guarantee is its value at the maximizing p*.  G_R and the
+coefficients coef(R, S) are read off the workload's budget.SubsetPlan,
+one per pair R <= S of closure member and set; only the optimizer
+spreads them into a dense members-by-sets matrix.  At p* the
 per-query noise deviation sigma_S is the same for every set carrying
 weight and no set exceeds it, so the maximum equals the weighted error.
 
@@ -26,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fourier, mechanism
-from .core import (FourierMarginalsError, Workload, downward_closure,
-                   normalize_weights)
+from . import budget, mechanism
+from .core import FourierMarginalsError
 
 # inner sums stay at or above this during iteration; the first-order
 # conditions guarantee strict positivity at the optimum itself
@@ -73,38 +75,17 @@ class WeightSolution:
 
 
 def _structure(workload, kind):
-    """Grouped objective data: members, G_R, coef(R, S), active rows."""
-    universe = workload.universe
-    if kind == "extended":
-        embedding = mechanism.embed_extended(universe)
-        workload = Workload(universe=embedding.embedded, sets=workload.sets,
-                            weights=np.asarray(workload.weights),
-                            kind="product", phi=embedding.phi)
-        universe = workload.universe
-        kind = "product"
-    if kind == "product":
-        spectrum = fourier.phi_spectrum(workload.phi_tables())
-        gains = [float(np.abs(spectrum.tables[j][1:]).sum())
-                 for j in range(universe.d)]
-        zeros = [float(np.abs(spectrum.tables[j][0])) ** 2
-                 for j in range(universe.d)]
-    else:
-        gains = [m - 1.0 for m in universe.domain_sizes]
-        zeros = [1.0] * universe.d
-    members = list(downward_closure(workload))
-    sets = workload.sets
-    G = np.array([float(np.prod([gains[j] for j in R])) for R in members])
-    C = np.zeros((len(members), len(sets)))
-    for i, R in enumerate(members):
-        for k, S in enumerate(sets):
-            if set(R).issubset(S):
-                z = 1.0
-                for j in S:
-                    if j not in R:
-                        z *= zeros[j]
-                C[i, k] = z / universe.subuniverse_size(S) ** 2
-    active = (G > 0) & (C.max(axis=1) > 0)
-    return members, sets, G, C, active
+    """Grouped objective data: members, G_R, coef(R, S), active rows.
+
+    Read off the workload's budget.SubsetPlan; C is dense, members by
+    sets, with coef(R, S) = z_{S - R} / |U_S|^2 on every pair R <= S.
+    """
+    workload, spectrum, _ = mechanism.as_product(workload, kind)
+    plan = budget.subset_plan(workload, spectrum)
+    C = np.zeros((len(plan.members), len(plan.sets)))
+    C[plan.pair_member, plan.pair_set] = plan.coef
+    active = (plan.gains > 0) & (C.max(axis=1) > 0)
+    return plan.members, plan.sets, plan.gains, C, active
 
 
 def _objective(G, C, active, p):

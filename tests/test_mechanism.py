@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fourier_marginals import budget, core, fourier, mechanism, oracle
 
-from conftest import datasets, universes, workloads
+from conftest import set_families, universes, workloads
 
 
 def make_dataset(sizes, rows, kinds=None):
@@ -214,6 +214,20 @@ def test_indicator_product_identical_to_marginals():
                                       b.estimates[members])
     assert a.plan.variances == b.plan.variances
     assert a.predicted == b.predicted
+
+
+def test_zero_budget_workload_reports_unestimable_set():
+    # the only weighted set has an all-zero factor, so nothing gets
+    # budget, yet the zero-weight set needs F_0
+    data = make_dataset((2, 2), [(0, 1), (1, 1)])
+    phi = ((0.0, 0.0), (1.0, 0.0))
+    w = core.Workload(universe=data.universe, sets=((0,), (1,)),
+                      weights=np.array([1.0, 0.0]), kind="product", phi=phi)
+    report = mechanism.predicted_error(w, mu=1.0)
+    assert report["weighted_rms"] == 0.0
+    assert report["per_set_sigma"] == {(0,): 0.0, (1,): math.inf}
+    with pytest.raises(core.Unestimable):
+        mechanism.release_product(data, w, mu=1.0)
 
 
 def test_all_zero_factor_releases_exact_zeros():
@@ -456,6 +470,233 @@ def test_product_rms_matches_enumerated_objective():
     assert report["weighted_rms"] == pytest.approx(reference, rel=1e-10)
 
 
+# ------------------------------------- per-frequency reference, subset plan
+
+
+def reference_tau(workload, magnitudes=None):
+    """tau_a frequency by frequency, summing over the sets for each
+    closure member; magnitudes None means plain marginals."""
+    universe = workload.universe
+    out = {}
+    for members in core.downward_closure(workload):
+        c = 0.0
+        for s, pS in zip(workload.sets, workload.weights):
+            if pS > 0 and set(members).issubset(s):
+                off = 1.0
+                if magnitudes is not None:
+                    for j in s:
+                        if j not in members:
+                            off *= magnitudes[j][0] ** 2
+                c += pS * off / universe.subuniverse_size(s) ** 2
+        root = math.sqrt(c)
+        for a in fourier.frequency_vectors(universe, members):
+            scale = 1.0
+            if magnitudes is not None:
+                for j in members:
+                    scale *= magnitudes[j][a[j]]
+            out[a] = scale * root
+    return out
+
+
+def reference_sigma(universe, members, tau_map, tau_total, magnitudes):
+    """sigma_S by a sum over every frequency supported inside S; inf
+    when a frequency with a nonzero coefficient has no budget."""
+    total = 0.0
+    for r in range(len(members) + 1):
+        for sub in itertools.combinations(members, r):
+            for a in fourier.frequency_vectors(universe, sub):
+                num = 1.0
+                if magnitudes is not None:
+                    for j in members:
+                        num *= magnitudes[j][a[j]] ** 2
+                if num == 0.0:
+                    continue
+                tau_a = tau_map.get(a, 0.0)
+                if tau_a <= 0.0:
+                    return math.inf
+                total += num / tau_a
+    return math.sqrt(tau_total * total) / universe.subuniverse_size(members)
+
+
+def product_form(workload):
+    """(normalized product-form workload, |phi_hat| tables or None)."""
+    w = core.normalize_weights(workload)
+    if w.kind == "extended":
+        emb = mechanism.embed_extended(w.universe)
+        w = core.Workload(universe=emb.embedded, sets=w.sets,
+                          weights=w.weights, kind="product", phi=emb.phi)
+    if w.kind == "marginal":
+        return w, None
+    spectrum = fourier.phi_spectrum(w.phi_tables())
+    return w, [np.abs(t) for t in spectrum.tables]
+
+
+def reference_report(workload, mu):
+    w, magnitudes = product_form(workload)
+    tau_map = reference_tau(w, magnitudes)
+    tau_total = sum(tau_map.values()) / mu ** 2
+    sigma = {s: reference_sigma(w.universe, s, tau_map, tau_total,
+                                magnitudes) for s in w.sets}
+    return tau_map, sigma, sum(tau_map.values()) / mu
+
+
+@st.composite
+def kinded_workloads(draw):
+    """Marginal, product (factor values with exact zeros in their
+    spectra) and extended workloads, some sets weighted zero."""
+    kind = draw(st.sampled_from(["marginal", "product", "extended"]))
+    kinds = (core.CATEGORICAL, core.NUMERICAL) if kind == "extended" \
+        else (core.CATEGORICAL,)
+    universe = draw(universes(max_d=3, max_m=4, kinds=kinds))
+    sets = draw(set_families(universe.d, max_sets=4))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0])
+                            | st.floats(0.01, 2.0),
+                            min_size=len(sets), max_size=len(sets)))
+    if sum(weights) == 0:
+        weights[0] = 1.0
+    phi = None
+    if kind == "product":
+        phi = tuple(tuple(draw(st.lists(
+            st.integers(-4, 4).map(lambda v: v / 2)
+            | st.floats(0.1, 2.0), min_size=m, max_size=m)))
+            for m in universe.domain_sizes)
+    return core.Workload(universe=universe, sets=sets,
+                         weights=np.array(weights), kind=kind, phi=phi)
+
+
+def assert_close(actual, expected, rel=1e-12):
+    if math.isinf(expected):
+        assert actual == expected
+    else:
+        assert actual == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+@given(kinded_workloads())
+@settings(max_examples=150, deadline=None)
+def test_subset_plan_matches_per_frequency_reference(w):
+    mu = 1.7
+    tau_ref, sigma_ref, rms_ref = reference_report(w, mu)
+    report = mechanism.predicted_error(w, mu=mu)
+    for s in w.sets:
+        assert_close(report["per_set_sigma"][s], sigma_ref[s])
+    assert_close(report["max_sigma"], max(sigma_ref.values()))
+    assert_close(report["weighted_rms"], rms_ref)
+    product, magnitudes = product_form(w)
+    tau = (budget.tau_marginal(product) if magnitudes is None
+           else budget.tau_product(product))
+    assert list(tau) == list(tau_ref)
+    assert tau == tau_ref  # same arithmetic in the same order
+    sizes = product.universe.domain_sizes
+    phi = None if product.kind == "marginal" \
+        else [list(t) for t in product.phi_tables()]
+    objective = oracle.pstar_objective(sizes, product.sets, product.weights,
+                                       phi=phi)
+    assert report["weighted_rms"] == pytest.approx(objective / mu, rel=1e-10)
+
+
+RELEASE_CASES = [
+    ("marginal", (2, 3, 2), None, ((0, 1), (1, 2), (2,)), (1.0, 2.0, 0.0)),
+    ("product", (3, 4), None, ((0,), (0, 1)), (0.5, 0.5)),
+    ("extended", (3, 2), (core.NUMERICAL, core.CATEGORICAL),
+     ((0,), (0, 1)), (0.7, 0.3)),
+]
+
+
+def release_case(kind, sizes, kinds, sets, weights):
+    data = make_dataset(sizes, [(0,) * len(sizes), (1,) * len(sizes)],
+                        kinds)
+    phi = ((1.0, 0.5, 0.0), (1.0, 1.0, 0.0, -1.0)) if kind == "product" \
+        else None
+    w = core.Workload(universe=data.universe, sets=sets,
+                      weights=np.array(weights), kind=kind, phi=phi)
+    release = {"marginal": mechanism.release_marginals,
+               "product": mechanism.release_product,
+               "extended": mechanism.release_extended}[kind]
+    return data, w, release
+
+
+@pytest.mark.parametrize("case", RELEASE_CASES, ids=lambda c: c[0])
+def test_release_sigma_equals_predicted_error(case):
+    data, w, release = release_case(*case)
+    result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
+    report = mechanism.predicted_error(w, mu=0.8)
+    assert result.per_set_sigma == report["per_set_sigma"]
+    assert result.predicted == report
+
+
+@pytest.mark.parametrize("case", RELEASE_CASES[:2], ids=lambda c: c[0])
+def test_planned_release_computes_no_tau(case, monkeypatch):
+    data, w, release = release_case(*case)
+    product, _ = product_form(w)
+    tau = (budget.tau_marginal(product) if product.kind == "marginal"
+           else budget.tau_product(product))
+    plan = budget.plan_from_tau(0.8, tau)
+    expected = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
+
+    def no_tau(self, roots):
+        raise AssertionError("a planned release computed tau")
+    monkeypatch.setattr(budget.SubsetPlan, "tau_map", no_tau)
+    result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4),
+                     plan=plan)
+    for s in w.sets:
+        np.testing.assert_array_equal(result.estimates[s],
+                                      expected.estimates[s])
+    assert result.per_set_sigma == expected.per_set_sigma
+
+
+def test_plan_for_another_mu_is_rejected():
+    data = make_dataset((2, 2), [(0, 1)])
+    w = core.Workload(universe=data.universe, sets=((0, 1), (0,)),
+                      weights=np.array([0.5, 0.5]))
+    plan = budget.plan_from_tau(1.0, budget.tau_marginal(w))
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, w, mu=2.0, plan=plan)
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_product(data, w, mu=2.0, plan=plan)
+    kway = budget.k_way_budget(2, 1, 2, mu=1.0)
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_k_way(data, 1, mu=2.0, plan=kway)
+
+
+def test_plan_for_other_weights_is_rejected():
+    data = make_dataset((2, 3), [(0, 1)])
+    w = core.Workload(universe=data.universe, sets=((0, 1), (0,)),
+                      weights=np.array([0.5, 0.5]))
+    other = budget.plan_from_tau(1.0, budget.tau_marginal(w, p=[0.9, 0.1]))
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, w, mu=1.0, plan=other)
+    fewer = core.Workload(universe=data.universe, sets=((0,),),
+                          weights=np.array([1.0]))
+    partial = budget.plan_from_tau(1.0, budget.tau_marginal(fewer))
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, w, mu=1.0, plan=partial)
+    # proportional on the workload's frequencies, but holds more
+    larger = budget.plan_from_tau(1.0, budget.tau_marginal(w, p=[1.0, 0.0]))
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, fewer, mu=1.0, plan=larger)
+    # as many frequencies as the workload's, but none of them
+    elsewhere = budget.plan_from_tau(1.0, {(0, 1): 1.0, (0, 2): 1.0})
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, fewer, mu=1.0, plan=elsewhere)
+    # any scale of the workload's own weights is the same plan
+    scaled = budget.plan_from_tau(1.0, budget.tau_marginal(w, p=[3.0, 3.0]))
+    mechanism.release_marginals(data, w, mu=1.0, plan=scaled)
+
+
+def test_inconsistent_plan_fails_accounting():
+    data = make_dataset((2, 2), [(0, 1)])
+    w = core.Workload(universe=data.universe, sets=((0, 1),),
+                      weights=np.array([1.0]))
+    plan = budget.plan_from_tau(1.0, budget.tau_marginal(w))
+    a = next(iter(plan.variances))
+    broken = budget.BudgetPlan(
+        mu=plan.mu, tau_total=plan.tau_total, tau_map=plan.tau_map,
+        variances={**plan.variances, a: plan.variances[a] / 2},
+        shares=plan.shares)
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, w, mu=1.0, plan=broken)
+
+
 # --------------------------------------------------------------- eta, zeta
 
 
@@ -465,6 +706,7 @@ def test_eta_zeta_small_values():
 
 
 def test_eta_zeta_reject_small_m():
+    assert mechanism.BadArity is budget.BadArity
     with pytest.raises(mechanism.BadArity):
         mechanism.eta(1)
     with pytest.raises(mechanism.BadArity):

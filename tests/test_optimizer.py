@@ -2,10 +2,11 @@
 
 import math
 import unittest
+import unittest.mock
 
 import numpy as np
 
-from fourier_marginals import core, mechanism, optimizer, oracle
+from fourier_marginals import core, fourier, mechanism, optimizer, oracle
 
 
 def workload(sizes, sets, kinds=None, kind="marginal", phi=None):
@@ -218,6 +219,83 @@ class ExtendedAndDegenerate(unittest.TestCase):
         sol = optimizer.optimize_pstar(w)
         self.assertEqual(sol.objective, 0.0)
         self.assertEqual(sol.kkt_residual, 0.0)
+
+
+def reference_structure(workload, kind):
+    """members, G, C and active by a double loop over members and sets."""
+    kind = kind or workload.kind
+    universe = workload.universe
+    if kind == "extended":
+        embedding = mechanism.embed_extended(universe)
+        workload = core.Workload(universe=embedding.embedded,
+                                 sets=workload.sets,
+                                 weights=workload.weights, kind="product",
+                                 phi=embedding.phi)
+        universe = workload.universe
+        kind = "product"
+    if kind == "product":
+        spectrum = fourier.phi_spectrum(workload.phi_tables())
+        gains = [float(np.abs(spectrum.tables[j][1:]).sum())
+                 for j in range(universe.d)]
+        zeros = [float(np.abs(spectrum.tables[j][0])) ** 2
+                 for j in range(universe.d)]
+    else:
+        gains = [m - 1.0 for m in universe.domain_sizes]
+        zeros = [1.0] * universe.d
+    members = list(core.downward_closure(workload))
+    sets = workload.sets
+    G = np.array([float(np.prod([gains[j] for j in R])) for R in members])
+    C = np.zeros((len(members), len(sets)))
+    for i, R in enumerate(members):
+        for k, S in enumerate(sets):
+            if set(R).issubset(S):
+                z = 1.0
+                for j in S:
+                    if j not in R:
+                        z *= zeros[j]
+                C[i, k] = z / universe.subuniverse_size(S) ** 2
+    active = (G > 0) & (C.max(axis=1) > 0)
+    return members, sets, G, C, active
+
+
+class StructureFromSubsetPlan(unittest.TestCase):
+    # the optimizer's workloads above, each with its kind
+    CASES = (
+        workload((2, 2, 2), ((0, 1), (0, 2), (1, 2))),
+        workload((3, 3, 3, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                (2, 3))),
+        workload((2, 3), ((0, 1),)),
+        workload((2, 2), ((0,), (0, 1))),
+        workload((2, 3), ((0,), (1,), (0, 1))),
+        workload((2, 3), ((0,), (0, 1)), kind="product",
+                 phi=((1.0, 0.25), (0.5, 1.0, 0.0))),
+        workload((3, 2), ((0,), (0, 1)),
+                 kinds=(core.NUMERICAL, core.CATEGORICAL), kind="extended"),
+        workload((3, 2), ((0,), (0, 1)), kind="extended"),
+        workload((2, 2), ((0,), (0, 1)), kind="product",
+                 phi=((0.0, 0.0), (1.0, 1.0))),
+    )
+
+    def test_structure_equals_double_loop(self):
+        for w in self.CASES:
+            members, sets, G, C, active = optimizer._structure(w, None)
+            ref = reference_structure(w, None)
+            self.assertEqual(list(members), ref[0])
+            self.assertEqual(sets, ref[1])
+            np.testing.assert_array_equal(G, ref[2])
+            np.testing.assert_array_equal(C, ref[3])
+            np.testing.assert_array_equal(active, ref[4])
+
+    def test_pstar_unchanged(self):
+        for w in self.CASES:
+            new = optimizer.optimize_pstar(w)
+            with unittest.mock.patch.object(optimizer, "_structure",
+                                            reference_structure):
+                old = optimizer.optimize_pstar(w)
+            np.testing.assert_array_equal(new.p_star, old.p_star)
+            self.assertEqual(new.objective, old.objective)
+            self.assertEqual(new.kkt_residual, old.kkt_residual)
+            self.assertEqual(new.iterations, old.iterations)
 
 
 if __name__ == "__main__":
