@@ -232,7 +232,7 @@ def subset_plan(workload, spectrum=None):
     The workload's weights are not read: roots() takes them.
     """
     universe = workload.universe
-    members = downward_closure(workload).members
+    members = downward_closure(workload)
     index = {sub: i for i, sub in enumerate(members)}
     if spectrum is None:
         magnitudes = zeros = None

@@ -111,7 +111,13 @@ def _build_parser():
                       help="workload description, JSON")
 
     p = sub.add_parser("release", parents=[work, output],
-                       help="draw a private release of a workload")
+                       help="draw a private release of a workload",
+                       description=(
+                           "Draw a private release of a workload.  The "
+                           "privacy analysis assumes ideal real-valued "
+                           "Gaussians.  Floating-point noise is a faithful "
+                           "simulation, not a hardened implementation, and "
+                           "no formal privacy claim is made for it here."))
     p.add_argument("--dataset", required=True, help="dataset rows, CSV")
     p.add_argument("--mu", type=float, default=1.0,
                    help="privacy level (default 1.0)")

@@ -21,7 +21,7 @@ threads.
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,22 +163,6 @@ class Workload:
                      for m in self.universe.domain_sizes)
 
 
-@dataclass(frozen=True)
-class SubsetClosure:
-    """Family of subsets closed under taking subsets."""
-
-    members: tuple
-
-    def __contains__(self, s):
-        return tuple(sorted(s)) in set(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 def build_universe(domain_sizes, kinds=None):
     """Validate sizes and kind flags and return a Universe.
 
@@ -206,7 +190,8 @@ def downward_closure(workload, positive_only=False):
 
     With positive_only, only sets contained in some member with positive
     weight are kept (the closure that matters for released frequencies).
-    Members are ordered by (cardinality, lexicographic).
+    Returns the members as a tuple of index tuples, ordered by
+    (cardinality, lexicographic).
     """
     closure = set()
     for s, w in zip(workload.sets, workload.weights):
@@ -214,18 +199,20 @@ def downward_closure(workload, positive_only=False):
             continue
         for r in range(len(s) + 1):
             closure.update(itertools.combinations(s, r))
-    members = tuple(sorted(closure, key=lambda s: (len(s), s)))
-    return SubsetClosure(members=members)
+    return tuple(sorted(closure, key=lambda s: (len(s), s)))
 
 
-def normalize_weights(workload):
-    """Scale the weights to sum to one; membership and order unchanged."""
+def normalize_weights(workload, p=None):
+    """Scale the weights (p when given) to sum to one.
+
+    Membership, order, kind and factor tables are unchanged.
+    """
+    if p is not None:
+        workload = replace(workload, weights=p)
     total = float(workload.weights.sum())
     if total <= 0:
         raise AllZeroWeights("cannot normalize an all-zero weight vector")
-    return Workload(universe=workload.universe, sets=workload.sets,
-                    weights=workload.weights / total, kind=workload.kind,
-                    phi=workload.phi)
+    return replace(workload, weights=workload.weights / total)
 
 
 def marginal_eval(dataset, members, target):

@@ -24,7 +24,12 @@ sqrt(|U|) tau_a.  Three certificates follow:
     ratio of two explicit log-like sums per numerical attribute.
 
 Dense matrices are built only for small instances; past the caps the
-certificates fall back to closed forms.
+certificates fall back to closed forms: the weighted error is
+sum_R G_R r_R from mechanism.predicted_error, summed per member of the
+downward closure.  Whether every set can be estimated is decided by
+the release's own rule, an infinite sigma_S read off the
+budget.SubsetPlan, so a factorization is refused exactly when a
+release would be.
 """
 
 import itertools
@@ -35,7 +40,7 @@ from functools import reduce
 import numpy as np
 
 from . import budget, fourier, mechanism
-from .core import (NUMERICAL, FourierMarginalsError, Unestimable, Workload,
+from .core import (NUMERICAL, FourierMarginalsError, Workload,
                    downward_closure, normalize_weights)
 from .mechanism import zeta
 
@@ -123,30 +128,6 @@ WITNESS_NOTE = ("certifies the prefix query family; quoted unchanged for "
                 "computed here")
 
 
-def _normalized(workload, p=None):
-    w = Workload(universe=workload.universe, sets=workload.sets,
-                 weights=(workload.weights if p is None
-                          else np.asarray(p, dtype=float)),
-                 kind=workload.kind, phi=workload.phi)
-    return normalize_weights(w)
-
-
-def _prepare(workload, p=None, kind=None):
-    """Normalized workload, coefficient tables, and importance weights.
-
-    Extended workloads are replaced by their doubled-domain product
-    form.  Marginal coefficients are exact ones, not transform output.
-    """
-    w, spectrum, _ = mechanism.as_product(_normalized(workload, p), kind)
-    if spectrum is not None:
-        coeffs = spectrum.tables
-        tau_map = budget.tau_product(w, spectrum=spectrum)
-    else:
-        coeffs = tuple(np.ones(m) for m in w.universe.domain_sizes)
-        tau_map = budget.tau_marginal(w)
-    return w, coeffs, tau_map
-
-
 def _query_rows(workload):
     return sum(workload.universe.subuniverse_size(s) for s in workload.sets)
 
@@ -161,21 +142,6 @@ def _check_dense_caps(workload, dense_cap=None):
     if rows > DENSE_QUERY_CAP:
         raise DenseTooLarge(
             f"{rows} query rows exceed the dense cap {DENSE_QUERY_CAP}")
-
-
-def _check_estimable(workload, coeffs, tau_map):
-    dead = [a for a, t in tau_map.items() if t == 0]
-    if not dead:
-        return
-    mags = [np.abs(np.asarray(c)) for c in coeffs]
-    for a in dead:
-        support = set(j for j, v in enumerate(a) if v)
-        for members in workload.sets:
-            if support <= set(members) \
-                    and all(mags[j][a[j]] > 0 for j in members):
-                raise Unestimable(
-                    f"set {members} needs frequencies with no budget; give "
-                    "it positive weight or cover it by a larger weighted set")
 
 
 def _unit_row(m, a):
@@ -259,13 +225,22 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
 
     Running the release with this pair is the same distribution as the
     mechanism module: the frequency noise vector hits L exactly as the
-    reconstruction applies it.  Raises DenseTooLarge past the caps and
-    Unestimable when a set needs a frequency no weighted set pays for.
-    dense_cap overrides the default universe cap.
+    reconstruction applies it.  Raises DenseTooLarge past the caps and,
+    by the release's rule, Unestimable when a set needs a frequency no
+    weighted set pays for.  dense_cap overrides the default universe
+    cap.
     """
-    w, coeffs, tau_map = _prepare(workload, p, kind)
+    w, spectrum, _ = mechanism.as_product(normalize_weights(workload, p),
+                                          kind)
     _check_dense_caps(w, dense_cap)
-    _check_estimable(w, coeffs, tau_map)
+    structure = budget.subset_plan(w, spectrum)
+    roots = structure.roots(w.weights)
+    mechanism._require_estimable(
+        mechanism._error_report(structure, roots, 1.0)["per_set_sigma"])
+    # marginal coefficients are exact ones, not transform output
+    coeffs = spectrum.tables if spectrum is not None \
+        else tuple(np.ones(m) for m in w.universe.domain_sizes)
+    tau_map = structure.tau_map(roots)
     freqs = tuple(sorted(a for a, t in tau_map.items() if t > 0))
     tau = np.array([tau_map[a] for a in freqs])
     E = tau / tau.sum()
@@ -309,7 +284,7 @@ def svd_lower_bound(workload, p=None, kind=None, dense_cap=None):
 
     Valid for every factorization of W, whatever mechanism produced it.
     """
-    w, _, _ = _prepare(workload, p, kind)
+    w, _, _ = mechanism.as_product(normalize_weights(workload, p), kind)
     _check_dense_caps(w, dense_cap)
     _, P = _row_index(w)
     trace, _ = _trace_norm(np.sqrt(P)[:, None] * _dense_matrix(w))
@@ -481,7 +456,7 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     checks nothing itself; callers compare trace_value against the
     closed form and op_norm against 1.
     """
-    w = _normalized(workload, p)
+    w = normalize_weights(workload, p)
     universe = w.universe
     _check_dense_caps(w, dense_cap)
     sizes = universe.domain_sizes
@@ -537,7 +512,7 @@ def extended_lower_bound(workload, p=None, dense_cap=None):
     dense caps the test matrix is materialized and its trace value must
     agree with the closed form; larger instances skip the check.
     """
-    w = _normalized(workload, p)
+    w = normalize_weights(workload, p)
     value = _extended_closed_form(w)
     cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
     if w.universe.size <= cap and _query_rows(w) <= DENSE_QUERY_CAP:
@@ -563,7 +538,7 @@ def certificate_document(workload, p=None, kind=None, dense_cap=None):
     larger ones report the closed-form norms only.
     """
     kind = kind or workload.kind
-    w, _, tau_map = _prepare(workload, p, kind)
+    w, _, _ = mechanism.as_product(normalize_weights(workload, p), kind)
     size = w.universe.size
     cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
     if size <= cap and _query_rows(w) <= DENSE_QUERY_CAP:
@@ -577,7 +552,7 @@ def certificate_document(workload, p=None, kind=None, dense_cap=None):
                 "residuals": residuals,
                 "dense": {"used": True, "size": size}}
     predicted = mechanism.predicted_error(workload, p=p, mu=1.0, kind=kind)
-    return {"gammaF": float(sum(tau_map.values())),
+    return {"gammaF": predicted["weighted_rms"],
             "gamma2": _finite(predicted["max_sigma"]),
             "svd_lower": None,
             "residuals": None,

@@ -30,6 +30,7 @@ to near machine precision.
 All functions are pure; tables are immutable after construction.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,24 +41,6 @@ from .core import AssignmentOutOfRange, FourierMarginalsError
 
 class ShapeMismatch(FourierMarginalsError):
     """Coefficient array shape does not match the requested domain."""
-
-
-@dataclass(frozen=True)
-class FourierIndex:
-    """Frequency vector a with derived support and Hamming weight."""
-
-    a: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-
-    @property
-    def support(self):
-        return tuple(j for j, v in enumerate(self.a) if v != 0)
-
-    @property
-    def weight(self):
-        return sum(1 for v in self.a if v != 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +67,6 @@ class PhiSpectrum:
     """Per-attribute factor coefficients phi_hat_j(0 .. m_j - 1)."""
 
     tables: tuple
-
-    def coefficient(self, j, a):
-        return self.tables[j][a]
 
     def magnitudes(self, j):
         return np.abs(self.tables[j])
@@ -131,8 +111,7 @@ def fourier_queries(dataset, indices):
     universe = dataset.universe
     entries = {}
     by_support = {}
-    for index in indices:
-        a = index.a if isinstance(index, FourierIndex) else index
+    for a in indices:
         a = _validate_index(universe, a)
         entries[a] = 0j
         support = tuple(j for j, v in enumerate(a) if v)
@@ -215,7 +194,6 @@ def frequency_vectors(universe, members):
     if not members:
         yield (0,) * d
         return
-    import itertools
     ranges = [range(1, universe.domain_sizes[j]) for j in members]
     for nonzero in itertools.product(*ranges):
         a = [0] * d

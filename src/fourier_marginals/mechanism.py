@@ -10,6 +10,15 @@ are sampled in lexicographic order of their index vectors, so a fixed
 seed determines the entire output regardless of workload order or
 parallel reconstruction.
 
+Reconstruction works on member blocks: the released frequencies are
+grouped by their support R once per release, the blocks of the closure
+members R <= S that the budget.SubsetPlan pairs with a set S are
+scattered into S's grid, and each grid takes one inverse FFT.  A set
+is estimable when every pair R <= S with G_R z_{S - R} > 0 has budget
+(r_R > 0).  Otherwise its sigma is infinite: predicted_error reports
+it, and releases and factorization.build_factorization raise
+Unestimable through the one rule in _require_estimable.
+
 Per-query noise is Gaussian with a standard deviation that is constant
 on each set,
 
@@ -203,12 +212,6 @@ class ReleaseResult:
         return float(table[tuple(target)])
 
 
-def _sub_frequencies(universe, members):
-    for r in range(len(members) + 1):
-        for sub in itertools.combinations(members, r):
-            yield from fourier.frequency_vectors(universe, sub)
-
-
 def _error_report(structure, roots, mu):
     """Per-set sigma, weighted RMS and worst sigma from member roots.
 
@@ -228,23 +231,81 @@ def _error_report(structure, roots, mu):
     }
 
 
-def _reconstruct(universe, members, noisy, spectrum):
-    size = universe.subuniverse_size(members)
-    if not members:
-        value = noisy.get((0,) * universe.d, 0j)
-        return np.array(value.real)
-    shape = universe.subdomain_sizes(members)
-    coeffs = np.zeros(shape, dtype=complex)
-    for a in _sub_frequencies(universe, members):
-        value = noisy.get(a)
-        if value is None:
+def _require_estimable(per_set_sigma):
+    """The estimability rule: raise Unestimable for the first set whose
+    sigma is infinite, i.e. that needs a frequency with a nonzero
+    coefficient and no budget."""
+    for members, sigma in per_set_sigma.items():
+        if math.isinf(sigma):
+            raise Unestimable(
+                f"set {members} needs frequencies with no budget; give it "
+                "positive weight or cover it by a larger weighted set")
+
+
+def _reconstruct(structure, order, values, spectrum):
+    """Estimate tables of every set from the released frequencies.
+
+    order lists the released frequencies in lexicographic order and
+    values holds F_a plus noise for each.  One pass groups them into blocks by
+    support R; within a block, lexicographic order is row-major order
+    of a[R].  Each set S takes the blocks of the members R <= S that
+    the plan pairs with it.  The sets' grids lie end to end in one
+    array, so one fancy-index assignment scatters every block, after
+    scaling by prod_{j in S} phi_hat_j(a_j) for product workloads; each
+    set's grid then takes one inverse_table call.  Frequencies that
+    were not released stay exact zeros.
+    """
+    universe = structure.universe
+    blocks = {}
+    for i, a in enumerate(order):
+        blocks.setdefault(tuple([j for j, v in enumerate(a) if v]),
+                          []).append(i)
+    rows, owners = [], []
+    for k, m in zip(structure.pair_set.tolist(),
+                    structure.pair_member.tolist()):
+        block = blocks.get(structure.members[m], ())
+        rows += block
+        owners += [k] * len(block)
+    # strides[k, j] is the row-major step of attribute j in the grid of
+    # set k, 0 for attributes outside the set
+    strides = np.zeros((len(structure.sets), universe.d), dtype=np.intp)
+    offsets = [0]
+    for k, members in enumerate(structure.sets):
+        step = 1
+        for j in reversed(members):
+            strides[k, j] = step
+            step *= universe.domain_sizes[j]
+        offsets.append(offsets[-1] + step)
+    freqs = np.array(order, dtype=np.intp).reshape(len(order),
+                                                    universe.d)[rows]
+    steps = strides[owners]
+    cells = np.array(offsets)[owners] + (freqs * steps).sum(axis=1)
+    grid = np.zeros(offsets[-1], dtype=complex)
+    if spectrum is None:
+        grid[cells] = values[rows]
+    else:
+        # explicit parts, one attribute of S at a time in ascending
+        # order: the same roundings as multiplying each value in turn
+        re, im = values.real[rows], values.imag[rows]
+        for j, table in enumerate(spectrum.tables):
+            on = steps[:, j] > 0
+            t = table[freqs[on, j]]
+            r, i = re[on], im[on]
+            re[on] = r * t.real - i * t.imag
+            im[on] = r * t.imag + i * t.real
+        grid.real[cells] = re
+        grid.imag[cells] = im
+    estimates = {}
+    for k, members in enumerate(structure.sets):
+        block = grid[offsets[k]:offsets[k + 1]]
+        if not members:
+            estimates[members] = np.array(block[0].real)
             continue
-        if spectrum is not None:
-            for j in members:
-                value = value * spectrum.tables[j][a[j]]
-        coeffs[tuple(a[j] for j in members)] = value
-    table = fourier.inverse_table(coeffs, expected_shape=shape)
-    return np.real(table) / size
+        shape = universe.subdomain_sizes(members)
+        table = fourier.inverse_table(block.reshape(shape),
+                                      expected_shape=shape)
+        estimates[members] = np.real(table) / len(block)
+    return estimates
 
 
 def _empty_plan(mu):
@@ -257,7 +318,6 @@ def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
     """Release a normalized product-form workload (spectrum None for
     marginals).  A given plan is checked against the workload and mu
     and used as it is; otherwise the plan is made from the weights."""
-    universe = workload.universe
     structure = budget.subset_plan(workload, spectrum)
     roots = structure.roots(workload.weights)
     if plan is None:
@@ -275,11 +335,7 @@ def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
     # sigma_S is invariant under scaling the plan, so the workload's
     # own roots give the sigma of any plan that check_plan accepts
     predicted = _error_report(structure, roots, mu)
-    for members, sigma in predicted["per_set_sigma"].items():
-        if math.isinf(sigma):
-            raise Unestimable(
-                f"set {members} needs frequencies with no budget; give it "
-                "positive weight or cover it by a larger weighted set")
+    _require_estimable(predicted["per_set_sigma"])
 
     order = sorted(plan.tau_map)
     table = fourier.fourier_queries(dataset, order)
@@ -287,10 +343,7 @@ def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
     if sampler is not None:
         variances = np.array([plan.variances[a] for a in order], dtype=float)
         values += budget.sample_complex_gaussian(variances, sampler)
-    noisy = dict(zip(order, values.tolist()))
-
-    estimates = {members: _reconstruct(universe, members, noisy, spectrum)
-                 for members in workload.sets}
+    estimates = _reconstruct(structure, order, values, spectrum)
     seed = sampler.seed if sampler is not None else None
     return ReleaseResult(kind=kind, workload=workload, estimates=estimates,
                          per_set_sigma=dict(predicted["per_set_sigma"]),
@@ -308,21 +361,20 @@ def release_marginals(dataset, workload, p=None, mu=1.0, sampler=None,
     given plan is used as it is, after checks: it must be made for mu
     and for this workload's weights, in any scale (BudgetMismatch).
     """
-    workload = normalize_weights(_with_weights(workload, p))
+    workload = normalize_weights(workload, p)
     return _run_release(dataset, workload, None, mu, sampler, plan,
                         "marginal")
 
 
-def release_product(dataset, workload, phi=None, p=None, mu=1.0,
-                    sampler=None, plan=None):
+def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
+                    plan=None):
     """Private estimates of a workload of shifted product queries.
 
-    phi overrides the workload's factor tables when given.  With the
-    indicator-of-zero tables this is release_marginals, noise stream
-    included.  A given plan is checked as in release_marginals.
+    With the indicator-of-zero tables (the default of a workload
+    without phi) this is release_marginals, noise stream included.  A
+    given plan is checked as in release_marginals.
     """
-    workload = normalize_weights(
-        _with_weights(workload, p, phi=phi, kind="product"))
+    workload = normalize_weights(workload, p)
     spectrum = fourier.phi_spectrum(workload.phi_tables())
     return _run_release(dataset, workload, spectrum, mu, sampler, plan,
                         "product")
@@ -335,8 +387,8 @@ def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
     estimate() accepts original targets (negative values select
     suffixes).  The released tables cover every target of every set.
     """
-    inner, spectrum, embedding = as_product(
-        normalize_weights(_with_weights(workload, p)), "extended")
+    inner, spectrum, embedding = as_product(normalize_weights(workload, p),
+                                            "extended")
     embedded_dataset = Dataset(universe=embedding.embedded,
                                rows=dataset.rows)
     return _run_release(embedded_dataset, inner, spectrum, mu, sampler,
@@ -363,16 +415,6 @@ def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
                         "marginal")
 
 
-def _with_weights(workload, p, phi=None, kind=None):
-    if p is None and phi is None and kind is None:
-        return workload
-    return Workload(universe=workload.universe, sets=workload.sets,
-                    weights=np.asarray(p if p is not None
-                                       else workload.weights, dtype=float),
-                    kind=kind or workload.kind,
-                    phi=phi if phi is not None else workload.phi)
-
-
 def predicted_error(workload, p=None, mu=1.0, kind=None):
     """Closed-form error report, no sampling.
 
@@ -381,8 +423,7 @@ def predicted_error(workload, p=None, mu=1.0, kind=None):
     Unestimable zero-weight sets are reported with sigma = inf instead
     of raising.  Costs O(sum_S 2^|S|), whatever the domain sizes.
     """
-    workload = normalize_weights(_with_weights(workload, p))
-    workload, spectrum, _ = as_product(workload, kind)
+    workload, spectrum, _ = as_product(normalize_weights(workload, p), kind)
     structure = budget.subset_plan(workload, spectrum)
     return _error_report(structure, structure.roots(workload.weights), mu)
 

@@ -263,6 +263,14 @@ def test_help_exits_0(capsys):
     assert code == 0
 
 
+def test_release_help_disclaims_floating_point_noise(capsys):
+    code, out, _ = run(capsys, "release", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert "Floating-point noise is a faithful simulation, not a hardened " \
+        "implementation, and no formal privacy claim is made for it" in text
+
+
 def test_csv_format_rejected_outside_release(tmp_path, capsys):
     workload = write_json(tmp_path, PAIR_DOC)
     code, _, err = run(capsys, "plot-data", "--table", "ratio")

@@ -39,21 +39,21 @@ def test_build_universe_rejects_length_mismatch():
 def test_closure_of_one_pair():
     u = core.build_universe([2, 2])
     w = core.Workload(universe=u, sets=((0, 1),), weights=np.array([1.0]))
-    assert core.downward_closure(w).members == ((), (0,), (1,), (0, 1))
+    assert core.downward_closure(w) == ((), (0,), (1,), (0, 1))
 
 
 def test_closure_of_two_singletons():
     u = core.build_universe([2, 2])
     w = core.Workload(universe=u, sets=((0,), (1,)),
                       weights=np.array([0.5, 0.5]))
-    assert core.downward_closure(w).members == ((), (0,), (1,))
+    assert core.downward_closure(w) == ((), (0,), (1,))
 
 
 def test_closure_of_all_pairs_of_three():
     u = core.build_universe([2, 2, 2])
     w = core.Workload(universe=u, sets=((0, 1), (0, 2), (1, 2)),
                       weights=np.array([1.0, 1.0, 1.0]))
-    members = core.downward_closure(w).members
+    members = core.downward_closure(w)
     assert len(members) == 7
     assert all(len(s) <= 2 for s in members)
 
@@ -63,23 +63,23 @@ def test_closure_positive_only_drops_uncovered():
     w = core.Workload(universe=u, sets=((0, 1), (2,)),
                       weights=np.array([1.0, 0.0]))
     restricted = core.downward_closure(w, positive_only=True)
-    assert (2,) not in restricted.members
-    assert restricted.members == ((), (0,), (1,), (0, 1))
+    assert (2,) not in restricted
+    assert restricted == ((), (0,), (1,), (0, 1))
 
 
 @given(workloads())
 @settings(max_examples=50, deadline=None)
 def test_closure_idempotent_and_subset_closed(w):
     closure = core.downward_closure(w)
-    members = set(closure.members)
+    members = set(closure)
     assert () in members
     for s in members:
         for j in s:
             reduced = tuple(v for v in s if v != j)
             assert reduced in members
-    again = core.Workload(universe=w.universe, sets=closure.members,
-                          weights=np.ones(len(closure.members)))
-    assert core.downward_closure(again).members == closure.members
+    again = core.Workload(universe=w.universe, sets=closure,
+                          weights=np.ones(len(closure)))
+    assert core.downward_closure(again) == closure
 
 
 def test_normalize_weights_uniform():

@@ -91,10 +91,31 @@ def test_row_cap_rejected():
         factorization.build_factorization(w)
 
 
-def test_uncovered_zero_weight_set_rejected():
-    w = make_workload((2, 2), [(0,), (1,)], weights=[1.0, 0.0])
-    with pytest.raises(core.Unestimable):
-        factorization.build_factorization(w)
+# phi_0 = (1, 1) has the spectrum (2, 0): every frequency with a_0 = 1
+# has a zero coefficient in a set containing attribute 0
+ZERO_SPECTRUM_PHI = ((1.0, 1.0), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("sets,kind,phi,rejected", [
+    ([(0,), (1,)], "marginal", None, True),
+    # (0, 1) needs the unfunded (0, v), whose coefficient 2 is nonzero
+    ([(0,), (0, 1)], "product", ZERO_SPECTRUM_PHI, True),
+    # (0, 1) leaves (1, 0) and (1, v) unfunded, but their coefficients
+    # are zero, so nothing it needs goes without budget
+    ([(1,), (0, 1)], "product", ZERO_SPECTRUM_PHI, False),
+], ids=["marginal-raises", "product-raises", "product-estimable"])
+def test_uncovered_zero_weight_set_rejected(sets, kind, phi, rejected):
+    sizes = (2, 2) if phi is None else (2, 3)
+    w = make_workload(sizes, sets, weights=[1.0, 0.0], kind=kind, phi=phi)
+    if rejected:
+        with pytest.raises(core.Unestimable):
+            factorization.build_factorization(w)
+        return
+    fact = factorization.build_factorization(w)
+    assert np.abs(fact.L @ fact.R
+                  - factorization._dense_matrix(fact.workload)).max() < 1e-9
+    data = core.Dataset(universe=w.universe, rows=np.array([[1, 2], [0, 1]]))
+    mechanism.release_product(data, w, sampler=budget.SeededSampler(3))
 
 
 def test_noise_application_matches_release():
@@ -356,7 +377,7 @@ def test_range_bound_mixed_universe_witness_agrees():
 def test_range_bound_prefix_matrix_matches_reference():
     w = make_workload((2, 3), [(0, 1), (1,)], [0.6, 0.4], kind="extended",
                       kinds=("categorical", "numerical"))
-    built = factorization._prefix_matrix(factorization._normalized(w))
+    built = factorization._prefix_matrix(core.normalize_weights(w))
     den = dense_oracle(w, kind="extended",
                        attr_kinds=w.universe.attribute_kind)
     assert np.abs(built - den.W).max() == 0.0
@@ -393,6 +414,8 @@ def test_certificate_document_closed_form_fallback():
     formula = oracle.pstar_objective((2,) * 13, w.sets,
                                      w.weights / w.weights.sum())
     assert doc["gammaF"] == pytest.approx(formula, rel=1e-10)
+    assert doc["gammaF"] == mechanism.predicted_error(
+        w, mu=1.0)["weighted_rms"]
     assert doc["gamma2"] > 0
     json.dumps(doc)
 

@@ -276,7 +276,7 @@ def reconstruct_marginal_table(dataset, members, phi=None):
         value = table.value(a)
         if phi is not None:
             for j in members:
-                value *= spectrum.coefficient(j, a[j])
+                value *= spectrum.tables[j][a[j]]
         coeffs[pos] = value
     dense = fourier.inverse_table(coeffs, expected_shape=sub_sizes)
     size = u.subuniverse_size(members)

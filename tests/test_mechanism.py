@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fourier_marginals import budget, core, fourier, mechanism, oracle
 
-from conftest import set_families, universes, workloads
+from conftest import datasets, set_families, universes, workloads
 
 
 def make_dataset(sizes, rows, kinds=None):
@@ -695,6 +695,77 @@ def test_inconsistent_plan_fails_accounting():
         shares=plan.shares)
     with pytest.raises(budget.BudgetMismatch):
         mechanism.release_marginals(data, w, mu=1.0, plan=broken)
+
+
+# ------------------------------- per-frequency reference, reconstruction
+
+
+def reference_reconstruct(universe, members, noisy, spectrum):
+    """One set's table from {a: noisy F_a}, frequency by frequency over
+    every support inside the set, each value scaled by prod_{j in S}
+    phi_hat_j(a_j) one axis at a time; spectrum None means marginals."""
+    if not members:
+        return np.array(noisy.get((0,) * universe.d, 0j).real)
+    shape = universe.subdomain_sizes(members)
+    coeffs = np.zeros(shape, dtype=complex)
+    for r in range(len(members) + 1):
+        for sub in itertools.combinations(members, r):
+            for a in fourier.frequency_vectors(universe, sub):
+                value = noisy.get(a)
+                if value is None:
+                    continue
+                if spectrum is not None:
+                    for j in members:
+                        value = value * spectrum.tables[j][a[j]]
+                coeffs[tuple(a[j] for j in members)] = value
+    table = fourier.inverse_table(coeffs, expected_shape=shape)
+    return np.real(table) / universe.subuniverse_size(members)
+
+
+RELEASES = {"marginal": mechanism.release_marginals,
+            "product": mechanism.release_product,
+            "extended": mechanism.release_extended}
+
+
+@given(kinded_workloads(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reconstruction_matches_per_frequency_reference(w, data):
+    mu = 1.3
+    dataset = data.draw(datasets(w.universe, max_rows=8))
+    seed = data.draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    product, magnitudes = product_form(w)
+    spectrum = None if magnitudes is None \
+        else fourier.phi_spectrum(product.phi_tables())
+    kwargs = {"mu": mu}
+    if seed is not None:
+        kwargs["sampler"] = budget.SeededSampler(seed)
+    if w.kind != "extended" and data.draw(st.booleans()):
+        tau = (budget.tau_marginal(product) if spectrum is None
+               else budget.tau_product(product))
+        if any(t > 0 for t in tau.values()):
+            kwargs["plan"] = budget.plan_from_tau(mu, tau)
+    release = RELEASES[w.kind]
+    if math.isinf(mechanism.predicted_error(w, mu=mu)["max_sigma"]):
+        with pytest.raises(core.Unestimable):
+            release(dataset, w, **kwargs)
+        return
+    result = release(dataset, w, **kwargs)
+
+    # the noisy frequencies as the release draws them
+    order = sorted(result.plan.tau_map)
+    embedded = core.Dataset(universe=product.universe, rows=dataset.rows)
+    table = fourier.fourier_queries(embedded, order)
+    values = np.array([table.value(a) for a in order], dtype=complex)
+    if seed is not None:
+        variances = np.array([result.plan.variances[a] for a in order])
+        values += budget.sample_complex_gaussian(
+            variances, budget.SeededSampler(seed))
+    noisy = dict(zip(order, values.tolist()))
+    for s in w.sets:
+        expected = reference_reconstruct(product.universe, s, noisy,
+                                         spectrum)
+        assert result.estimates[s].shape == expected.shape
+        assert result.estimates[s].tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------- eta, zeta
