@@ -21,6 +21,7 @@ set cannot be estimated, 4 the weight optimizer did not converge,
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -96,7 +97,9 @@ def _int_list(text):
             f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="fourier-marginals",
         description="Differentially private releases of weighted marginal "
@@ -203,6 +206,48 @@ def _json_text(doc):
                       default=_numpy_value) + "\n"
 
 
+# One release table row, laid out as json.dumps(sort_keys=True,
+# indent=2) lays it out at its depth in a release document.
+_ROW_HEAD = '        {\n          "estimate": %s,\n          "t": '
+_ROW_ITEM = "\n            %d"
+_ROW_TAIL = "\n          ]\n        }"
+_ROW_EMPTY = "[]\n        }"
+# stands in for each set's table in the document skeleton
+_TABLE_SLOT = "\x00table\x00"
+
+
+def _release_json(doc):
+    """_json_text(doc) of a release document, tables written by template.
+
+    The skeleton, with every set's table replaced by a placeholder, goes
+    through json.dumps; the tables, whose rows hold an integer target
+    list t and a float estimate, are formatted row by row and spliced
+    in, which gives the same bytes without the pure-Python encoder.
+    Documents the template does not cover (a placeholder that also
+    occurs as a value, a non-finite estimate) go through json.dumps.
+    """
+    sets = doc["sets"]
+    skeleton = dict(doc, sets=[dict(entry, table=_TABLE_SLOT)
+                               for entry in sets])
+    parts = _json_text(skeleton).split(json.dumps(_TABLE_SLOT))
+    if len(parts) != len(sets) + 1:
+        return _json_text(doc)
+    out = [parts[0]]
+    for entry, part in zip(sets, parts[1:]):
+        rows = entry["table"]
+        estimates = [row["estimate"] for row in rows]
+        if not all(map(math.isfinite, estimates)):
+            # the encoder spells these NaN, Infinity and -Infinity
+            return _json_text(doc)
+        width = len(rows[0]["t"])
+        template = _ROW_HEAD + ("[" + ",".join([_ROW_ITEM] * width)
+                                + _ROW_TAIL if width else _ROW_EMPTY)
+        out += ["[\n", ",\n".join([
+            template % (text, *row["t"]) for text, row
+            in zip(map(float.__repr__, estimates), rows)]), "\n      ]", part]
+    return "".join(out)
+
+
 def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
@@ -260,7 +305,7 @@ def cmd_release(config):
     if config.fmt == "csv":
         _emit(_release_csv(doc), config.out)
     else:
-        _emit(_json_text(doc), config.out)
+        _emit(_release_json(doc), config.out)
     return EXIT_OK
 
 

@@ -86,16 +86,22 @@ class Universe:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Rows of a universe, stored as an (n, d) integer array."""
+    """Rows of a universe, stored as an (n, d) integer array.
+
+    The rows are copied and the copy is read-only, so neither the
+    caller's array nor a later write can change a dataset once its
+    rows have been checked against the universe.
+    """
 
     universe: Universe
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.array(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.universe.d:
             raise LengthMismatch(f"rows of shape {rows.shape} are not "
                                  f"(n, {self.universe.d})")
+        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         sizes = np.array(self.universe.domain_sizes)
         if rows.size and (rows.min() < 0 or (rows >= sizes).any()):
@@ -288,6 +294,11 @@ def read_workload_json(source):
     return universe, workload, names
 
 
+# Lines read and converted at once by read_dataset_csv; bounds the raw
+# cells held in memory while each column still converts in one call.
+CSV_CHUNK_ROWS = 1 << 14
+
+
 def read_dataset_csv(source, universe, names):
     """Read a dataset whose header row names the attributes.
 
@@ -297,14 +308,15 @@ def read_dataset_csv(source, universe, names):
     appearance; a column mixing both is rejected.  Errors name the
     offending line.  Returns (dataset, value_maps) where value_maps[name]
     gives the string-to-code mapping of attributes that needed one.
+
+    Lines are read in chunks of CSV_CHUNK_ROWS and each chunk is
+    converted column by column: an integer column in one np.fromiter
+    call, any other column cell by cell.
     """
     if hasattr(source, "read"):
-        reader = csv.reader(source)
-        rows = _parse_csv_rows(reader, universe, names)
-    else:
-        with open(source, newline="") as fh:
-            rows = _parse_csv_rows(csv.reader(fh), universe, names)
-    return rows
+        return _parse_csv_rows(csv.reader(source), universe, names)
+    with open(source, newline="") as fh:
+        return _parse_csv_rows(csv.reader(fh), universe, names)
 
 
 def _parse_csv_rows(reader, universe, names):
@@ -321,57 +333,118 @@ def _parse_csv_rows(reader, universe, names):
         missing = sorted(set(names) - set(position))
         raise LengthMismatch(f"missing columns: {', '.join(missing)}")
     order = [position[name] for name in names]
+    sizes = universe.domain_sizes
     value_maps = {name: {} for name in names}
     coded = [value_maps[name] for name in names]
-    blank = []
-    out = []
-    for line, raw in enumerate(reader, start=2):
-        if not raw:
-            blank.append(line)
-            continue
-        if len(raw) != len(header):
-            raise LengthMismatch(f"line {line}: expected {len(header)} cells")
-        point = []
-        for j, col in enumerate(order):
-            cell = raw[col].strip()
+    blocks = []
+    seen = 0
+    # (line, attribute, value) of the first cell outside its domain; it
+    # is reported only once the whole file has parsed
+    outside = None
+    line = 1
+    while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+        lines = range(line + 1, line + 1 + len(chunk))
+        line += len(chunk)
+        ragged = None
+        widths = list(map(len, chunk))
+        if widths.count(len(header)) != len(chunk):
+            # skip blank lines; stop at a ragged one, whose error
+            # stands unless a cell before it fails first
+            kept = []
+            for number, raw, width in zip(lines, chunk, widths):
+                if width == len(header):
+                    kept.append((number, raw))
+                elif width:
+                    ragged = LengthMismatch(
+                        f"line {number}: expected {len(header)} cells")
+                    break
+            lines = [number for number, _ in kept]
+            chunk = [raw for _, raw in kept]
+        if chunk:
+            cells = list(zip(*chunk))
+            columns, errors, bad = [], [], []
+            for j, col in enumerate(order):
+                values, error, first_bad = _convert_column(
+                    cells[col], lines, coded[j], sizes[j], names[j], seen)
+                columns.append(values)
+                if error is not None:
+                    errors.append((error[0], j, error[1]))
+                if first_bad is not None:
+                    bad.append((first_bad[0], j, first_bad[1]))
+            if errors:
+                raise min(errors, key=lambda e: e[:2])[2]
+            if bad and outside is None:
+                outside = min(bad, key=lambda e: e[:2])
+            blocks.append(np.column_stack(columns))
+            seen += len(chunk)
+        if ragged is not None:
+            raise ragged
+    if outside is not None:
+        number, j, value = outside
+        raise AssignmentOutOfRange(
+            f"line {number}: value {value} of attribute {names[j]!r} "
+            f"outside [0, {sizes[j]})")
+    rows = (np.concatenate(blocks) if blocks
+            else np.empty((0, universe.d), dtype=np.int64))
+    # free the chunks before Dataset copies the rows
+    del blocks
+    dataset = Dataset(universe=universe, rows=rows)
+    value_maps = {name: codes for name, codes in value_maps.items() if codes}
+    return dataset, value_maps
+
+
+def _convert_column(cells, lines, codes, size, name, seen):
+    """One column of a chunk as int64 values.
+
+    codes is the column's string-to-code map so far (empty for an
+    integer column) and seen the number of data lines before the chunk.
+    Returns (values, error, bad): error is (line, exception) of the
+    first cell that mixes kinds or exceeds the domain's distinct
+    values, and stops the conversion; bad is (line, value) of the first
+    integer cell outside [0, size).
+    """
+    if not codes:
+        try:
+            values = np.fromiter(map(int, cells), np.int64, len(cells))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            outside = (values < 0) | (values >= size)
+            if outside.any():
+                i = int(np.argmax(outside))
+                return values, None, (lines[i], int(values[i]))
+            return values, None, None
+    # cell by cell: coded columns, and integer columns with a
+    # non-integer or int64-overflowing cell
+    values = np.zeros(len(cells), dtype=np.int64)
+    bad = None
+    for i, cell in enumerate(cells):
+        cell = cell.strip()
+        code = codes.get(cell)
+        if code is None:
             try:
                 value = int(cell)
             except ValueError:
-                codes = coded[j]
-                if cell not in codes:
-                    if not codes and out:
-                        raise _mixed_column(line, names[j])
-                    if len(codes) >= universe.domain_sizes[j]:
-                        raise AssignmentOutOfRange(
-                            f"line {line}: attribute {names[j]!r} has more "
-                            f"than {universe.domain_sizes[j]} distinct values")
-                    codes[cell] = len(codes)
-                value = codes[cell]
+                if not codes and (seen or i):
+                    error = _mixed_column(lines[i], name)
+                    return values, (lines[i], error), bad
+                if len(codes) >= size:
+                    error = AssignmentOutOfRange(
+                        f"line {lines[i]}: attribute {name!r} has more "
+                        f"than {size} distinct values")
+                    return values, (lines[i], error), bad
+                code = codes[cell] = len(codes)
             else:
-                if coded[j]:
-                    raise _mixed_column(line, names[j])
-            point.append(value)
-        out.append(point)
-    try:
-        rows = np.array(out, dtype=np.int64).reshape(len(out), universe.d)
-        dataset = Dataset(universe=universe, rows=rows)
-    except (OverflowError, AssignmentOutOfRange):
-        # error path only: locate the first offending cell
-        rows = np.array(out, dtype=object).reshape(len(out), universe.d)
-        sizes = np.array(universe.domain_sizes)
-        bad = ((rows < 0) | (rows >= sizes)).astype(bool)
-        i = int(np.argmax(bad.any(axis=1)))
-        j = int(np.argmax(bad[i]))
-        line = i + 2
-        for skipped in blank:
-            if skipped > line:
-                break
-            line += 1
-        raise AssignmentOutOfRange(
-            f"line {line}: value {rows[i, j]} of attribute {names[j]!r} "
-            f"outside [0, {sizes[j]})") from None
-    value_maps = {name: codes for name, codes in value_maps.items() if codes}
-    return dataset, value_maps
+                if codes:
+                    error = _mixed_column(lines[i], name)
+                    return values, (lines[i], error), bad
+                if 0 <= value < size:
+                    values[i] = value
+                elif bad is None:
+                    bad = (lines[i], value)
+                continue
+        values[i] = code
+    return values, None, bad
 
 
 def _mixed_column(line, name):

@@ -13,23 +13,28 @@ right quantities to privatize.
 
 For a frequency supported on R = supp(a), F_a depends on the rows only
 through their R-marginal histogram h_R: it is the entry a[R] of the
-|R|-dimensional DFT of h_R.  fourier_queries therefore builds one
-histogram per distinct support and transforms it with fftn, instead of
-summing characters over the rows once per frequency.  The grid holds
-prod_{j in R} m_j cells, which is never larger than the reconstruction
-table of any set containing R.  Inputs too small to repay a histogram
-per support take one vectorized character sum over all frequencies.
+|R|-dimensional DFT of h_R.  fourier_queries therefore histograms the
+rows once per distinct support instead of summing characters over the
+rows once per frequency.  Supports whose grids have the same shape are
+stacked: one bincount fills all their histograms and one fftn over the
+trailing axes transforms them, so the numpy calls grow with the number
+of grid shapes, not of supports.  The grid holds prod_{j in R} m_j
+cells, which is never larger than the reconstruction table of any set
+containing R.  Inputs too small to repay the histograms take one
+vectorized character sum over all frequencies.
 
 The inverse transform reconstructs per-target tables from coefficient
-arrays; it runs through an FFT whose mixed-radix decomposition handles
-arbitrary domain sizes, and is validated against a direct double-sum
-reference.  Phases are accumulated as rational multiples of 2 pi before
-a single complex exponential, which keeps characters on the unit circle
-to near machine precision.
+arrays, a whole stack of grids of one shape per call.  It runs through
+an FFT whose mixed-radix decomposition handles arbitrary domain sizes,
+and is validated against a direct double-sum reference.  Phases are
+accumulated as rational multiples of 2 pi before a single complex
+exponential, which keeps characters on the unit circle to near machine
+precision.
 
 All functions are pure; tables are immutable after construction.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,21 +50,34 @@ class ShapeMismatch(FourierMarginalsError):
 
 @dataclass(frozen=True, eq=False)
 class FourierTable:
-    """Aggregate query values keyed by frequency vector.
+    """Aggregate query values of the requested frequencies.
 
-    Only the frequencies that were actually requested are stored;
-    reconstruction zero-fills the rest on demand, so memory stays
-    proportional to the number of released frequencies.
+    indices is the (k, d) array of the requested frequency vectors and
+    values holds F_a for each, in request order.  supports holds each
+    distinct support once, as a boolean row in lexicographic order, and
+    support_of[i] is the row that indices[i] lies on.  The arrays are
+    read-only.  entries maps index tuples to values, built on first
+    use.  Only the requested frequencies are stored; reconstruction
+    zero-fills the rest, so memory stays proportional to the released
+    frequencies.
     """
 
     universe: object
-    entries: dict
+    indices: np.ndarray
+    values: np.ndarray
+    supports: np.ndarray
+    support_of: np.ndarray
+
+    @functools.cached_property
+    def entries(self):
+        return dict(zip(map(tuple, self.indices.tolist()),
+                        self.values.tolist()))
 
     def value(self, a):
         return self.entries[tuple(a)]
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,55 +119,127 @@ DIRECT_TERMS_PER_SUPPORT = 1000
 def fourier_queries(dataset, indices):
     """Aggregate queries F_a(D) = sum_i conj(chi_a(x_i)) for each index.
 
-    Indices are grouped by support R.  Per support, the rows' R-marginal
-    histogram (prod_{j in R} m_j cells) is transformed by fftn, whose
-    entry a[R] is F_a.  Small inputs, where numpy call overhead
-    dominates, instead sum characters over the rows for all indices at
-    once.  An empty dataset gives 0j everywhere.  |F_a| <= n up to
-    rounding, and F_0 = n exactly.
+    The indices are validated with one vectorized comparison and
+    grouped by support R.  Supports are grouped again by the shape of
+    their grids (prod_{j in R} m_j cells): per shape, one bincount
+    fills the rows' R-marginal histogram of every support, one fftn
+    transforms the stack, and F_a is read at a[R] with one fancy
+    index.  Small inputs, where numpy call overhead dominates, instead
+    sum characters over the rows for all indices at once.  An empty
+    dataset gives 0j everywhere.  |F_a| <= n up to rounding, and
+    F_0 = n exactly.  The values come back in the order of indices.
     """
     universe = dataset.universe
-    entries = {}
-    by_support = {}
-    for a in indices:
-        a = _validate_index(universe, a)
-        entries[a] = 0j
-        support = tuple(j for j, v in enumerate(a) if v)
-        by_support.setdefault(support, []).append(a)
-    if dataset.n == 0:
-        return FourierTable(universe=universe, entries=entries)
-    terms = dataset.n * len(entries) * universe.d
-    if terms <= DIRECT_TERMS_PER_SUPPORT * len(by_support):
-        entries = _direct_sums(dataset, list(entries))
+    a = _index_array(universe, indices)
+    supports, support_of = _group_rows(a != 0)
+    terms = dataset.n * len(a) * universe.d
+    if dataset.n == 0 or not len(a):
+        values = np.zeros(len(a), dtype=complex)
+    elif terms <= DIRECT_TERMS_PER_SUPPORT * len(supports):
+        values = _direct_sums(dataset, a)
     else:
-        entries.update(_histogram_sums(dataset, by_support))
-    return FourierTable(universe=universe, entries=entries)
+        values = _histogram_sums(dataset, a, supports, support_of)
+    for array in (a, values, supports, support_of):
+        array.flags.writeable = False
+    return FourierTable(universe=universe, indices=a, values=values,
+                        supports=supports, support_of=support_of)
 
 
-def _direct_sums(dataset, freqs):
-    """F_a for every a in freqs, summing characters over the rows."""
+def _index_array(universe, indices):
+    """indices as a (k, d) int64 array, checked against the domain.
+
+    Only input that fails the vectorized check is walked index by
+    index, so that the error names the first offending index.
+    """
+    indices = list(indices)
+    shape = (len(indices), universe.d)
+    try:
+        a = np.array(indices, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and not indices:
+        a = a.reshape(shape)
+    if a is None or a.shape != shape or (a < 0).any() \
+            or (a >= np.array(universe.domain_sizes)).any():
+        a = np.array([_validate_index(universe, index) for index in indices],
+                     dtype=np.int64).reshape(shape)
+    return a
+
+
+def _direct_sums(dataset, a):
+    """F_a for every row of a, summing characters over the rows."""
     sizes = np.array(dataset.universe.domain_sizes, dtype=np.int64)
-    a = np.array(freqs, dtype=np.int64).reshape(len(freqs), sizes.size)
     phases = ((a[:, None, :] * dataset.rows) % sizes) / sizes
-    values = np.exp(-2j * np.pi * phases.sum(axis=2)).sum(axis=1)
-    return dict(zip(freqs, values.tolist()))
+    return np.exp(-2j * np.pi * phases.sum(axis=2)).sum(axis=1)
 
 
-def _histogram_sums(dataset, by_support):
-    """F_a for every a in by_support's groups, one fftn per support."""
-    sizes = dataset.universe.domain_sizes
-    out = {}
-    for support, group in by_support.items():
-        if not support:
-            out[group[0]] = complex(dataset.n)
+# Largest number of (support, row) cells one bincount call takes; larger
+# inputs are histogrammed in blocks of rows.  Small blocks bound the
+# memory and stay in cache: on all pairs of 12 size-4 attributes, 1 << 14
+# was faster than 1 << 12 or 1 << 20 at both 2,000 and 10^6 rows.
+HISTOGRAM_BLOCK_CELLS = 1 << 14
+
+
+def _histogram_sums(dataset, a, supports, support_of):
+    """F_a for every row of a, one bincount and fftn per grid shape."""
+    sizes = np.array(dataset.universe.domain_sizes, dtype=np.int64)
+    # a support's grid shape is the sizes of its attributes in order;
+    # sorting them ahead of the 1s gives equal shapes equal rows
+    shapes, shape_of = _group_rows(np.take_along_axis(
+        np.where(supports, sizes, 1),
+        np.argsort(~supports, axis=1, kind="stable"), axis=1))
+    local = np.empty(len(supports), dtype=np.intp)
+    values = np.empty(len(a), dtype=complex)
+    for k, row in enumerate(shapes):
+        group = np.flatnonzero(shape_of == k)
+        freqs = np.flatnonzero(shape_of[support_of] == k)
+        shape = tuple(int(m) for m in row if m > 1)
+        if not shape:
+            values[freqs] = dataset.n
             continue
-        shape = tuple(sizes[j] for j in support)
-        cells = np.ravel_multi_index(dataset.rows[:, support].T, shape)
-        counts = np.bincount(cells, minlength=math.prod(shape))
-        spectrum = np.fft.fftn(counts.reshape(shape))
-        positions = np.array(group)[:, support]
-        out.update(zip(group, spectrum[tuple(positions.T)].tolist()))
-    return out
+        # each support's attributes, and the grid's row-major steps
+        columns = supports[group].nonzero()[1].reshape(len(group),
+                                                       len(shape))
+        steps = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+        size = math.prod(shape)
+        counts = _stacked_histograms(dataset.rows, columns, steps, size)
+        spectrum = np.fft.fftn(counts.reshape((len(group),) + shape),
+                               s=shape, axes=tuple(range(1, len(shape) + 1)))
+        local[group] = np.arange(len(group))
+        grid = local[support_of[freqs]]
+        cell = np.take_along_axis(a[freqs], columns[grid], axis=1) @ steps
+        values[freqs] = spectrum.reshape(len(group), size)[grid, cell]
+    return values
+
+
+def _stacked_histograms(rows, columns, steps, size):
+    """Histograms of the rows over len(columns) grids of one shape.
+
+    Grid g reads attributes columns[g] with row-major steps; the grids
+    lie end to end, so one bincount per block of rows fills them all.
+    """
+    grids = len(columns)
+    counts = np.zeros(grids * size, dtype=np.int64)
+    offsets = (np.arange(grids) * size)[:, None]
+    block = max(1, HISTOGRAM_BLOCK_CELLS // grids)
+    for start in range(0, len(rows), block):
+        part = np.ascontiguousarray(rows[start:start + block].T)
+        cells = offsets + part[columns[:, 0]] * steps[0]
+        for p in range(1, len(steps)):
+            cells += part[columns[:, p]] * steps[p]
+        counts += np.bincount(cells.ravel(), minlength=grids * size)
+    return counts
+
+
+def _group_rows(x):
+    """Distinct rows of a 2-D array (lexicographic) and each row's."""
+    order = np.lexsort(x.T[::-1])
+    ordered = x[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    labels = np.empty(len(x), dtype=np.intp)
+    labels[order] = np.cumsum(first) - 1
+    return ordered[first], labels
 
 
 def phi_spectrum(phi):
@@ -172,15 +262,23 @@ def inverse_table(coeffs, expected_shape=None):
     """Table T[t] = sum_a coeffs[a] * prod_j omega_j^(a_j t_j).
 
     coeffs must cover the full product domain (missing frequencies are
-    the caller's zeros).  Runs in O(N log N) through the inverse FFT,
-    whose sign convention matches the character sum above.
+    the caller's zeros).  With expected_shape, coeffs may stack several
+    grids of that shape along leading axes: the trailing axes must
+    match it, and each grid is transformed on its own, in one call.
+    Runs in O(N log N) through the inverse FFT, whose sign convention
+    matches the character sum above.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if expected_shape is not None and c.shape != tuple(expected_shape):
-        raise ShapeMismatch(f"coefficient shape {c.shape} != {tuple(expected_shape)}")
-    if c.ndim == 0:
+    shape = c.shape if expected_shape is None else tuple(expected_shape)
+    if len(shape) > c.ndim or c.shape[c.ndim - len(shape):] != shape:
+        raise ShapeMismatch(f"coefficient shape {c.shape} does not end "
+                            f"with {shape}")
+    if not shape:
         raise ShapeMismatch("coefficient array must have at least one axis")
-    return np.fft.ifftn(c) * c.size
+    # s given with axes skips numpy's own shape lookup, a large share of
+    # the call on small grids
+    axes = tuple(range(c.ndim - len(shape), c.ndim))
+    return np.fft.ifftn(c, s=shape, axes=axes) * math.prod(shape)
 
 
 def frequency_vectors(universe, members):

@@ -13,11 +13,12 @@ parallel reconstruction.
 Reconstruction works on member blocks: the released frequencies are
 grouped by their support R once per release, the blocks of the closure
 members R <= S that the budget.SubsetPlan pairs with a set S are
-scattered into S's grid, and each grid takes one inverse FFT.  A set
-is estimable when every pair R <= S with G_R z_{S - R} > 0 has budget
-(r_R > 0).  Otherwise its sigma is infinite: predicted_error reports
-it, and releases and factorization.build_factorization raise
-Unestimable through the one rule in _require_estimable.
+scattered into S's grid, and the grids of each shape take one inverse
+FFT together.  A set is estimable when every pair R <= S with
+G_R z_{S - R} > 0 has budget (r_R > 0).  Otherwise its sigma is
+infinite: predicted_error reports it, and releases and
+factorization.build_factorization raise Unestimable through the one
+rule in _require_estimable.
 
 Per-query noise is Gaussian with a standard deviation that is constant
 on each set,
@@ -242,70 +243,85 @@ def _require_estimable(per_set_sigma):
                 "positive weight or cover it by a larger weighted set")
 
 
-def _reconstruct(structure, order, values, spectrum):
+def _reconstruct(structure, table, values, spectrum):
     """Estimate tables of every set from the released frequencies.
 
-    order lists the released frequencies in lexicographic order and
-    values holds F_a plus noise for each.  One pass groups them into blocks by
-    support R; within a block, lexicographic order is row-major order
-    of a[R].  Each set S takes the blocks of the members R <= S that
-    the plan pairs with it.  The sets' grids lie end to end in one
-    array, so one fancy-index assignment scatters every block, after
-    scaling by prod_{j in S} phi_hat_j(a_j) for product workloads; each
-    set's grid then takes one inverse_table call.  Frequencies that
-    were not released stay exact zeros.
+    table is the fourier.FourierTable of the released frequencies, in
+    lexicographic order, and values holds F_a plus noise for each.  The
+    table groups the frequencies by their support R; each set S takes
+    the groups of the members R <= S that the plan pairs with it.  The
+    sets' grids lie end to end in one array, sets of one shape side by
+    side, so one fancy-index assignment scatters every frequency, after
+    scaling by prod_{j in S} phi_hat_j(a_j) for product workloads.  Each
+    grid shape then takes one inverse_table call over its stacked
+    grids.  Frequencies that were not released stay exact zeros.
     """
     universe = structure.universe
-    blocks = {}
-    for i, a in enumerate(order):
-        blocks.setdefault(tuple([j for j, v in enumerate(a) if v]),
-                          []).append(i)
-    rows, owners = [], []
-    for k, m in zip(structure.pair_set.tolist(),
-                    structure.pair_member.tolist()):
-        block = blocks.get(structure.members[m], ())
-        rows += block
-        owners += [k] * len(block)
+    sets = structure.sets
+    by_shape = {}
+    for k, members in enumerate(sets):
+        by_shape.setdefault(universe.subdomain_sizes(members), []).append(k)
     # strides[k, j] is the row-major step of attribute j in the grid of
-    # set k, 0 for attributes outside the set
-    strides = np.zeros((len(structure.sets), universe.d), dtype=np.intp)
-    offsets = [0]
-    for k, members in enumerate(structure.sets):
-        step = 1
-        for j in reversed(members):
-            strides[k, j] = step
-            step *= universe.domain_sizes[j]
-        offsets.append(offsets[-1] + step)
-    freqs = np.array(order, dtype=np.intp).reshape(len(order),
-                                                    universe.d)[rows]
+    # set k, 0 for attributes outside the set; offsets[k] is where that
+    # grid starts
+    strides = np.zeros((len(sets), universe.d), dtype=np.intp)
+    offsets = np.zeros(len(sets), dtype=np.intp)
+    end = 0
+    for shape, group in by_shape.items():
+        for k in group:
+            offsets[k] = end
+            end += math.prod(shape)
+            step = 1
+            for j in reversed(sets[k]):
+                strides[k, j] = step
+                step *= universe.domain_sizes[j]
+    # the closure member each frequency lies on (len(members): none);
+    # by_member lists the frequencies member by member, in their order
+    index = {members: i for i, members in enumerate(structure.members)}
+    attrs = iter(table.supports.nonzero()[1].tolist())
+    member_of = np.array([
+        index.get(tuple(itertools.islice(attrs, size)), len(index))
+        for size in table.supports.sum(axis=1).tolist()],
+        dtype=np.intp)[table.support_of]
+    by_member = np.argsort(member_of, kind="stable")
+    counts = np.bincount(member_of, minlength=len(index) + 1)
+    lengths = counts[structure.pair_member]
+    # pair by pair, the run of by_member that holds the pair's member
+    runs = np.cumsum(counts)[structure.pair_member] - lengths \
+        - (np.cumsum(lengths) - lengths)
+    rows = by_member[np.repeat(runs, lengths) + np.arange(lengths.sum())]
+    owners = np.repeat(structure.pair_set, lengths)
     steps = strides[owners]
-    cells = np.array(offsets)[owners] + (freqs * steps).sum(axis=1)
-    grid = np.zeros(offsets[-1], dtype=complex)
+    a = table.indices[rows]
+    cells = offsets[owners] + (a * steps).sum(axis=1)
+    grid = np.zeros(end, dtype=complex)
     if spectrum is None:
         grid[cells] = values[rows]
     else:
         # explicit parts, one attribute of S at a time in ascending
         # order: the same roundings as multiplying each value in turn
         re, im = values.real[rows], values.imag[rows]
-        for j, table in enumerate(spectrum.tables):
+        for j, phi_hat in enumerate(spectrum.tables):
             on = steps[:, j] > 0
-            t = table[freqs[on, j]]
+            t = phi_hat[a[on, j]]
             r, i = re[on], im[on]
             re[on] = r * t.real - i * t.imag
             im[on] = r * t.imag + i * t.real
         grid.real[cells] = re
         grid.imag[cells] = im
-    estimates = {}
-    for k, members in enumerate(structure.sets):
-        block = grid[offsets[k]:offsets[k + 1]]
-        if not members:
-            estimates[members] = np.array(block[0].real)
+    estimates = [None] * len(sets)
+    for shape, group in by_shape.items():
+        start = offsets[group[0]]
+        if not shape:
+            estimates[group[0]] = np.array(grid[start].real)
             continue
-        shape = universe.subdomain_sizes(members)
-        table = fourier.inverse_table(block.reshape(shape),
-                                      expected_shape=shape)
-        estimates[members] = np.real(table) / len(block)
-    return estimates
+        size = math.prod(shape)
+        stack = grid[start:start + len(group) * size]
+        tables = np.real(fourier.inverse_table(
+            stack.reshape((len(group),) + shape), expected_shape=shape)) / size
+        for i, k in enumerate(group):
+            estimates[k] = tables[i]
+    return dict(zip(sets, estimates))
 
 
 def _empty_plan(mu):
@@ -339,11 +355,11 @@ def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
 
     order = sorted(plan.tau_map)
     table = fourier.fourier_queries(dataset, order)
-    values = np.array([table.value(a) for a in order], dtype=complex)
+    values = table.values
     if sampler is not None:
         variances = np.array([plan.variances[a] for a in order], dtype=float)
-        values += budget.sample_complex_gaussian(variances, sampler)
-    estimates = _reconstruct(structure, order, values, spectrum)
+        values = values + budget.sample_complex_gaussian(variances, sampler)
+    estimates = _reconstruct(structure, table, values, spectrum)
     seed = sampler.seed if sampler is not None else None
     return ReleaseResult(kind=kind, workload=workload, estimates=estimates,
                          per_set_sigma=dict(predicted["per_set_sigma"]),

@@ -5,9 +5,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourier_marginals import cli, factorization, mechanism
+from fourier_marginals import budget, cli, core, factorization, mechanism
+
+from conftest import datasets, set_families, universes
 
 GOLDEN_PAIR = (1.0 + math.sqrt(2.0)) / 2.0
 
@@ -159,6 +164,72 @@ def test_release_extended_workload(tmp_path, capsys):
     want = {(0,): 1, (1,): 3, (2,): 5, (-1,): 4, (-2,): 2, (-3,): 0}
     for target, count in want.items():
         assert got[target] == pytest.approx(count, abs=1e-4)
+
+
+RELEASES = {"marginal": mechanism.release_marginals,
+            "product": mechanism.release_product,
+            "extended": mechanism.release_extended}
+SPECIAL_ESTIMATES = (-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
+                     0.1, 2.0 / 3.0, 123456789.0)
+
+
+@st.composite
+def release_documents(draw):
+    """Release documents as cmd_release writes them, some estimates
+    replaced by extreme or non-finite values."""
+    kind = draw(st.sampled_from(sorted(RELEASES)))
+    kinds = (core.CATEGORICAL, core.NUMERICAL) if kind == "extended" \
+        else (core.CATEGORICAL,)
+    universe = draw(universes(max_d=3, max_m=3, kinds=kinds))
+    sets = draw(set_families(universe.d, max_sets=3))
+    if draw(st.booleans()):
+        sets = ((),) + sets
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(sets),
+                            max_size=len(sets)))
+    phi = None
+    if kind == "product":
+        phi = tuple(tuple(draw(st.lists(st.floats(0.1, 2.0), min_size=m,
+                                        max_size=m)))
+                    for m in universe.domain_sizes)
+    workload = core.Workload(universe=universe, sets=sets,
+                             weights=np.array(weights), kind=kind, phi=phi)
+    dataset = draw(datasets(universe, max_rows=5))
+    sampler = budget.SeededSampler(draw(st.integers(0, 2 ** 32 - 1)))
+    result = RELEASES[kind](dataset, workload, mu=1.0, sampler=sampler)
+    names = draw(st.lists(st.text(max_size=4), min_size=universe.d,
+                          max_size=universe.d, unique=True))
+    # hypothesis favours the ends of a range, so rare cases take a value
+    # from its middle
+    if draw(st.integers(0, 19)) == 13:
+        # a label that reads like the writer's placeholder
+        names[0] = cli._TABLE_SLOT
+    doc = mechanism.release_document(result, names=names)
+    doc["meta"]["objective"] = draw(st.sampled_from(["weighted-rms",
+                                                     "max-variance"]))
+    doc["meta"]["value_maps"] = draw(st.dictionaries(
+        st.sampled_from(names),
+        st.dictionaries(st.text(max_size=6), st.integers(0, 5), max_size=3),
+        max_size=2))
+    if draw(st.booleans()):
+        doc["weights"] = [{"attrs": [names[j] for j in s],
+                           "p": draw(st.floats(0.0, 1.0))} for s in sets]
+    special = st.sampled_from(SPECIAL_ESTIMATES) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    if draw(st.integers(0, 19)) == 7:
+        special |= st.sampled_from([math.nan, math.inf, -math.inf])
+    for entry in doc["sets"]:
+        for row in entry["table"]:
+            if draw(st.integers(0, 2)) == 0:
+                row["estimate"] = draw(special)
+    return doc
+
+
+@given(release_documents())
+@settings(max_examples=150, deadline=None)
+def test_release_writer_matches_json_dumps(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2,
+                          default=cli._numpy_value) + "\n"
+    assert cli._release_json(doc) == expected
 
 
 # ----------------------------------------------------------- failures

@@ -1,14 +1,16 @@
 """Universe, workload, and dataset model tests."""
 
+import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fourier_marginals import core, oracle
+from fourier_marginals import budget, core, mechanism, oracle
 
 from conftest import datasets, universes, workloads
 
@@ -181,6 +183,27 @@ def test_dataset_rejects_wrong_shape():
     assert core.Dataset(universe=u, rows=np.zeros((0, 2))).n == 0
 
 
+def test_dataset_copies_rows_and_rejects_writes():
+    u = core.build_universe([3, 2])
+    source = np.array([[0, 1], [2, 0], [1, 1]], dtype=np.int64)
+    data = core.Dataset(universe=u, rows=source)
+    w = core.Workload(universe=u, sets=((0,), (0, 1)),
+                      weights=np.array([0.5, 0.5]))
+    before = mechanism.release_marginals(data, w,
+                                         sampler=budget.SeededSampler(3))
+    # 7 is outside attribute 0's domain: kept by reference, it would be
+    # released silently mod 3
+    source[0, 0] = 7
+    np.testing.assert_array_equal(data.rows, [[0, 1], [2, 0], [1, 1]])
+    after = mechanism.release_marginals(data, w,
+                                        sampler=budget.SeededSampler(3))
+    for s in w.sets:
+        assert after.estimates[s].tobytes() == before.estimates[s].tobytes()
+    with pytest.raises(ValueError):
+        data.rows[0, 0] = 1
+    np.testing.assert_array_equal(data.rows[0], [0, 1])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_workload_rejects_non_finite_weights(bad):
     u = core.build_universe([2, 2])
@@ -292,3 +315,160 @@ def test_read_dataset_csv_out_of_range_names_line(text, line, cell):
     with pytest.raises(core.AssignmentOutOfRange,
                        match=f"line {line}: {cell}"):
         core.read_dataset_csv(io.StringIO(text), universe, names)
+
+
+def reference_parse_csv_rows(reader, universe, names):
+    """The reader cell by cell: one Python loop over the lines and cells,
+    range errors located after every line has parsed."""
+    header = next(reader, None)
+    if header is None:
+        raise core.LengthMismatch("empty dataset file")
+    header = [h.strip() for h in header]
+    position = {}
+    for col, name in enumerate(header):
+        if name not in names:
+            raise core.AssignmentOutOfRange(f"unknown column {name!r}")
+        position[name] = col
+    if len(position) != len(names):
+        missing = sorted(set(names) - set(position))
+        raise core.LengthMismatch(f"missing columns: {', '.join(missing)}")
+    order = [position[name] for name in names]
+    value_maps = {name: {} for name in names}
+    coded = [value_maps[name] for name in names]
+    blank = []
+    out = []
+    for line, raw in enumerate(reader, start=2):
+        if not raw:
+            blank.append(line)
+            continue
+        if len(raw) != len(header):
+            raise core.LengthMismatch(
+                f"line {line}: expected {len(header)} cells")
+        point = []
+        for j, col in enumerate(order):
+            cell = raw[col].strip()
+            try:
+                value = int(cell)
+            except ValueError:
+                codes = coded[j]
+                if cell not in codes:
+                    if not codes and out:
+                        raise core._mixed_column(line, names[j])
+                    if len(codes) >= universe.domain_sizes[j]:
+                        raise core.AssignmentOutOfRange(
+                            f"line {line}: attribute {names[j]!r} has more "
+                            f"than {universe.domain_sizes[j]} distinct "
+                            "values")
+                    codes[cell] = len(codes)
+                value = codes[cell]
+            else:
+                if coded[j]:
+                    raise core._mixed_column(line, names[j])
+            point.append(value)
+        out.append(point)
+    try:
+        rows = np.array(out, dtype=np.int64).reshape(len(out), universe.d)
+        dataset = core.Dataset(universe=universe, rows=rows)
+    except (OverflowError, core.AssignmentOutOfRange):
+        rows = np.array(out, dtype=object).reshape(len(out), universe.d)
+        sizes = np.array(universe.domain_sizes)
+        bad = ((rows < 0) | (rows >= sizes)).astype(bool)
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        line = i + 2
+        for skipped in blank:
+            if skipped > line:
+                break
+            line += 1
+        raise core.AssignmentOutOfRange(
+            f"line {line}: value {rows[i, j]} of attribute {names[j]!r} "
+            f"outside [0, {sizes[j]})") from None
+    value_maps = {name: codes for name, codes in value_maps.items() if codes}
+    return dataset, value_maps
+
+
+CSV_NAMES = ("a", "b", "c")
+CSV_WORDS = ("red", "blue", "x", "y", "z")
+CSV_OUTSIDE = ("99999999999999999999", "-99999999999999999999", "-1", "9")
+CSV_ROGUE = CSV_OUTSIDE + ("", "1.5")
+
+
+@st.composite
+def csv_cells(draw, kind, size, mode):
+    own = (st.integers(0, size - 1).map(str) if kind == "int"
+           else st.sampled_from(CSV_WORDS[:size]))
+    # hypothesis favours the ends of a range, so rare cases take values
+    # from its middle
+    pick = draw(st.integers(0, 31)) if mode != "clean" else 0
+    if pick not in (9, 17, 21, 25):
+        cell = draw(own)
+    elif mode == "range":
+        cell = draw(st.sampled_from(CSV_OUTSIDE)) if kind == "int" \
+            else draw(own)
+    elif pick == 9:
+        cell = draw(st.sampled_from(CSV_WORDS) if kind == "int"
+                    else st.integers(0, size - 1).map(str))
+    else:
+        cell = draw(st.sampled_from(CSV_ROGUE + CSV_WORDS))
+    return draw(st.sampled_from(("{}", " {} ", '"{}"', '" {}"'))).format(cell)
+
+
+@st.composite
+def csv_files(draw):
+    """(text, universe, names) of a dataset file, often a defective one."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    names = list(CSV_NAMES[:d])
+    header = list(draw(st.permutations(names)))
+    defect = draw(st.integers(0, 19))
+    if defect == 7:
+        header[draw(st.integers(0, d - 1))] = "zz"
+    elif defect == 13 and d > 1:
+        header.pop()
+    kinds = {name: draw(st.sampled_from(("int", "str"))) for name in names}
+    size = dict(zip(names, sizes))
+    # a clean file has no defective cells, a range file only integers
+    # outside their domain, a rogue one any defect, ragged lines too
+    mode = draw(st.sampled_from(("clean", "range", "rogue")))
+    lines = []
+    for _ in range(draw(st.integers(0, 12)) or draw(st.integers(0, 12))):
+        shape = draw(st.integers(0, 24))
+        if shape == 6:
+            lines.append("")
+            continue
+        cells = [draw(csv_cells(kinds.get(name, "int"), size.get(name, 2),
+                                mode))
+                 for name in header]
+        if mode == "rogue" and shape == 12:
+            cells.append("0")
+        elif mode == "rogue" and shape == 18 and len(cells) > 1:
+            cells.pop()
+        lines.append(",".join(cells))
+    text = ",".join(header) + "\n" + "\n".join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    return text, core.build_universe(sizes), names
+
+
+def _csv_outcome(parse):
+    try:
+        dataset, value_maps = parse()
+    except core.FourierMarginalsError as exc:
+        return type(exc), str(exc)
+    return dataset.rows.tolist(), [(name, list(codes.items()))
+                                   for name, codes in value_maps.items()]
+
+
+@given(csv_files(), st.sampled_from([1, 2, 3, core.CSV_CHUNK_ROWS]))
+@example(("", core.build_universe([2]), ["a"]), 1)
+@example(("a,b\n0,0\n1,1\n\n1,7\n0\n", core.build_universe([2, 2]),
+          ["a", "b"]), 2)
+@settings(max_examples=400, deadline=None)
+def test_read_dataset_csv_matches_cell_by_cell_reader(case, chunk_rows):
+    text, universe, names = case
+    expected = _csv_outcome(lambda: reference_parse_csv_rows(
+        csv.reader(io.StringIO(text)), universe, names))
+    with mock.patch.object(core, "CSV_CHUNK_ROWS", chunk_rows):
+        actual = _csv_outcome(lambda: core.read_dataset_csv(
+            io.StringIO(text), universe, names))
+    assert actual == expected

@@ -141,6 +141,54 @@ def test_fourier_queries_paths_by_size():
             assert fast == slow
 
 
+def per_support_sums(dataset, indices):
+    """F_a by one histogram and one fftn per support, as separate calls."""
+    sizes = dataset.universe.domain_sizes
+    out = {}
+    for a in indices:
+        support = tuple(j for j, v in enumerate(a) if v)
+        if not support:
+            out[a] = complex(dataset.n)
+            continue
+        shape = tuple(sizes[j] for j in support)
+        cells = np.ravel_multi_index(dataset.rows[:, support].T, shape)
+        counts = np.bincount(cells, minlength=math.prod(shape))
+        spectrum = np.fft.fftn(counts.reshape(shape))
+        out[a] = complex(spectrum[tuple(a[j] for j in support)])
+    return out
+
+
+@st.composite
+def shared_shape_cases(draw):
+    # sizes from a short list, so several supports share a grid shape
+    # (attributes 0 and 1 always have equal sizes) and others do not
+    sizes = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=2,
+                          max_size=5))
+    sizes[1] = sizes[0]
+    u = core.build_universe(sizes)
+    n = draw(st.sampled_from([1, 40, 700]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.column_stack([rng.integers(0, m, size=n) for m in sizes])
+    everything = list(itertools.product(*(range(m) for m in sizes)))
+    picks = draw(st.lists(st.integers(0, len(everything) - 1), min_size=1,
+                          max_size=60, unique=True))
+    return core.Dataset(universe=u, rows=rows), [everything[i] for i in picks]
+
+
+@given(shared_shape_cases(), st.sampled_from([1, 7, 1 << 20]))
+@settings(max_examples=60, deadline=None)
+def test_shape_batched_sums_equal_per_support_sums(case, block):
+    data, indices = case
+    with mock.patch.object(fourier, "DIRECT_TERMS_PER_SUPPORT", 0), \
+            mock.patch.object(fourier, "HISTOGRAM_BLOCK_CELLS", block):
+        table = fourier.fourier_queries(data, indices)
+    expected = per_support_sums(data, indices)
+    assert table.indices.tolist() == [list(a) for a in indices]
+    # bit for bit: the same counts and the same per-grid transforms
+    assert table.values.tobytes() == np.array(
+        [expected[a] for a in indices]).tobytes()
+
+
 def test_fourier_queries_empty_support_and_empty_dataset():
     u = core.build_universe([3, 512])
     data = core.Dataset(universe=u, rows=np.array([[0, 5], [2, 511]]))
