@@ -34,7 +34,6 @@ precision.
 All functions are pure; tables are immutable after construction.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,8 +55,7 @@ class FourierTable:
     values holds F_a for each, in request order.  supports holds each
     distinct support once, as a boolean row in lexicographic order, and
     support_of[i] is the row that indices[i] lies on.  The arrays are
-    read-only.  entries maps index tuples to values, built on first
-    use.  Only the requested frequencies are stored; reconstruction
+    read-only.  Only the requested frequencies are stored; reconstruction
     zero-fills the rest, so memory stays proportional to the released
     frequencies.
     """
@@ -67,14 +65,6 @@ class FourierTable:
     values: np.ndarray
     supports: np.ndarray
     support_of: np.ndarray
-
-    @functools.cached_property
-    def entries(self):
-        return dict(zip(map(tuple, self.indices.tolist()),
-                        self.values.tolist()))
-
-    def value(self, a):
-        return self.entries[tuple(a)]
 
     def __len__(self):
         return len(self.values)
@@ -173,10 +163,12 @@ def _direct_sums(dataset, a):
     return np.exp(-2j * np.pi * phases.sum(axis=2)).sum(axis=1)
 
 
-# Largest number of (support, row) cells one bincount call takes; larger
-# inputs are histogrammed in blocks of rows.  Small blocks bound the
-# memory and stay in cache: on all pairs of 12 size-4 attributes, 1 << 14
-# was faster than 1 << 12 or 1 << 20 at both 2,000 and 10^6 rows.
+# Number of (support, row) cells one bincount call takes; larger inputs
+# are histogrammed in blocks of rows.  Small blocks bound the memory and
+# stay in cache: on all pairs of 12 size-4 attributes, 1 << 14 was faster
+# than 1 << 12 or 1 << 20 at both 2,000 and 10^6 rows.  A block never
+# holds fewer rows than one grid has cells, since each block's bincount
+# also costs one pass over every grid's cells.
 HISTOGRAM_BLOCK_CELLS = 1 << 14
 
 
@@ -217,11 +209,13 @@ def _stacked_histograms(rows, columns, steps, size):
 
     Grid g reads attributes columns[g] with row-major steps; the grids
     lie end to end, so one bincount per block of rows fills them all.
+    A block takes at least size rows, so the blocks' bincounts pass over
+    at most grids * (n + size) cells in all, as one bincount per grid.
     """
     grids = len(columns)
     counts = np.zeros(grids * size, dtype=np.int64)
     offsets = (np.arange(grids) * size)[:, None]
-    block = max(1, HISTOGRAM_BLOCK_CELLS // grids)
+    block = max(HISTOGRAM_BLOCK_CELLS // grids, size)
     for start in range(0, len(rows), block):
         part = np.ascontiguousarray(rows[start:start + block].T)
         cells = offsets + part[columns[:, 0]] * steps[0]

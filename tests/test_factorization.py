@@ -131,10 +131,10 @@ def test_noise_application_matches_release():
     plan = budget.plan_from_tau(1.0, dict(zip(fact.freqs, fact.tau)))
     sampler = budget.SeededSampler(7)
     table = fourier.fourier_queries(dataset, fact.freqs)
-    noisy = np.array([table.value(a)
+    noisy = np.array([value
                       + budget.sample_complex_gaussian(plan.variances[a],
                                                        sampler)
-                      for a in fact.freqs])
+                      for a, value in zip(fact.freqs, table.values)])
     coeff = fact.L * np.sqrt(fact.E)[None, :]
     answers = (coeff @ noisy).real
     start = 0

@@ -115,9 +115,9 @@ def test_fourier_queries_match_per_row_sum(case):
     for limit in (0, math.inf, fourier.DIRECT_TERMS_PER_SUPPORT):
         with mock.patch.object(fourier, "DIRECT_TERMS_PER_SUPPORT", limit):
             fast = fourier.fourier_queries(data, indices)
-        assert set(fast.entries) == set(slow)
-        for a, value in slow.items():
-            assert abs(fast.value(a) - value) <= bound
+        assert fast.indices.tolist() == [list(a) for a in indices]
+        for a, value in zip(indices, fast.values):
+            assert abs(value - slow[a]) <= bound
 
 
 def test_fourier_queries_paths_by_size():
@@ -132,7 +132,8 @@ def test_fourier_queries_paths_by_size():
         data = core.Dataset(universe=u, rows=rng.integers(0, 2, (n, 4)))
         with mock.patch.object(fourier, "_histogram_sums",
                                wraps=fourier._histogram_sums) as spy:
-            fast = fourier.fourier_queries(data, indices).entries
+            table = fourier.fourier_queries(data, indices)
+        fast = dict(zip(indices, table.values.tolist()))
         assert spy.called == histogram
         slow = reference_fourier_queries(data, indices)
         if histogram:
@@ -156,6 +157,34 @@ def per_support_sums(dataset, indices):
         spectrum = np.fft.fftn(counts.reshape(shape))
         out[a] = complex(spectrum[tuple(a[j] for j in support)])
     return out
+
+
+def test_histogram_blocks_pass_over_each_grid_once_per_size_rows():
+    # all 3-way supports of 8 size-10 attributes: 56 grids of 1,000
+    # cells, 56,000 stacked cells against HISTOGRAM_BLOCK_CELLS = 16,384.
+    # Each block's bincount spans every grid, so the blocks together
+    # must span no more cells than one bincount per grid would.
+    grids, size, n = 56, 1000, 2000
+    u = core.build_universe([10] * 8)
+    data = core.Dataset(universe=u, rows=np.random.default_rng(5).integers(
+        0, 10, (n, 8)))
+    indices = [tuple(1 + j % 9 if j in s else 0 for j in range(8))
+               for s in itertools.combinations(range(8), 3)]
+    expected = per_support_sums(data, indices)
+    spanned = []
+    bincount = np.bincount
+
+    def counting(x, weights=None, minlength=0):
+        out = bincount(x, weights, minlength)
+        spanned.append(len(out))
+        return out
+
+    with mock.patch.object(np, "bincount", counting):
+        table = fourier.fourier_queries(data, indices)
+    assert len(indices) == grids and set(spanned) == {grids * size}
+    assert sum(spanned) <= grids * (n + size)
+    assert table.values.tobytes() == np.array(
+        [expected[a] for a in indices]).tobytes()
 
 
 @st.composite
@@ -193,11 +222,11 @@ def test_fourier_queries_empty_support_and_empty_dataset():
     u = core.build_universe([3, 512])
     data = core.Dataset(universe=u, rows=np.array([[0, 5], [2, 511]]))
     table = fourier.fourier_queries(data, [(0, 0), (1, 0), (0, 0)])
-    assert table.value((0, 0)) == 2 and isinstance(table.value((0, 0)),
-                                                   complex)
+    first, _, last = table.values.tolist()
+    assert first == last == 2 and isinstance(first, complex)
     empty = core.Dataset(universe=u, rows=np.empty((0, 2), dtype=np.int64))
     table = fourier.fourier_queries(empty, [(0, 0), (2, 7)])
-    assert table.entries == {(0, 0): 0j, (2, 7): 0j}
+    assert table.values.tolist() == [0j, 0j]
 
 
 def test_fourier_queries_validates_every_index():
@@ -212,21 +241,21 @@ def test_fourier_queries_zero_index_counts_rows():
     u = core.build_universe([2, 3])
     d = core.Dataset(universe=u, rows=np.array([[0, 1], [1, 2], [1, 0]]))
     table = fourier.fourier_queries(d, [(0, 0)])
-    assert table.value((0, 0)) == 3
+    assert table.values.tolist() == [3]
 
 
 def test_fourier_queries_balanced_binary_column():
     u = core.build_universe([2])
     d = core.Dataset(universe=u, rows=np.array([[0], [1]]))
     table = fourier.fourier_queries(d, [(1,)])
-    assert table.value((1,)) == pytest.approx(0.0, abs=1e-12)
+    assert table.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fourier_queries_single_row():
     u = core.build_universe([2, 2])
     d = core.Dataset(universe=u, rows=np.array([[0, 0]]))
     table = fourier.fourier_queries(d, [(1, 1)])
-    assert table.value((1, 1)) == pytest.approx(1.0)
+    assert table.values[0] == pytest.approx(1.0)
 
 
 @given(st.data())
@@ -242,8 +271,8 @@ def test_unit_sensitivity(data):
                      for m in u.domain_sizes) for _ in range(3)]
     before = fourier.fourier_queries(d, indices)
     after = fourier.fourier_queries(bigger, indices)
-    for a in indices:
-        assert abs(abs(after.value(a) - before.value(a)) - 1.0) < 1e-12
+    for change in after.values - before.values:
+        assert abs(abs(change) - 1.0) < 1e-12
 
 
 def test_phi_spectrum_indicator_is_flat():
@@ -284,6 +313,30 @@ def test_inverse_table_shape_check():
     with pytest.raises(fourier.ShapeMismatch):
         fourier.inverse_table(np.zeros((2, 2), dtype=complex),
                               expected_shape=(2, 3))
+    # a stack is checked on its trailing axes
+    for shape, expected in (((4, 2, 3), (2, 4)), ((4, 2, 3), (4, 3)),
+                            ((3,), (2, 3)), ((5, 3), ())):
+        with pytest.raises(fourier.ShapeMismatch):
+            fourier.inverse_table(np.zeros(shape, dtype=complex),
+                                  expected_shape=expected)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_inverse_table_stack_equals_separate_calls(data):
+    # grids stacked on leading axes come out bit for bit as one
+    # inverse_table call per grid
+    shape = tuple(data.draw(st.integers(1, 6))
+                  for _ in range(data.draw(st.integers(1, 3))))
+    lead = tuple(data.draw(st.integers(1, 4))
+                 for _ in range(data.draw(st.integers(1, 2))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    c = rng.normal(size=lead + shape) + 1j * rng.normal(size=lead + shape)
+    stacked = fourier.inverse_table(c, expected_shape=shape)
+    separate = [fourier.inverse_table(grid, expected_shape=shape)
+                for grid in c.reshape((-1,) + shape)]
+    assert stacked.shape == c.shape
+    assert stacked.tobytes() == np.array(separate).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2,), (17,), (5, 7, 9), (2, 3, 4, 5),
@@ -319,9 +372,8 @@ def reconstruct_marginal_table(dataset, members, phi=None):
     coeffs = np.zeros(sub_sizes, dtype=complex)
     if phi is not None:
         spectrum = fourier.phi_spectrum(phi)
-    for a in indices:
+    for a, value in zip(indices, table.values):
         pos = tuple(a[j] for j in members)
-        value = table.value(a)
         if phi is not None:
             for j in members:
                 value *= spectrum.tables[j][a[j]]
