@@ -268,7 +268,7 @@ def _load_workload(path):
 def _load_dataset(path, universe, names):
     try:
         return core.read_dataset_csv(path, universe, names)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read dataset {path!r}: {exc}")
 
 

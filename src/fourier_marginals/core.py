@@ -172,9 +172,14 @@ class Workload:
 def build_universe(domain_sizes, kinds=None):
     """Validate sizes and kind flags and return a Universe.
 
-    kinds defaults to all categorical.
+    kinds defaults to all categorical.  Sizes must be integers: a float,
+    a string or a bool is rejected, not converted.
     """
-    sizes = tuple(int(m) for m in domain_sizes)
+    sizes = tuple(domain_sizes)
+    for m in sizes:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise AssignmentOutOfRange(f"domain size {m!r} is not an integer")
+    sizes = tuple(map(int, sizes))
     if not sizes:
         raise SizeTooSmall("need at least one attribute")
     if kinds is None:
@@ -270,6 +275,9 @@ def read_workload_json(source):
     sets = []
     weights = []
     for entry in doc["sets"]:
+        if not isinstance(entry["attrs"], (list, tuple)):
+            raise AssignmentOutOfRange(
+                f"attrs {entry['attrs']!r} is not a list of attribute names")
         try:
             sets.append(tuple(index[name] for name in entry["attrs"]))
         except KeyError as exc:
@@ -294,9 +302,20 @@ def read_workload_json(source):
     return universe, workload, names
 
 
-# Lines read and converted at once by read_dataset_csv; bounds the raw
-# cells held in memory while each column still converts in one call.
+# Records read and converted at once by read_dataset_csv: lines on the
+# fast path, where a line is a record, and csv records after the switch
+# to csv.reader.  Bounds the raw text held in memory while each column
+# still converts in one call.
 CSV_CHUNK_ROWS = 1 << 14
+
+# byte classes of the canonical integer grammar: 0 any other byte, 1 an
+# ASCII digit, 2 the cell separator, 3 the line break
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 1
+_BYTE_CLASS[ord(",")] = 2
+_BYTE_CLASS[ord("\n")] = 3
+# longest cell of the grammar; every 18-digit number fits in int64
+_MAX_DIGITS = 18
 
 
 def read_dataset_csv(source, universe, names):
@@ -309,18 +328,26 @@ def read_dataset_csv(source, universe, names):
     offending line.  Returns (dataset, value_maps) where value_maps[name]
     gives the string-to-code mapping of attributes that needed one.
 
-    Lines are read in chunks of CSV_CHUNK_ROWS and each chunk is
-    converted column by column: an integer column in one np.fromiter
-    call, any other column cell by cell.
+    The header is read with csv.reader.  The body is then read as raw
+    lines, CSV_CHUNK_ROWS at a time, and a chunk is parsed with numpy
+    byte operations when it is canonical: every line has one cell per
+    header cell, each cell is 1 to 18 ASCII digits, cells are separated
+    by "," and each line ends with "\\n" or "\\r\\n" (the file's last
+    line may have no ending).  The first chunk that fails this grammar
+    and the rest of the file go through csv.reader, in chunks of
+    CSV_CHUNK_ROWS records converted column by column: an integer column
+    in one np.fromiter call, any other column cell by cell.  Both paths
+    give the same rows, codes and errors, since a canonical line is one
+    record.
     """
     if hasattr(source, "read"):
-        return _parse_csv_rows(csv.reader(source), universe, names)
+        return _parse_csv_rows(source, universe, names)
     with open(source, newline="") as fh:
-        return _parse_csv_rows(csv.reader(fh), universe, names)
+        return _parse_csv_rows(fh, universe, names)
 
 
-def _parse_csv_rows(reader, universe, names):
-    header = next(reader, None)
+def _parse_csv_rows(source, universe, names):
+    header = next(csv.reader(source), None)
     if header is None:
         raise LengthMismatch("empty dataset file")
     header = [h.strip() for h in header]
@@ -342,6 +369,19 @@ def _parse_csv_rows(reader, universe, names):
     # is reported only once the whole file has parsed
     outside = None
     line = 1
+    while chunk := list(itertools.islice(source, CSV_CHUNK_ROWS)):
+        values = _integer_lines(chunk, len(header))
+        if values is None:
+            break
+        values = values[:, order]
+        beyond = values >= np.array(sizes)
+        if outside is None and beyond.any():
+            i, j = divmod(int(np.argmax(beyond)), universe.d)
+            outside = (line + 1 + i, j, int(values[i, j]))
+        blocks.append(values)
+        line += len(chunk)
+        seen += len(chunk)
+    reader = csv.reader(itertools.chain(chunk, source))
     while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
         lines = range(line + 1, line + 1 + len(chunk))
         line += len(chunk)
@@ -391,6 +431,49 @@ def _parse_csv_rows(reader, universe, names):
     dataset = Dataset(universe=universe, rows=rows)
     value_maps = {name: codes for name, codes in value_maps.items() if codes}
     return dataset, value_maps
+
+
+def _integer_lines(lines, width):
+    """A chunk of canonical lines as an (n, width) int64 array.
+
+    Returns None when any line falls outside the grammar that
+    read_dataset_csv documents.
+    """
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    # a lone "\r" is left behind and fails the byte classes
+    text = text.replace("\r\n", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_CLASS[data]
+    if not kind.all():
+        return None
+    # a line holds at most one "\n", at its end, so the chunk holds one
+    # per line and they must be every width-th separator
+    ends = np.flatnonzero(kind > 1)
+    if (ends.size != len(lines) * width
+            or not (kind[ends[width - 1::width]] == 3).all()):
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > _MAX_DIGITS:
+        return None
+    if longest == 1:
+        values = data[::2].astype(np.int64) - ord("0")
+    else:
+        # Horner's rule over the right-aligned digit columns: column k
+        # holds the k-th byte before each cell's end, zeroed where the
+        # cell is shorter (a negative position wraps into the buffer and
+        # is zeroed too)
+        values = np.zeros(ends.size, dtype=np.int64)
+        for k in range(longest, 0, -1):
+            digits = data[ends - k] - np.uint8(ord("0"))
+            digits[lengths < k] = 0
+            values *= 10
+            values += digits
+    return values.reshape(len(lines), width)
 
 
 def _convert_column(cells, lines, codes, size, name, seen):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import locale
 import math
 
 import numpy as np
@@ -277,6 +278,37 @@ def test_mixed_csv_column_exits_2_with_line(tmp_path, capsys):
                          "--dataset", rows, "--seed", "1")
     assert code == 2 and out == ""
     assert "line 3" in err and "'a'" in err
+
+
+# the first body is canonical until the defect; the quoted cell sends
+# the second through csv.reader from its first chunk on
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="0xff decodes in this locale's encoding")
+@pytest.mark.parametrize("first", [b"0,1", b'"0",1'])
+def test_undecodable_dataset_exits_2(tmp_path, capsys, monkeypatch, first):
+    monkeypatch.setattr(core, "CSV_CHUNK_ROWS", 2)
+    workload = write_json(tmp_path, PAIR_DOC)
+    path = tmp_path / "rows.csv"
+    # the bad byte lies past the first block the text layer decodes, so
+    # the header still reads
+    path.write_bytes(b"a,b\n" + first + b"\n" + b"0,1\n" * 5000
+                     + b"1,\xff\n")
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", str(path), "--seed", "1")
+    assert code == 2 and out == ""
+    assert f"cannot read dataset {str(path)!r}" in err
+
+
+@pytest.mark.parametrize("cell", ["1" * 131073, "x" * 131073])
+def test_oversized_csv_field_exits_2(tmp_path, capsys, cell):
+    workload = write_json(tmp_path, PAIR_DOC)
+    rows = write_rows(tmp_path, f"a,b\n0,1\n1,{cell}\n")
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--seed", "1")
+    assert code == 2 and out == ""
+    assert f"cannot read dataset {rows!r}" in err
+    assert "field larger than field limit" in err
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):

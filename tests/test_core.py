@@ -389,12 +389,20 @@ def reference_parse_csv_rows(reader, universe, names):
 
 CSV_NAMES = ("a", "b", "c")
 CSV_WORDS = ("red", "blue", "x", "y", "z")
-CSV_OUTSIDE = ("99999999999999999999", "-99999999999999999999", "-1", "9")
+CSV_OUTSIDE = ("99999999999999999999", "-99999999999999999999", "-1", "9",
+               "007", "1_0", "999999999999999999", "1000000000000000000",
+               "9223372036854775807", "-9223372036854775808",
+               "9999999999999999999")
+# integers that int() reads inside the domain but that the canonical
+# grammar rejects (signed, grouped, non-ASCII or 19 digits), and an
+# 18-digit one that it accepts
+CSV_SPELLED = ("-0", "+1", "\u0661", "0000000000000000001",
+               "000000000000000001")
 CSV_ROGUE = CSV_OUTSIDE + ("", "1.5")
 
 
 @st.composite
-def csv_cells(draw, kind, size, mode):
+def csv_cells(draw, kind, size, mode, bare):
     own = (st.integers(0, size - 1).map(str) if kind == "int"
            else st.sampled_from(CSV_WORDS[:size]))
     # hypothesis favours the ends of a range, so rare cases take values
@@ -403,13 +411,15 @@ def csv_cells(draw, kind, size, mode):
     if pick not in (9, 17, 21, 25):
         cell = draw(own)
     elif mode == "range":
-        cell = draw(st.sampled_from(CSV_OUTSIDE)) if kind == "int" \
-            else draw(own)
+        cell = draw(st.sampled_from(CSV_OUTSIDE + CSV_SPELLED)) \
+            if kind == "int" else draw(own)
     elif pick == 9:
         cell = draw(st.sampled_from(CSV_WORDS) if kind == "int"
                     else st.integers(0, size - 1).map(str))
     else:
-        cell = draw(st.sampled_from(CSV_ROGUE + CSV_WORDS))
+        cell = draw(st.sampled_from(CSV_ROGUE + CSV_SPELLED + CSV_WORDS))
+    if bare:
+        return cell
     return draw(st.sampled_from(("{}", " {} ", '"{}"', '" {}"'))).format(cell)
 
 
@@ -425,7 +435,11 @@ def csv_files(draw):
         header[draw(st.integers(0, d - 1))] = "zz"
     elif defect == 13 and d > 1:
         header.pop()
-    kinds = {name: draw(st.sampled_from(("int", "str"))) for name in names}
+    # bare cells are written as they are, unquoted and unpadded, in
+    # integer columns, so that most chunks of a bare file are canonical
+    bare = draw(st.booleans())
+    kinds = {name: "int" if bare else draw(st.sampled_from(("int", "str")))
+             for name in names}
     size = dict(zip(names, sizes))
     # a clean file has no defective cells, a range file only integers
     # outside their domain, a rogue one any defect, ragged lines too
@@ -437,16 +451,17 @@ def csv_files(draw):
             lines.append("")
             continue
         cells = [draw(csv_cells(kinds.get(name, "int"), size.get(name, 2),
-                                mode))
+                                mode, bare))
                  for name in header]
         if mode == "rogue" and shape == 12:
             cells.append("0")
         elif mode == "rogue" and shape == 18 and len(cells) > 1:
             cells.pop()
         lines.append(",".join(cells))
-    text = ",".join(header) + "\n" + "\n".join(lines)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    text = ",".join(header) + end + end.join(lines)
     if draw(st.booleans()):
-        text += "\n"
+        text += end
     return text, core.build_universe(sizes), names
 
 
@@ -463,6 +478,11 @@ def _csv_outcome(parse):
 @example(("", core.build_universe([2]), ["a"]), 1)
 @example(("a,b\n0,0\n1,1\n\n1,7\n0\n", core.build_universe([2, 2]),
           ["a", "b"]), 2)
+# as many separators as two good lines, with the line break misplaced
+@example(("a,b\n0\n0,1,1\n", core.build_universe([2, 2]), ["a", "b"]), 2)
+# one empty cell and one two-digit cell take as many bytes as two
+# one-digit cells
+@example(("c0\n\n10", core.build_universe([11]), ["c0"]), 2)
 @settings(max_examples=400, deadline=None)
 def test_read_dataset_csv_matches_cell_by_cell_reader(case, chunk_rows):
     text, universe, names = case
@@ -472,3 +492,49 @@ def test_read_dataset_csv_matches_cell_by_cell_reader(case, chunk_rows):
         actual = _csv_outcome(lambda: core.read_dataset_csv(
             io.StringIO(text), universe, names))
     assert actual == expected
+
+
+def test_read_dataset_csv_canonical_chunks_skip_cell_conversion():
+    universe = core.build_universe([2, 2])
+    text = "b,a\r\n1,0\n0,1\r\n1,1\n000000000000000001,0\n1,1"
+    with mock.patch.object(core, "CSV_CHUNK_ROWS", 2), \
+            mock.patch.object(core, "_convert_column",
+                              side_effect=AssertionError("cell by cell")):
+        dataset, value_maps = core.read_dataset_csv(
+            io.StringIO(text), universe, ["a", "b"])
+    np.testing.assert_array_equal(dataset.rows,
+                                  [[0, 1], [1, 0], [1, 1], [0, 1], [1, 1]])
+    assert value_maps == {}
+
+
+@pytest.mark.parametrize("text", [
+    'a,b\n0,1\n1,0\n"1\n",0\n1,1\n',
+    'a,b\n0,1\n1,0\n"1\n",0\n1,7\n0,0\n',
+    'a,b\n0,1\n1,0\n"1\n",0\nred,1\n',
+    'a,b\n0,1\n1,0\n"red\n",0\n0,1\n',
+    'a,b\n0,1\n1,0\n"1\n",0\n\n1\n',
+])
+def test_read_dataset_csv_quoted_record_in_second_chunk(text):
+    universe = core.build_universe([2, 2])
+    expected = _csv_outcome(lambda: reference_parse_csv_rows(
+        csv.reader(io.StringIO(text)), universe, ["a", "b"]))
+    with mock.patch.object(core, "CSV_CHUNK_ROWS", 2):
+        actual = _csv_outcome(lambda: core.read_dataset_csv(
+            io.StringIO(text), universe, ["a", "b"]))
+    assert actual == expected
+
+
+@pytest.mark.parametrize("size, attrs", [
+    ("4.5", '["a"]'),
+    ('"3"', '["a"]'),
+    ("true", '["a"]'),
+    ("1e400", '["a"]'),
+    ("2", '"ab"'),
+])
+def test_read_workload_json_rejects_reinterpreted_input(size, attrs):
+    text = ('{"attributes": [{"name": "a", "size": %s}, '
+            '{"name": "b", "size": 2}], "sets": [{"attrs": %s}]}'
+            % (size, attrs))
+    with pytest.raises(core.AssignmentOutOfRange,
+                       match="is not an integer|is not a list"):
+        core.read_workload_json(io.StringIO(text))
