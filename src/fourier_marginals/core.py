@@ -21,6 +21,7 @@ threads.
 import csv
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,7 +256,9 @@ def read_workload_json(source):
     The document has the shape {"attributes": [{"name", "size", "kind"}],
     "sets": [{"attrs": [names], "weight"}], "kind": ..} plus an optional
     "phi" object mapping attribute names to factor tables for product
-    workloads.  Accepts a path, a file object, or an already-parsed dict.
+    workloads.  Sizes must be integers, weights numbers and phi tables
+    lists of numbers; strings and booleans are rejected, not converted.
+    Accepts a path, a file object, or an already-parsed dict.
     Returns (universe, workload, attribute names).
     """
     if isinstance(source, dict):
@@ -282,7 +285,10 @@ def read_workload_json(source):
             sets.append(tuple(index[name] for name in entry["attrs"]))
         except KeyError as exc:
             raise AssignmentOutOfRange(f"unknown attribute {exc.args[0]!r}")
-        weights.append(float(entry.get("weight", 1.0)))
+        weight = entry.get("weight", 1.0)
+        if not _is_number(weight):
+            raise AssignmentOutOfRange(f"weight {weight!r} is not a number")
+        weights.append(float(weight))
     kind = doc.get("kind", "marginal")
     phi = None
     if "phi" in doc and doc["phi"]:
@@ -292,6 +298,11 @@ def read_workload_json(source):
         for name, table in doc["phi"].items():
             if name not in index:
                 raise AssignmentOutOfRange(f"unknown attribute {name!r} in phi")
+            if not (isinstance(table, (list, tuple))
+                    and all(map(_is_number, table))):
+                raise AssignmentOutOfRange(
+                    f"phi table {table!r} of {name!r} is not a list of "
+                    "numbers")
             phi[index[name]] = tuple(float(v) for v in table)
         for j, table in enumerate(phi):
             if table is None:
@@ -300,6 +311,11 @@ def read_workload_json(source):
     workload = Workload(universe=universe, sets=tuple(sets),
                         weights=np.array(weights), kind=kind, phi=phi)
     return universe, workload, names
+
+
+def _is_number(value):
+    # JSON true and false are bools, which Python counts as integers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # Records read and converted at once by read_dataset_csv: lines on the
@@ -355,6 +371,9 @@ def _parse_csv_rows(source, universe, names):
     for col, name in enumerate(header):
         if name not in names:
             raise AssignmentOutOfRange(f"unknown column {name!r}")
+        if name in position:
+            raise AssignmentOutOfRange(
+                f"column {name!r} appears more than once")
         position[name] = col
     if len(position) != len(names):
         missing = sorted(set(names) - set(position))

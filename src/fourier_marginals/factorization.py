@@ -23,6 +23,14 @@ sqrt(|U|) tau_a.  Three certificates follow:
     form trace bound showing the doubled-domain release is within the
     ratio of two explicit log-like sums per numerical attribute.
 
+Every dense matrix is a stack of per-set blocks, and each block is a
+product over attributes: V~ and U~ of per-attribute character tables
+omega_m^(a v), W and the prefix matrix of per-attribute factor tables.
+A block is filled in place in its preallocated output by broadcasting
+one attribute's table over the grid at a time, in attribute order, so
+every entry is multiplied in the same order as a Kronecker product
+would, with no loop per frequency.
+
 Dense matrices are built only for small instances; past the caps the
 certificates fall back to closed forms: the weighted error is
 sum_R G_R r_R from mechanism.predicted_error, summed per member of the
@@ -35,7 +43,6 @@ release would be.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -144,20 +151,34 @@ def _check_dense_caps(workload, dense_cap=None):
             f"{rows} query rows exceed the dense cap {DENSE_QUERY_CAP}")
 
 
-def _unit_row(m, a):
+def _unit_table(m):
+    """omega_m^(a v) at [v, a], for every value v and frequency a."""
     # phases as rational multiples of one turn, like the character code
-    return np.exp(2j * np.pi * ((a * np.arange(m)) % m) / m)
+    v = np.arange(m)
+    return np.exp(2j * np.pi * ((v[:, None] * v[None, :]) % m) / m)
+
+
+def _character_grid(grid, sizes, freqs, axes):
+    """Multiply grid[..., k] in place by chi_{freqs[k]} on the given axes.
+
+    grid has one axis per attribute in axes, then one per frequency;
+    the factors multiply from the right in the order of axes.
+    """
+    for axis, j in enumerate(axes):
+        shape = [1] * grid.ndim
+        shape[axis] = sizes[j]
+        shape[-1] = freqs.shape[0]
+        np.multiply(grid, _unit_table(sizes[j])[:, freqs[:, j]]
+                    .reshape(shape), out=grid)
 
 
 def _character_matrix(universe, freqs):
     """Columns chi_a over the row-major universe grid, one per frequency."""
     sizes = universe.domain_sizes
-    cols = np.empty((universe.size, len(freqs)), dtype=complex)
-    for k, a in enumerate(freqs):
-        col = np.ones(1, dtype=complex)
-        for j, aj in enumerate(a):
-            col = np.multiply.outer(col, _unit_row(sizes[j], aj)).ravel()
-        cols[:, k] = col
+    freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
+    cols = np.ones((universe.size, len(freqs)), dtype=complex)
+    _character_grid(cols.reshape(tuple(sizes) + (len(freqs),)), sizes,
+                    freqs, range(universe.d))
     return cols
 
 
@@ -175,49 +196,76 @@ def _row_index(workload):
     return tuple(rows), np.array(weight)
 
 
+def _coefficient_products(coeffs, freqs, members):
+    """prod_{j in members} coeffs[j][a_j] per frequency, as complex
+    numbers multiplied one at a time in members order.
+
+    The parts are formed as re*re' - im*im' and re*im' + im*re' in
+    separate float operations, which is how a product of two complex
+    scalars rounds; numpy's complex array loops may fuse them instead.
+    """
+    re = np.ones(len(freqs))
+    im = np.zeros(len(freqs))
+    for j in members:
+        values = coeffs[j][freqs[:, j]]
+        re, im = (re * values.real - im * values.imag,
+                  re * values.imag + im * values.real)
+    scale = np.empty(len(freqs), dtype=complex)
+    scale.real = re
+    scale.imag = im
+    return scale
+
+
 def _coefficient_matrix(workload, coeffs, rows, freqs):
     """U~ with entries coeff(S, a) chi_a(t) / |U_S| on supp(a) within S."""
     universe = workload.universe
     sizes = universe.domain_sizes
-    supports = [set(j for j, v in enumerate(a) if v) for a in freqs]
-    out = np.zeros((len(rows), len(freqs)), dtype=complex)
+    freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
+    out = np.ones((len(rows), len(freqs)), dtype=complex)
     start = 0
     for members in workload.sets:
         size = universe.subuniverse_size(members)
-        covered = set(members)
-        for k, a in enumerate(freqs):
-            if not supports[k] <= covered:
-                continue
-            scale = 1.0 + 0.0j
-            for j in members:
-                scale *= coeffs[j][a[j]]
-            if scale == 0:
-                continue
-            col = np.ones(1, dtype=complex)
-            for j in members:
-                col = np.multiply.outer(col, _unit_row(sizes[j], a[j])).ravel()
-            out[start:start + size, k] = (scale / size) * col
+        block = out[start:start + size]
+        scale = _coefficient_products(coeffs, freqs, members)
+        _character_grid(
+            block.reshape(universe.subdomain_sizes(members)
+                          + (len(freqs),)), sizes, freqs, members)
+        np.multiply(scale / size, block, out=block)
+        outside = [j for j in range(universe.d) if j not in members]
+        block[:, freqs[:, outside].any(axis=1) | (scale == 0)] = 0.0
+        start += size
+    return out
+
+
+def _query_matrix(workload, factor):
+    """Stacked set blocks: the Kronecker product over all attributes of
+    factor(j) for members j of the set and a row of ones elsewhere."""
+    universe = workload.universe
+    sizes = tuple(universe.domain_sizes)
+    out = np.ones((_query_rows(workload), universe.size))
+    start = 0
+    for members in workload.sets:
+        size = universe.subuniverse_size(members)
+        block = out[start:start + size].reshape(
+            universe.subdomain_sizes(members) + sizes)
+        for axis, j in enumerate(members):
+            shape = [1] * block.ndim
+            shape[axis] = shape[len(members) + j] = sizes[j]
+            block *= factor(j).reshape(shape)
         start += size
     return out
 
 
 def _dense_matrix(workload):
     """W row for row: per-attribute circulant factor tables, composed."""
-    universe = workload.universe
-    sizes = universe.domain_sizes
+    sizes = workload.universe.domain_sizes
     tables = [np.asarray(t, dtype=float) for t in workload.phi_tables()]
-    blocks = []
-    for members in workload.sets:
-        parts = []
-        for j in range(universe.d):
-            m = sizes[j]
-            if j in members:
-                shift = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-                parts.append(tables[j][shift])
-            else:
-                parts.append(np.ones((1, m)))
-        blocks.append(reduce(np.kron, parts))
-    return np.vstack(blocks)
+
+    def circulant(j):
+        m = sizes[j]
+        return tables[j][(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
+
+    return _query_matrix(workload, circulant)
 
 
 def build_factorization(workload, p=None, kind=None, dense_cap=None):
@@ -434,19 +482,9 @@ def _prefix_matrix(workload):
     """
     universe = workload.universe
     numerical = _numerical_members(universe)
-    blocks = []
-    for members in workload.sets:
-        parts = []
-        for j in range(universe.d):
-            m = universe.domain_sizes[j]
-            if j not in members:
-                parts.append(np.ones((1, m)))
-            elif j in numerical:
-                parts.append(np.tril(np.ones((m, m))))
-            else:
-                parts.append(np.eye(m))
-        blocks.append(reduce(np.kron, parts))
-    return np.vstack(blocks)
+    return _query_matrix(workload, lambda j: (
+        np.tril(np.ones((universe.domain_sizes[j],) * 2)) if j in numerical
+        else np.eye(universe.domain_sizes[j])))
 
 
 def lower_bound_witness(workload, p=None, dense_cap=None):
@@ -476,22 +514,27 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     freqs = tuple(sorted(
         a for members in downward_closure(w, positive_only=True)
         for a in fourier.frequency_vectors(universe, members)))
-    kappa = {}
-    for a in freqs:
-        support = set(j for j, v in enumerate(a) if v)
-        c = 0.0
-        for members, pS in zip(w.sets, w.weights):
-            if pS <= 0 or not support <= set(members):
-                continue
-            prod = 1.0
-            for j in members:
-                if j in numerical:
-                    prod *= abs(f_tables[j][a[j]]) ** 2
-            c += pS * prod / universe.subuniverse_size(members) ** 2
-        kappa[a] = math.sqrt(c)
+    # kappa_a^2 adds, set by set, p(S) prod_{j in S numerical}
+    # |f_j(a_j)|^2 / |U_S|^2 over the weighted sets S covering supp(a)
+    grid = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
+    squares = {j: np.array([abs(f_tables[j][v]) ** 2 for v in range(m)])
+               for j, m in enumerate(sizes) if j in numerical}
+    inner = np.zeros(len(freqs))
+    for members, pS in zip(w.sets, w.weights):
+        if pS <= 0:
+            continue
+        outside = [j for j in range(universe.d) if j not in members]
+        covered = ~grid[:, outside].any(axis=1)
+        prod = np.ones(len(freqs))
+        for j in members:
+            if j in numerical:
+                prod = prod * squares[j][grid[:, j]]
+        term = pS * prod / universe.subuniverse_size(members) ** 2
+        inner[covered] += term[covered]
+    norms = np.sqrt(inner)
+    kappa = dict(zip(freqs, norms.tolist()))
     rows, P = _row_index(w)
-    U = _coefficient_matrix(w, coeffs, rows, freqs)
-    U = U / np.array([kappa[a] for a in freqs])[None, :]
+    U = _coefficient_matrix(w, coeffs, rows, freqs) / norms[None, :]
     V = _character_matrix(universe, freqs) / math.sqrt(universe.size)
     Y = np.sqrt(P)[:, None] * (U @ V.conj().T)
     W = _prefix_matrix(w)

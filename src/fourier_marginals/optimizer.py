@@ -4,8 +4,9 @@ The weighted error of a release is (1/mu) sum_R G_R sqrt(c_R(p)), a
 concave function of the workload weights p on the simplex, and the
 max-variance guarantee is its value at the maximizing p*.  G_R and the
 coefficients coef(R, S) are read off the workload's budget.SubsetPlan,
-one per pair R <= S of closure member and set; only the optimizer
-spreads them into a dense members-by-sets matrix.  At p* the
+one per pair R <= S of closure member and set, and every quantity below
+is a bincount over those pairs; no members-by-sets matrix is formed.
+At p* the
 per-query noise deviation sigma_S is the same for every set carrying
 weight and no set exceeds it, so the maximum equals the weighted error.
 
@@ -18,13 +19,15 @@ The residual compares the scaled partial derivatives
 
 which must not exceed min over weighted sets S' of D_{S'} at an
 optimum; D_S is proportional to sigma_S^2, so the same check certifies
-variance maximality.  Every run is deterministic.  On the workloads in
+variance maximality.  Near the optimum a damped Newton step solves the
+first-order equations on the support of p: its bordered system is dense,
+k + 1 square for a support of k sets, but its Jacobian is assembled
+from the pairs.  Every run is deterministic.  On the workloads in
 the test suite convergence takes well under a thousand iterations;
 pathological instances raise NoConvergence with the best iterate
 attached.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,9 @@ from .core import FourierMarginalsError
 # conditions guarantee strict positivity at the optimum itself
 SUM_FLOOR = 1e-14
 SUPPORT_TOL = 1e-12
+# a member on at least 1/WIDE_SHARE of the Newton support enters the
+# Jacobian as a dense row
+WIDE_SHARE = 32
 
 
 class NoConvergence(FourierMarginalsError):
@@ -74,40 +80,92 @@ class WeightSolution:
         return {s: float(v) for s, v in zip(self.sets, self.p_star)}
 
 
-def _structure(workload, kind):
-    """Grouped objective data: members, G_R, coef(R, S), active rows.
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """Objective data read off the workload's budget.SubsetPlan.
 
-    Read off the workload's budget.SubsetPlan; C is dense, members by
-    sets, with coef(R, S) = z_{S - R} / |U_S|^2 on every pair R <= S.
+    active marks the members of the downward closure that the objective
+    depends on, those with G_R > 0 and some coef(R, S) > 0, and
+    active_gains holds their G_R.  member, set and coef list the pairs
+    R <= S with coef(R, S) > 0 of the active members, member by member
+    and set by set within each member; member indexes the active
+    members.  Storage is one entry per pair.
     """
+
+    members: tuple
+    sets: tuple
+    active: np.ndarray
+    active_gains: np.ndarray
+    member: np.ndarray
+    set: np.ndarray
+    coef: np.ndarray
+
+    def sums(self, p):
+        """Inner sums c_R(p) of the active members, each in set order."""
+        return np.bincount(self.member, weights=self.coef * p[self.set],
+                           minlength=self.active_gains.size)
+
+    def objective(self, p, c=None):
+        c = self.sums(p) if c is None else c
+        return float(self.active_gains @ np.sqrt(np.maximum(c, 0.0)))
+
+    def derivatives(self, p):
+        """Scaled partials D_S = 2 df/dp(S); inf where an inner sum is 0."""
+        with np.errstate(divide="ignore"):
+            scale = self.active_gains / np.sqrt(self.sums(p))
+        return np.bincount(self.set, weights=self.coef * scale[self.member],
+                           minlength=len(self.sets))
+
+    def jacobian(self, c, idx):
+        """J = -1/2 C_s^T diag(G / c^(3/2)) C_s on the support idx.
+
+        A member on at least 1/WIDE_SHARE of the support (the empty
+        member is on all of it) adds its rank-one term through one
+        matrix product of the wide members' dense rows; every other
+        member adds the products of its pairs one entry at a time, so
+        the cost is O(wide members * k^2 + sum over the others of their
+        pair count squared), not O(members * k^2).
+        """
+        k = idx.size
+        column = np.full(len(self.sets), -1)
+        column[idx] = np.arange(k)
+        col = column[self.set]
+        keep = col >= 0
+        member, col, coef = self.member[keep], col[keep], self.coef[keep]
+        weight = -0.5 * self.active_gains / c ** 1.5
+        degree = np.bincount(member, minlength=weight.size)
+        wide = degree[member] * WIDE_SHARE >= k
+        rows, row = np.unique(member[wide], return_inverse=True)
+        dense = np.zeros((rows.size, k))
+        dense[row, col[wide]] = coef[wide]
+        J = (dense.T * weight[rows]) @ dense
+        # the other pairs, in whole member blocks: each one meets every
+        # pair of its block, itself included
+        member, col, coef = member[~wide], col[~wide], coef[~wide]
+        count = degree[member]
+        first = np.repeat(np.arange(member.size), count)
+        shift = np.searchsorted(member, member) - (np.cumsum(count) - count)
+        second = np.repeat(shift, count) + np.arange(first.size)
+        np.add.at(J.reshape(-1), col[first] * k + col[second],
+                  weight[member[first]] * coef[first] * coef[second])
+        return J
+
+
+def _structure(workload, kind):
+    """The optimizer's _Structure of a workload, from its SubsetPlan."""
     workload, spectrum, _ = mechanism.as_product(workload, kind)
     plan = budget.subset_plan(workload, spectrum)
-    C = np.zeros((len(plan.members), len(plan.sets)))
-    C[plan.pair_member, plan.pair_set] = plan.coef
-    active = (plan.gains > 0) & (C.max(axis=1) > 0)
-    return plan.members, plan.sets, plan.gains, C, active
-
-
-def _objective(G, C, active, p):
-    c = C[active] @ p
-    return float(G[active] @ np.sqrt(np.maximum(c, 0.0)))
-
-
-def _derivatives(G, C, active, p):
-    """Scaled partials D_S = 2 df/dp(S); inf where an inner sum is 0."""
-    Ga, Ca = G[active], C[active]
-    c = Ca @ p
-    if c.size == 0:
-        return np.zeros(C.shape[1])
-    if (c > 0).all():
-        return Ca.T @ (Ga / np.sqrt(c))
-    out = np.zeros(C.shape[1])
-    for i, ci in enumerate(c):
-        if ci > 0:
-            out = out + Ca[i] * (Ga[i] / math.sqrt(ci))
-        else:
-            out[Ca[i] > 0] = math.inf
-    return out
+    coef = plan.coef
+    positive = coef > 0
+    active = (plan.gains > 0) & (np.bincount(
+        plan.pair_member[positive], minlength=len(plan.members)) > 0)
+    rank = np.cumsum(active) - 1
+    keep = positive & active[plan.pair_member]
+    order = np.argsort(plan.pair_member[keep], kind="stable")
+    return _Structure(
+        members=plan.members, sets=plan.sets, active=active, active_gains=plan.gains[active],
+        member=rank[plan.pair_member[keep]][order],
+        set=plan.pair_set[keep][order], coef=coef[keep][order])
 
 
 def _project_simplex(v):
@@ -123,7 +181,7 @@ def _residual(D, p):
     return float(max(0.0, np.max(D) - np.min(D[supported])))
 
 
-def _newton_polish(G, C, active, p, tol, trace):
+def _newton_polish(structure, p, tol, trace):
     """Equalize derivatives on the current support by damped Newton.
 
     Gradient ascent alone stalls once objective improvements fall under
@@ -132,26 +190,23 @@ def _newton_polish(G, C, active, p, tol, trace):
     best (p, residual, objective) seen; the caller decides whether that
     meets tol.
     """
-    Ga, Ca = G[active], C[active]
     best = None
     for _ in range(100):
-        D = _derivatives(G, C, active, p)
+        D = structure.derivatives(p)
         residual = _residual(D, p)
-        f_val = _objective(G, C, active, p)
+        c = structure.sums(p)
+        f_val = structure.objective(p, c)
         trace.append(f_val)
         if best is None or residual < best[1]:
             best = (p.copy(), residual, f_val)
         if residual <= tol:
             break
         idx = np.flatnonzero(p > SUPPORT_TOL)
-        c = Ca @ p if Ca.size else np.empty(0)
         if idx.size <= 1 or (c <= 0).any():
             break
-        Cs = Ca[:, idx]
-        J = -0.5 * Cs.T @ (Cs * (Ga / c ** 1.5)[:, None])
         k = idx.size
         system = np.zeros((k + 1, k + 1))
-        system[:k, :k] = J
+        system[:k, :k] = structure.jacobian(c, idx)
         system[:k, k] = -1.0
         system[k, :k] = 1.0
         lam = float(D[idx].mean())
@@ -160,12 +215,14 @@ def _newton_polish(G, C, active, p, tol, trace):
             delta = np.linalg.solve(system, rhs)[:k]
         except np.linalg.LinAlgError:
             break
+        # free the (k + 1)^2 system before the next step builds its own
+        del system
         alpha = 1.0
         cand = None
         while alpha > 1e-12:
             trial = p.copy()
             trial[idx] = p[idx] + alpha * delta
-            if trial[idx].min() >= 0 and not ((Ca @ trial)
+            if trial[idx].min() >= 0 and not (structure.sums(trial)
                                               < SUM_FLOOR).any():
                 cand = trial
                 break
@@ -178,7 +235,7 @@ def _newton_polish(G, C, active, p, tol, trace):
             if trial.sum() <= 0:
                 break
             trial /= trial.sum()
-            if ((Ca @ trial) < SUM_FLOOR).any():
+            if (structure.sums(trial) < SUM_FLOOR).any():
                 break
             cand = trial
         if np.array_equal(cand, p):
@@ -198,21 +255,22 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
     if tol <= 0:
         raise FourierMarginalsError(f"tol must be positive, got {tol}")
     kind = kind or workload.kind
-    members, sets, G, C, active = _structure(workload, kind)
+    structure = _structure(workload, kind)
+    sets = structure.sets
     n = len(sets)
     p = np.full(n, 1.0 / n)
     step = 1.0
     trace = []
     for it in range(max_iter + 1):
-        f_val = _objective(G, C, active, p)
+        f_val = structure.objective(p)
         trace.append(f_val)
-        D = _derivatives(G, C, active, p)
+        D = structure.derivatives(p)
         residual = _residual(D, p)
         near = residual <= 1e-3 * max(1.0, float(np.max(D[np.isfinite(D)],
                                                         initial=0.0)))
         if residual > tol and near:
-            p_new, residual_new, f_new = _newton_polish(G, C, active,
-                                                        p.copy(), tol, trace)
+            p_new, residual_new, f_new = _newton_polish(structure, p.copy(),
+                                                        tol, trace)
             if residual_new < residual:
                 p, residual, f_val = p_new, residual_new, f_new
         if residual <= tol:
@@ -225,20 +283,20 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
         moved = False
         while step > 1e-18:
             q = _project_simplex(p + step * gradient)
-            cq = C[active] @ q
-            if cq.size and (cq < SUM_FLOOR).any():
+            cq = structure.sums(q)
+            if (cq < SUM_FLOOR).any():
                 step *= 0.5
                 continue
             advance = float(gradient @ (q - p))
             if advance <= 0.0:
                 break  # projected fixed point at this step size
-            if _objective(G, C, active, q) - f_val >= 1e-4 * advance:
+            if structure.objective(q, cq) - f_val >= 1e-4 * advance:
                 moved = True
                 break
             step *= 0.5
         if not moved:
-            p_new, residual_new, f_new = _newton_polish(G, C, active,
-                                                        p.copy(), tol, trace)
+            p_new, residual_new, f_new = _newton_polish(structure, p.copy(),
+                                                        tol, trace)
             if residual_new <= tol:
                 return WeightSolution(sets=sets, p_star=p_new,
                                       objective=f_new,
@@ -271,8 +329,9 @@ def kkt_check(workload, p, kind=None):
         raise NotOnSimplex(
             f"weights must be nonnegative and sum to 1, got sum {p.sum()}")
     p = np.maximum(p, 0.0)
-    members, sets, G, C, active = _structure(workload, kind)
-    D = _derivatives(G, C, active, p)
+    structure = _structure(workload, kind)
+    sets = structure.sets
+    D = structure.derivatives(p)
     supported = p > SUPPORT_TOL
     report = mechanism.predicted_error(workload, p=p, kind=kind)
     sigmas = report["per_set_sigma"]

@@ -271,6 +271,33 @@ def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("weight", ["0.5", True])
+def test_unconverted_weight_exits_2(tmp_path, capsys, weight):
+    doc = json.loads(json.dumps(PAIR_DOC))
+    doc["sets"][1]["weight"] = weight
+    workload = write_json(tmp_path, doc)
+    code, out, err = run(capsys, "predict-error", "--workload", workload)
+    assert code == 2 and out == ""
+    assert "is not a number" in err and "Traceback" not in err
+
+
+def test_string_phi_table_exits_2(tmp_path, capsys):
+    doc = dict(PAIR_DOC, kind="product", phi={"a": "10"})
+    workload = write_json(tmp_path, doc)
+    code, out, err = run(capsys, "predict-error", "--workload", workload)
+    assert code == 2 and out == ""
+    assert "is not a list of numbers" in err
+
+
+def test_repeated_csv_column_exits_2(tmp_path, capsys):
+    workload = write_json(tmp_path, PAIR_DOC)
+    rows = write_rows(tmp_path, "a,b,a\nred,0,1\n0,1,0\n")
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--seed", "1")
+    assert code == 2 and out == ""
+    assert "column 'a' appears more than once" in err
+
+
 def test_mixed_csv_column_exits_2_with_line(tmp_path, capsys):
     workload = write_json(tmp_path, PAIR_DOC)
     rows = write_rows(tmp_path, "a,b\n0,0\nred,1\n1,1\nblue,0\n")

@@ -328,6 +328,9 @@ def reference_parse_csv_rows(reader, universe, names):
     for col, name in enumerate(header):
         if name not in names:
             raise core.AssignmentOutOfRange(f"unknown column {name!r}")
+        if name in position:
+            raise core.AssignmentOutOfRange(
+                f"column {name!r} appears more than once")
         position[name] = col
     if len(position) != len(names):
         missing = sorted(set(names) - set(position))
@@ -435,6 +438,8 @@ def csv_files(draw):
         header[draw(st.integers(0, d - 1))] = "zz"
     elif defect == 13 and d > 1:
         header.pop()
+    elif defect == 17 and d > 1:
+        header[-1] = header[0]
     # bare cells are written as they are, unquoted and unpadded, in
     # integer columns, so that most chunks of a bare file are canonical
     bare = draw(st.booleans())
@@ -538,3 +543,52 @@ def test_read_workload_json_rejects_reinterpreted_input(size, attrs):
     with pytest.raises(core.AssignmentOutOfRange,
                        match="is not an integer|is not a list"):
         core.read_workload_json(io.StringIO(text))
+
+
+PAIR_WORKLOAD = {"attributes": [{"name": "a", "size": 2},
+                                {"name": "b", "size": 2}],
+                 "sets": [{"attrs": ["a"]}, {"attrs": ["a", "b"]}],
+                 "kind": "product"}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight", "0.5"),
+    ("weight", True),
+    ("weight", None),
+    ("weight", [0.5]),
+    ("phi", {"a": "10"}),
+    ("phi", {"a": [1.0, "0"]}),
+    ("phi", {"a": [True, False]}),
+    ("phi", {"a": 1.0}),
+    ("phi", {"a": {"0": 1.0, "1": 0.0}}),
+])
+def test_read_workload_json_rejects_unconverted_numbers(field, value):
+    doc = json.loads(json.dumps(PAIR_WORKLOAD))
+    if field == "weight":
+        doc["sets"][0]["weight"] = value
+    else:
+        doc["phi"] = value
+    with pytest.raises(core.AssignmentOutOfRange,
+                       match="is not a number|is not a list of numbers"):
+        core.read_workload_json(doc)
+
+
+def test_read_workload_json_accepts_numbers():
+    doc = json.loads(json.dumps(PAIR_WORKLOAD))
+    doc["sets"][0]["weight"] = 2
+    doc["sets"][1]["weight"] = 0.5
+    doc["phi"] = {"b": [1, 0.5]}
+    _, workload, _ = core.read_workload_json(doc)
+    np.testing.assert_array_equal(workload.weights, [2.0, 0.5])
+    assert workload.phi == ((1.0, 0.0), (1.0, 0.5))
+
+
+# the first body is canonical and parses on the numpy path, the second
+# holds a coded column and goes through csv.reader
+@pytest.mark.parametrize("body", ["0,1,0\n1,0,1\n", "red,0,1\n0,1,0\n"])
+def test_read_dataset_csv_rejects_repeated_column(body):
+    universe = core.build_universe([2, 2])
+    with pytest.raises(core.AssignmentOutOfRange,
+                       match="column 'a' appears more than once"):
+        core.read_dataset_csv(io.StringIO("a,b,a\n" + body), universe,
+                              ["a", "b"])

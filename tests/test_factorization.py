@@ -1,6 +1,8 @@
 """Dense factorizations: norms, lower bounds, tightness certificates."""
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 
@@ -488,3 +490,165 @@ def test_property_singular_value_multiset(w, _seed):
     expect = np.sort(np.concatenate(
         [expect, np.zeros(max(0, len(sv) - len(expect)))]))
     assert np.abs(np.sort(sv)[-len(expect):] - expect).max() < 1e-8
+
+
+# ------------------------------------------- builders against the loops
+
+
+def _reference_unit_row(m, a):
+    return np.exp(2j * np.pi * ((a * np.arange(m)) % m) / m)
+
+
+def reference_character_matrix(universe, freqs):
+    """Column by column, one outer product per attribute."""
+    sizes = universe.domain_sizes
+    cols = np.empty((universe.size, len(freqs)), dtype=complex)
+    for k, a in enumerate(freqs):
+        col = np.ones(1, dtype=complex)
+        for j, aj in enumerate(a):
+            col = np.multiply.outer(col, _reference_unit_row(sizes[j],
+                                                             aj)).ravel()
+        cols[:, k] = col
+    return cols
+
+
+def reference_coefficient_matrix(workload, coeffs, rows, freqs):
+    """Set by set and frequency by frequency, scale as a scalar."""
+    universe = workload.universe
+    sizes = universe.domain_sizes
+    supports = [set(j for j, v in enumerate(a) if v) for a in freqs]
+    out = np.zeros((len(rows), len(freqs)), dtype=complex)
+    start = 0
+    for members in workload.sets:
+        size = universe.subuniverse_size(members)
+        covered = set(members)
+        for k, a in enumerate(freqs):
+            if not supports[k] <= covered:
+                continue
+            scale = 1.0 + 0.0j
+            for j in members:
+                scale *= coeffs[j][a[j]]
+            if scale == 0:
+                continue
+            col = np.ones(1, dtype=complex)
+            for j in members:
+                col = np.multiply.outer(
+                    col, _reference_unit_row(sizes[j], a[j])).ravel()
+            out[start:start + size, k] = (scale / size) * col
+        start += size
+    return out
+
+
+def _reference_kron_blocks(workload, part):
+    universe = workload.universe
+    blocks = []
+    for members in workload.sets:
+        parts = [part(j, universe.domain_sizes[j]) if j in members
+                 else np.ones((1, universe.domain_sizes[j]))
+                 for j in range(universe.d)]
+        blocks.append(functools.reduce(np.kron, parts))
+    return np.vstack(blocks)
+
+
+def reference_dense_matrix(workload):
+    """One Kronecker product of d factors per set."""
+    tables = [np.asarray(t, dtype=float) for t in workload.phi_tables()]
+
+    def circulant(j, m):
+        shift = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
+        return tables[j][shift]
+
+    return _reference_kron_blocks(workload, circulant)
+
+
+def reference_prefix_matrix(workload):
+    numerical = factorization._numerical_members(workload.universe)
+    return _reference_kron_blocks(
+        workload, lambda j, m: np.tril(np.ones((m, m))) if j in numerical
+        else np.eye(m))
+
+
+def reference_kappa(workload, f_tables, freqs):
+    """kappa_a frequency by frequency and set by set."""
+    universe = workload.universe
+    numerical = factorization._numerical_members(universe)
+    kappa = {}
+    for a in freqs:
+        support = set(j for j, v in enumerate(a) if v)
+        c = 0.0
+        for members, pS in zip(workload.sets, workload.weights):
+            if pS <= 0 or not support <= set(members):
+                continue
+            prod = 1.0
+            for j in members:
+                if j in numerical:
+                    prod *= abs(f_tables[j][a[j]]) ** 2
+            c += pS * prod / universe.subuniverse_size(members) ** 2
+        kappa[a] = math.sqrt(c)
+    return kappa
+
+
+@st.composite
+def builder_workloads(draw):
+    """Marginal, product (often with exact zeros in the spectrum, from
+    0/1 factor tables) and extended workloads, weights possibly 0."""
+    kind = draw(st.sampled_from(("marginal", "product", "extended")))
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    kinds = draw(st.lists(st.sampled_from((core.CATEGORICAL,
+                                           core.NUMERICAL)),
+                          min_size=d, max_size=d))
+    subsets = [s for r in range(1, d + 1)
+               for s in itertools.combinations(range(d), r)]
+    sets = draw(st.lists(st.sampled_from(subsets), min_size=1,
+                         max_size=min(4, len(subsets)), unique=True))
+    weights = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.3)),
+                            min_size=len(sets), max_size=len(sets)))
+    if not any(weights):
+        weights[0] = 1.0
+    phi = None
+    if kind == "product":
+        phi = tuple(tuple(draw(st.lists(st.sampled_from((0.0, 1.0, 0.5)),
+                                         min_size=m, max_size=m)))
+                    for m in sizes)
+    return make_workload(sizes, sets, weights, kind=kind, kinds=kinds,
+                         phi=phi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(builder_workloads())
+def test_property_builders_equal_loop_references(w):
+    w = core.normalize_weights(w)
+    product, spectrum, _ = mechanism.as_product(w)
+    universe = product.universe
+    freqs = tuple(sorted(a for members in core.downward_closure(product)
+                         for a in fourier.frequency_vectors(universe,
+                                                            members)))
+    coeffs = spectrum.tables if spectrum is not None \
+        else tuple(np.ones(m) for m in universe.domain_sizes)
+    rows, _ = factorization._row_index(product)
+    assert np.array_equal(factorization._character_matrix(universe, freqs),
+                          reference_character_matrix(universe, freqs))
+    assert np.array_equal(
+        factorization._coefficient_matrix(product, coeffs, rows, freqs),
+        reference_coefficient_matrix(product, coeffs, rows, freqs))
+    assert np.array_equal(factorization._dense_matrix(product),
+                          reference_dense_matrix(product))
+    assert np.array_equal(factorization._prefix_matrix(w),
+                          reference_prefix_matrix(w))
+    if w.kind == "extended":
+        # the witness's coefficients mix float ones and complex f_j
+        witness = factorization.lower_bound_witness(w)
+        # the weights the witness read: normalized once more
+        w = core.normalize_weights(w)
+        f_tables = witness.f_tables
+        coeffs = tuple(np.ones(m) if f is None else f
+                       for m, f in zip(w.universe.domain_sizes, f_tables))
+        freqs = tuple(witness.kappa)
+        rows, _ = factorization._row_index(w)
+        assert np.array_equal(
+            factorization._coefficient_matrix(w, coeffs, rows, freqs),
+            reference_coefficient_matrix(w, coeffs, rows, freqs))
+        reference = reference_kappa(w, f_tables, freqs)
+        assert list(witness.kappa) == list(reference)
+        assert all(witness.kappa[a] == reference[a] for a in reference)

@@ -1,5 +1,6 @@
 """Worst-case weight solver checks against analytic and grid answers."""
 
+import itertools
 import math
 import unittest
 import unittest.mock
@@ -258,6 +259,125 @@ def reference_structure(workload, kind):
     return members, sets, G, C, active
 
 
+def reference_objective(G, C, active, p):
+    c = C[active] @ p
+    return float(G[active] @ np.sqrt(np.maximum(c, 0.0)))
+
+
+def reference_derivatives(G, C, active, p):
+    Ga, Ca = G[active], C[active]
+    c = Ca @ p
+    if c.size == 0:
+        return np.zeros(C.shape[1])
+    if (c > 0).all():
+        return Ca.T @ (Ga / np.sqrt(c))
+    out = np.zeros(C.shape[1])
+    for i, ci in enumerate(c):
+        if ci > 0:
+            out = out + Ca[i] * (Ga[i] / math.sqrt(ci))
+        else:
+            out[Ca[i] > 0] = math.inf
+    return out
+
+
+def reference_newton(G, C, active, p, tol):
+    Ga, Ca = G[active], C[active]
+    best = None
+    for _ in range(100):
+        D = reference_derivatives(G, C, active, p)
+        residual = optimizer._residual(D, p)
+        f_val = reference_objective(G, C, active, p)
+        if best is None or residual < best[1]:
+            best = (p.copy(), residual, f_val)
+        if residual <= tol:
+            break
+        idx = np.flatnonzero(p > optimizer.SUPPORT_TOL)
+        c = Ca @ p if Ca.size else np.empty(0)
+        if idx.size <= 1 or (c <= 0).any():
+            break
+        Cs = Ca[:, idx]
+        J = -0.5 * Cs.T @ (Cs * (Ga / c ** 1.5)[:, None])
+        k = idx.size
+        system = np.zeros((k + 1, k + 1))
+        system[:k, :k] = J
+        system[:k, k] = -1.0
+        system[k, :k] = 1.0
+        lam = float(D[idx].mean())
+        rhs = np.concatenate([lam - D[idx], [0.0]])
+        try:
+            delta = np.linalg.solve(system, rhs)[:k]
+        except np.linalg.LinAlgError:
+            break
+        alpha = 1.0
+        cand = None
+        while alpha > 1e-12:
+            trial = p.copy()
+            trial[idx] = p[idx] + alpha * delta
+            if trial[idx].min() >= 0 and not ((Ca @ trial)
+                                              < optimizer.SUM_FLOOR).any():
+                cand = trial
+                break
+            alpha *= 0.5
+        if cand is None:
+            trial = p.copy()
+            trial[idx] = np.maximum(p[idx] + delta, 0.0)
+            if trial.sum() <= 0:
+                break
+            trial /= trial.sum()
+            if ((Ca @ trial) < optimizer.SUM_FLOOR).any():
+                break
+            cand = trial
+        if np.array_equal(cand, p):
+            break
+        p = cand
+    return best
+
+
+def reference_optimize_pstar(workload, tol=1e-8, max_iter=20000):
+    """The dense members-by-sets solver: (p*, objective, residual,
+    iterations), by the same steps as optimizer.optimize_pstar."""
+    _, sets, G, C, active = reference_structure(workload, None)
+    p = np.full(len(sets), 1.0 / len(sets))
+    step = 1.0
+    for it in range(max_iter + 1):
+        f_val = reference_objective(G, C, active, p)
+        D = reference_derivatives(G, C, active, p)
+        residual = optimizer._residual(D, p)
+        near = residual <= 1e-3 * max(1.0, float(np.max(D[np.isfinite(D)],
+                                                        initial=0.0)))
+        if residual > tol and near:
+            p_new, residual_new, f_new = reference_newton(G, C, active,
+                                                          p.copy(), tol)
+            if residual_new < residual:
+                p, residual, f_val = p_new, residual_new, f_new
+        if residual <= tol:
+            return p, f_val, residual, it
+        gradient = D / 2.0
+        moved = False
+        while step > 1e-18:
+            q = optimizer._project_simplex(p + step * gradient)
+            cq = C[active] @ q
+            if cq.size and (cq < optimizer.SUM_FLOOR).any():
+                step *= 0.5
+                continue
+            advance = float(gradient @ (q - p))
+            if advance <= 0.0:
+                break
+            if reference_objective(G, C, active, q) - f_val \
+                    >= 1e-4 * advance:
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            p_new, residual_new, f_new = reference_newton(G, C, active,
+                                                          p.copy(), tol)
+            assert residual_new <= tol
+            return p_new, f_new, residual_new, it
+        p = q
+        step = min(step * 2.0, 1e8)
+    raise AssertionError("the reference solver did not converge")
+
+
 class StructureFromSubsetPlan(unittest.TestCase):
     # the optimizer's workloads above, each with its kind
     CASES = (
@@ -277,25 +397,51 @@ class StructureFromSubsetPlan(unittest.TestCase):
     )
 
     def test_structure_equals_double_loop(self):
+        # the pairs, scattered to dense, are the double loop's active rows
         for w in self.CASES:
-            members, sets, G, C, active = optimizer._structure(w, None)
-            ref = reference_structure(w, None)
-            self.assertEqual(list(members), ref[0])
-            self.assertEqual(sets, ref[1])
-            np.testing.assert_array_equal(G, ref[2])
-            np.testing.assert_array_equal(C, ref[3])
-            np.testing.assert_array_equal(active, ref[4])
+            s = optimizer._structure(w, None)
+            members, sets, G, C, active = reference_structure(w, None)
+            self.assertEqual(list(s.members), members)
+            self.assertEqual(s.sets, sets)
+            np.testing.assert_array_equal(s.active, active)
+            np.testing.assert_array_equal(s.active_gains, G[active])
+            rows = np.flatnonzero(s.active)[s.member]
+            self.assertEqual(len(set(zip(rows, s.set))), s.coef.size)
+            self.assertTrue((s.coef > 0).all())
+            dense = np.zeros_like(C)
+            dense[rows, s.set] = s.coef
+            np.testing.assert_array_equal(dense, np.where(active[:, None],
+                                                          C, 0.0))
 
     def test_pstar_unchanged(self):
         for w in self.CASES:
             new = optimizer.optimize_pstar(w)
-            with unittest.mock.patch.object(optimizer, "_structure",
-                                            reference_structure):
-                old = optimizer.optimize_pstar(w)
-            np.testing.assert_array_equal(new.p_star, old.p_star)
-            self.assertEqual(new.objective, old.objective)
-            self.assertEqual(new.kkt_residual, old.kkt_residual)
-            self.assertEqual(new.iterations, old.iterations)
+            p, objective, _, iterations = reference_optimize_pstar(w)
+            np.testing.assert_allclose(new.p_star, p, rtol=0, atol=1e-12)
+            self.assertAlmostEqual(new.objective, objective, delta=1e-12)
+            self.assertEqual(new.iterations, iterations)
+            self.assertLessEqual(new.kkt_residual, 1e-8)
+
+    def test_jacobian_equals_dense_product(self):
+        # 2- and 3-way sets over 8 attributes, on full and partial
+        # supports, with every member dense, some or none
+        sets = tuple(s for r in (2, 3)
+                     for s in itertools.combinations(range(8), r))
+        w = workload((2, 3, 2, 4, 3, 2, 3, 2), sets)
+        s = optimizer._structure(w, None)
+        _, _, G, C, active = reference_structure(w, None)
+        p = np.random.default_rng(3).uniform(0.5, 1.5, len(sets))
+        p /= p.sum()
+        c = s.sums(p)
+        np.testing.assert_allclose(c, C[active] @ p, rtol=1e-14)
+        for idx in (np.arange(len(sets)), np.arange(0, len(sets), 3)):
+            Cs = C[active][:, idx]
+            dense = -0.5 * Cs.T @ (Cs * (G[active] / c ** 1.5)[:, None])
+            for share in (1, 4, 10 ** 6):
+                with unittest.mock.patch.object(optimizer, "WIDE_SHARE",
+                                                share):
+                    np.testing.assert_allclose(s.jacobian(c, idx), dense,
+                                               rtol=1e-12, atol=0)
 
 
 if __name__ == "__main__":
