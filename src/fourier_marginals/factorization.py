@@ -295,8 +295,10 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     rows, P = _row_index(w)
     U = _coefficient_matrix(w, coeffs, rows, freqs)
     V = _character_matrix(w.universe, freqs)
-    L = U / np.sqrt(E)[None, :]
-    R = np.sqrt(E)[:, None] * V.conj().T
+    # L and R are scaled in place in the builders' arrays
+    L = np.divide(U, np.sqrt(E)[None, :], out=U)
+    R = np.conjugate(V, out=V).T
+    np.multiply(np.sqrt(E)[:, None], R, out=R)
     return ExplicitFactorization(workload=w, rows=rows, freqs=freqs,
                                  L=L, R=R, E=E, P=P, tau=tau)
 

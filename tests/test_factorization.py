@@ -636,6 +636,18 @@ def test_property_builders_equal_loop_references(w):
                           reference_dense_matrix(product))
     assert np.array_equal(factorization._prefix_matrix(w),
                           reference_prefix_matrix(w))
+    try:
+        fact = factorization.build_factorization(w)
+    except core.Unestimable:
+        pass
+    else:
+        # L and R are scaled in place, with the same products as
+        # U~ E^(-1/2) and E^(1/2) V~* out of place
+        U = reference_coefficient_matrix(fact.workload, coeffs, fact.rows,
+                                         fact.freqs)
+        V = reference_character_matrix(universe, fact.freqs)
+        assert np.array_equal(fact.L, U / np.sqrt(fact.E)[None, :])
+        assert np.array_equal(fact.R, np.sqrt(fact.E)[:, None] * V.conj().T)
     if w.kind == "extended":
         # the witness's coefficients mix float ones and complex f_j
         witness = factorization.lower_bound_witness(w)
