@@ -105,14 +105,15 @@ class _Structure:
         return np.bincount(self.member, weights=self.coef * p[self.set],
                            minlength=self.active_gains.size)
 
-    def objective(self, p, c=None):
-        c = self.sums(p) if c is None else c
+    def objective(self, c):
+        """sum_R G_R sqrt(c_R) from the inner sums."""
         return float(self.active_gains @ np.sqrt(np.maximum(c, 0.0)))
 
-    def derivatives(self, p):
-        """Scaled partials D_S = 2 df/dp(S); inf where an inner sum is 0."""
+    def derivatives(self, c):
+        """Scaled partials D_S = 2 df/dp(S) from the inner sums; inf
+        where a set needs a member whose inner sum is 0."""
         with np.errstate(divide="ignore"):
-            scale = self.active_gains / np.sqrt(self.sums(p))
+            scale = self.active_gains / np.sqrt(c)
         return np.bincount(self.set, weights=self.coef * scale[self.member],
                            minlength=len(self.sets))
 
@@ -163,7 +164,8 @@ def _structure(workload, kind):
     keep = positive & active[plan.pair_member]
     order = np.argsort(plan.pair_member[keep], kind="stable")
     return _Structure(
-        members=plan.members, sets=plan.sets, active=active, active_gains=plan.gains[active],
+        members=plan.members, sets=plan.sets, active=active,
+        active_gains=plan.gains[active],
         member=rank[plan.pair_member[keep]][order],
         set=plan.pair_set[keep][order], coef=coef[keep][order])
 
@@ -192,10 +194,10 @@ def _newton_polish(structure, p, tol, trace):
     """
     best = None
     for _ in range(100):
-        D = structure.derivatives(p)
-        residual = _residual(D, p)
         c = structure.sums(p)
-        f_val = structure.objective(p, c)
+        D = structure.derivatives(c)
+        residual = _residual(D, p)
+        f_val = structure.objective(c)
         trace.append(f_val)
         if best is None or residual < best[1]:
             best = (p.copy(), residual, f_val)
@@ -262,9 +264,10 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
     step = 1.0
     trace = []
     for it in range(max_iter + 1):
-        f_val = structure.objective(p)
+        c = structure.sums(p)
+        f_val = structure.objective(c)
         trace.append(f_val)
-        D = structure.derivatives(p)
+        D = structure.derivatives(c)
         residual = _residual(D, p)
         near = residual <= 1e-3 * max(1.0, float(np.max(D[np.isfinite(D)],
                                                         initial=0.0)))
@@ -290,7 +293,7 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
             advance = float(gradient @ (q - p))
             if advance <= 0.0:
                 break  # projected fixed point at this step size
-            if structure.objective(q, cq) - f_val >= 1e-4 * advance:
+            if structure.objective(cq) - f_val >= 1e-4 * advance:
                 moved = True
                 break
             step *= 0.5
@@ -331,7 +334,7 @@ def kkt_check(workload, p, kind=None):
     p = np.maximum(p, 0.0)
     structure = _structure(workload, kind)
     sets = structure.sets
-    D = structure.derivatives(p)
+    D = structure.derivatives(structure.sums(p))
     supported = p > SUPPORT_TOL
     report = mechanism.predicted_error(workload, p=p, kind=kind)
     sigmas = report["per_set_sigma"]
