@@ -9,7 +9,13 @@ next to the achieved error, and plot-data emits the CSV tables behind
 the accuracy figures.
 
 Every command is deterministic given its flags; releases require an
-explicit --seed and nothing reads ambient entropy.  The only
+explicit --seed and nothing reads ambient entropy.  A release is
+written straight from the estimate arrays: the document skeleton
+(mechanism.release_skeleton) goes through json.dumps, and the tables,
+in JSON or --format csv, are written per target layout
+(mechanism.table_layouts), with the bytes json.dumps and csv.writer
+would give for the document that mechanism.release_document builds.
+An output path that cannot be written is an unusable flag.  The only
 environment variable consulted is FOURIER_MARGINALS_LOG, which sets
 the log level.
 
@@ -23,6 +29,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -206,45 +213,114 @@ def _json_text(doc):
                       default=_numpy_value) + "\n"
 
 
-# One release table row, laid out as json.dumps(sort_keys=True,
-# indent=2) lays it out at its depth in a release document.
-_ROW_HEAD = '        {\n          "estimate": %s,\n          "t": '
+# The text of a release document's sets as json.dumps(sort_keys=True,
+# indent=2) lays it out, in the pieces that lie between its numbers: a
+# set's entry up to its sigma, from the sigma to the first estimate, and
+# a table cell's target after its estimate, up to the next estimate.
+_SET_HEAD = '\n    {\n      "attrs": %s,\n      "sigma": '
+_TABLE_HEAD = ',\n      "table": [\n        {\n          "estimate": '
+_ROW_TARGET = ',\n          "t": ['
 _ROW_ITEM = "\n            %d"
 _ROW_TAIL = "\n          ]\n        }"
-_ROW_EMPTY = "[]\n        }"
-# stands in for each set's table in the document skeleton
-_TABLE_SLOT = "\x00table\x00"
+_ROW_EMPTY = ',\n          "t": []\n        }'
+_ROW_NEXT = ',\n        {\n          "estimate": '
+_SET_TAIL = "\n      ]\n    }"
+# The skeleton's "sets" member, where the sets are spliced in.  A line
+# break followed by two spaces is indentation (strings escape their line
+# breaks), so this text marks the one top-level "sets" key.
+_SETS_MEMBER = '\n  "sets": '
 
 
-def _release_json(doc):
-    """_json_text(doc) of a release document, tables written by template.
+def _cell_texts(axes, item, sep, head="", tail=""):
+    """Each cell's target as text, in row-major order: head, the item
+    text of every attribute's target joined by sep, and tail.  Built one
+    attribute at a time, so each target is formatted once per layout,
+    not once per cell."""
+    texts = [head]
+    for i, axis in enumerate(axes):
+        items = [(sep if i else "") + item % t for t in axis]
+        if i == len(axes) - 1:
+            items = [text + tail for text in items]
+        texts = [text + part for text in texts for part in items]
+    return texts if axes else [head + tail]
 
-    The skeleton, with every set's table replaced by a placeholder, goes
-    through json.dumps; the tables, whose rows hold an integer target
-    list t and a float estimate, are formatted row by row and spliced
-    in, which gives the same bytes without the pure-Python encoder.
-    Documents the template does not cover (a placeholder that also
-    occurs as a value, a non-finite estimate) go through json.dumps.
+
+def _json_table_pieces(layout):
+    """(joins, close) of a table of this layout: the text between each
+    estimate and the next, and the text after the last one, which
+    closes the set's entry."""
+    if layout.axes:
+        joins = _cell_texts(layout.axes, _ROW_ITEM, ",", _ROW_TARGET,
+                            _ROW_TAIL + _ROW_NEXT)
+    else:
+        joins = [_ROW_EMPTY + _ROW_NEXT]
+    return joins, joins.pop()[:-len(_ROW_NEXT)] + _SET_TAIL
+
+
+def _release_json(doc, result):
+    """_json_text of the release document of result, whose skeleton is
+    doc (mechanism.release_skeleton plus the CLI's meta and weights).
+
+    The skeleton without its sets goes through json.dumps; the sets are
+    written from the arrays and spliced in, which gives the same bytes
+    without the pure-Python encoder.  The sigmas and estimates, in
+    document order, are encoded by one json.dumps of a flat list, which
+    spells floats with float.__repr__ and non-finite values as NaN,
+    Infinity and -Infinity, as it does inside the document.  The text
+    between them comes per layout of mechanism.table_layouts, built on
+    first use.
     """
-    sets = doc["sets"]
-    skeleton = dict(doc, sets=[dict(entry, table=_TABLE_SLOT)
-                               for entry in sets])
-    parts = _json_text(skeleton).split(json.dumps(_TABLE_SLOT))
-    if len(parts) != len(sets) + 1:
-        return _json_text(doc)
-    out = [parts[0]]
-    for entry, part in zip(sets, parts[1:]):
-        rows = entry["table"]
-        estimates = [row["estimate"] for row in rows]
-        if not all(map(math.isfinite, estimates)):
-            # the encoder spells these NaN, Infinity and -Infinity
-            return _json_text(doc)
-        width = len(rows[0]["t"])
-        template = _ROW_HEAD + ("[" + ",".join([_ROW_ITEM] * width)
-                                + _ROW_TAIL if width else _ROW_EMPTY)
-        out += ["[\n", ",\n".join([
-            template % (text, *row["t"]) for text, row
-            in zip(map(float.__repr__, estimates), rows)]), "\n      ]", part]
+    head, tail = _json_text(dict(doc, sets=[])).split(_SETS_MEMBER + "[]")
+    keys, layouts = mechanism.table_layouts(result)
+    tables = {}
+    pieces = []
+    numbers = []
+    before = "["
+    for entry, members, key in zip(doc["sets"], result.workload.sets, keys):
+        if key not in tables:
+            tables[key] = _json_table_pieces(layouts[key])
+        joins, after = tables[key]
+        attrs = [json.dumps(a) for a in entry["attrs"]]
+        attrs = ("[\n        " + ",\n        ".join(attrs) + "\n      ]"
+                 if attrs else "[]")
+        pieces += [before + _SET_HEAD % attrs, _TABLE_HEAD, *joins]
+        before = after + ","
+        numbers.append(entry["sigma"])
+        numbers += result.estimates[members].ravel().tolist()
+    texts = json.dumps(numbers)[1:-1].split(", ")
+    # a release has at least one set, so after closes the last entry
+    return "".join(itertools.chain(
+        (head, _SETS_MEMBER), itertools.chain.from_iterable(
+            zip(pieces, texts)), (after, "\n  ]", tail)))
+
+
+def _csv_row(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def _release_csv(doc, result):
+    """CSV rows (attrs, t, sigma, estimate) of the release of result, one
+    per table cell; doc is its skeleton as in _release_json.
+
+    Attribute and target labels are joined with "|" and floats written
+    with float.__repr__.  Each layout's target labels are built once.
+    Each set's rows come from one row template: the csv module lays out
+    its attrs and sigma cells, with slots for the target and estimate,
+    which never need quoting.
+    """
+    keys, layouts = mechanism.table_layouts(result)
+    labels = {}
+    out = [_csv_row(["attrs", "t", "sigma", "estimate"])]
+    for entry, members, key in zip(doc["sets"], result.workload.sets, keys):
+        if key not in labels:
+            labels[key] = _cell_texts(layouts[key].axes, "%d", "|")
+        attrs = "|".join(str(a) for a in entry["attrs"])
+        row = _csv_row([attrs.replace("%", "%%"), "%s",
+                        repr(float(entry["sigma"])), "%r"])
+        out += [row % cell for cell in zip(
+            labels[key], result.estimates[members].ravel().tolist())]
     return "".join(out)
 
 
@@ -253,8 +329,11 @@ def _emit(text, out):
         sys.stdout.write(text)
     else:
         # newline="" so csv row terminators survive byte-for-byte
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out!r}: {exc}")
 
 
 def _load_workload(path):
@@ -297,30 +376,14 @@ def cmd_release(config):
     else:
         result = mechanism.release_marginals(dataset, workload, p=p,
                                              mu=config.mu, sampler=sampler)
-    doc = mechanism.release_document(result, names=names)
+    doc = mechanism.release_skeleton(result, names=names)
     doc["meta"]["objective"] = config.objective
     doc["meta"]["value_maps"] = value_maps
     if solution is not None:
         doc["weights"] = _weight_rows(solution, names)
-    if config.fmt == "csv":
-        _emit(_release_csv(doc), config.out)
-    else:
-        _emit(_release_json(doc), config.out)
+    writer = _release_csv if config.fmt == "csv" else _release_json
+    _emit(writer(doc, result), config.out)
     return EXIT_OK
-
-
-def _release_csv(doc):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["attrs", "t", "sigma", "estimate"])
-    for entry in doc["sets"]:
-        attrs = "|".join(str(a) for a in entry["attrs"])
-        sigma = repr(float(entry["sigma"]))
-        for row in entry["table"]:
-            target = "|".join(str(v) for v in row["t"])
-            writer.writerow([attrs, target, sigma,
-                             repr(float(row["estimate"]))])
-    return buf.getvalue()
 
 
 def cmd_predict_error(config):

@@ -21,6 +21,7 @@ threads.
 import csv
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,11 @@ class LengthMismatch(FourierMarginalsError):
 
 class AllZeroWeights(FourierMarginalsError):
     """Weight normalization was requested but every weight is zero."""
+
+
+class WeightOverflow(FourierMarginalsError):
+    """The weights are finite but their sum overflows, so normalizing
+    them would zero every weight."""
 
 
 class AssignmentOutOfRange(FourierMarginalsError):
@@ -159,6 +165,8 @@ class Workload:
                 table = tuple(float(v) for v in table)
                 if len(table) != m:
                     raise LengthMismatch("phi table length must match domain size")
+                if not all(map(math.isfinite, table)):
+                    raise AssignmentOutOfRange("phi tables must be finite")
                 tables.append(table)
             object.__setattr__(self, "phi", tuple(tables))
 
@@ -168,6 +176,10 @@ class Workload:
             return self.phi
         return tuple((1.0,) + (0.0,) * (m - 1)
                      for m in self.universe.domain_sizes)
+
+
+# rows hold values as int64, so no larger domain can be addressed
+_MAX_SIZE = np.iinfo(np.int64).max
 
 
 def build_universe(domain_sizes, kinds=None):
@@ -191,6 +203,8 @@ def build_universe(domain_sizes, kinds=None):
     for m in sizes:
         if m < 2:
             raise SizeTooSmall(f"domain size {m} is below 2")
+        if m > _MAX_SIZE:
+            raise AssignmentOutOfRange(f"domain size {m} exceeds {_MAX_SIZE}")
     for k in kinds:
         if k not in (CATEGORICAL, NUMERICAL):
             raise AssignmentOutOfRange(f"unknown attribute kind {k!r}")
@@ -221,7 +235,11 @@ def normalize_weights(workload, p=None):
     """
     if p is not None:
         workload = replace(workload, weights=p)
-    total = float(workload.weights.sum())
+    with np.errstate(over="ignore"):
+        total = float(workload.weights.sum())
+    if total == math.inf:
+        raise WeightOverflow(f"the weights sum to {total}, beyond the float "
+                             "range; scale them down")
     if total <= 0:
         raise AllZeroWeights("cannot normalize an all-zero weight vector")
     return replace(workload, weights=workload.weights / total)
@@ -256,8 +274,10 @@ def read_workload_json(source):
     The document has the shape {"attributes": [{"name", "size", "kind"}],
     "sets": [{"attrs": [names], "weight"}], "kind": ..} plus an optional
     "phi" object mapping attribute names to factor tables for product
-    workloads.  Sizes must be integers, weights numbers and phi tables
-    lists of numbers; strings and booleans are rejected, not converted.
+    workloads.  Names must be strings, sizes integers, weights numbers
+    and phi tables lists of finite numbers; strings and booleans are
+    rejected, not converted.  A parsed document of any other shape
+    raises AssignmentOutOfRange.
     Accepts a path, a file object, or an already-parsed dict.
     Returns (universe, workload, attribute names).
     """
@@ -268,34 +288,52 @@ def read_workload_json(source):
     else:
         with open(source) as fh:
             doc = json.load(fh)
-    attrs = doc["attributes"]
+    if not isinstance(doc, dict):
+        raise AssignmentOutOfRange(f"workload {doc!r} is not an object")
+    attrs = doc.get("attributes")
+    if not isinstance(attrs, list):
+        raise AssignmentOutOfRange(
+            f"attributes {attrs!r} is not a list of attribute objects")
+    for a in attrs:
+        if not (isinstance(a, dict) and isinstance(a.get("name"), str)
+                and "size" in a):
+            raise AssignmentOutOfRange(
+                f"attribute {a!r} is not an object with a name and a size")
     names = [a["name"] for a in attrs]
     if len(set(names)) != len(names):
         raise AssignmentOutOfRange("duplicate attribute names")
     universe = build_universe([a["size"] for a in attrs],
                               [a.get("kind", CATEGORICAL) for a in attrs])
     index = {name: j for j, name in enumerate(names)}
+    entries = doc.get("sets")
+    if not isinstance(entries, list):
+        raise AssignmentOutOfRange(f"sets {entries!r} is not a list of "
+                                   "set objects")
     sets = []
     weights = []
-    for entry in doc["sets"]:
-        if not isinstance(entry["attrs"], (list, tuple)):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise AssignmentOutOfRange(f"set {entry!r} is not an object")
+        members = entry.get("attrs")
+        if not isinstance(members, (list, tuple)):
             raise AssignmentOutOfRange(
-                f"attrs {entry['attrs']!r} is not a list of attribute names")
-        try:
-            sets.append(tuple(index[name] for name in entry["attrs"]))
-        except KeyError as exc:
-            raise AssignmentOutOfRange(f"unknown attribute {exc.args[0]!r}")
-        weight = entry.get("weight", 1.0)
-        if not _is_number(weight):
-            raise AssignmentOutOfRange(f"weight {weight!r} is not a number")
-        weights.append(float(weight))
+                f"attrs {members!r} is not a list of attribute names")
+        for name in members:
+            if not (isinstance(name, str) and name in index):
+                raise AssignmentOutOfRange(f"unknown attribute {name!r}")
+        sets.append(tuple(index[name] for name in members))
+        weights.append(_number(entry.get("weight", 1.0), "weight"))
     kind = doc.get("kind", "marginal")
-    phi = None
-    if "phi" in doc and doc["phi"]:
+    phi = doc.get("phi")
+    if phi is not None and not isinstance(phi, dict):
+        raise AssignmentOutOfRange(
+            f"phi {phi!r} is not an object mapping attribute names to "
+            "tables")
+    if phi:
         if kind != "product":
             raise AssignmentOutOfRange("phi tables only apply to product workloads")
-        phi = [None] * universe.d
-        for name, table in doc["phi"].items():
+        tables = [None] * universe.d
+        for name, table in phi.items():
             if name not in index:
                 raise AssignmentOutOfRange(f"unknown attribute {name!r} in phi")
             if not (isinstance(table, (list, tuple))
@@ -303,14 +341,30 @@ def read_workload_json(source):
                 raise AssignmentOutOfRange(
                     f"phi table {table!r} of {name!r} is not a list of "
                     "numbers")
-            phi[index[name]] = tuple(float(v) for v in table)
-        for j, table in enumerate(phi):
+            tables[index[name]] = tuple(_number(v, f"phi entry of {name!r}")
+                                        for v in table)
+        for j, table in enumerate(tables):
             if table is None:
-                phi[j] = (1.0,) + (0.0,) * (universe.domain_sizes[j] - 1)
-        phi = tuple(phi)
+                tables[j] = (1.0,) + (0.0,) * (universe.domain_sizes[j] - 1)
+        phi = tuple(tables)
+    else:
+        phi = None
     workload = Workload(universe=universe, sets=tuple(sets),
-                        weights=np.array(weights), kind=kind, phi=phi)
+                        weights=np.array(weights, dtype=float), kind=kind,
+                        phi=phi)
     return universe, workload, names
+
+
+def _number(value, what):
+    """A JSON number as a float; a bool, string or integer beyond the
+    float range is rejected."""
+    if not _is_number(value):
+        raise AssignmentOutOfRange(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise AssignmentOutOfRange(f"{what} {value!r} is beyond the float "
+                                   "range")
 
 
 def _is_number(value):

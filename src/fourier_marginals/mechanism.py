@@ -463,40 +463,93 @@ def gaussian_baseline_sigma(num_queries_sets, mu=1.0):
     return math.sqrt(num_queries_sets) / mu
 
 
-def release_document(result, names=None):
-    """JSON-ready dict of a release: meta, per-set tables, predictions.
+def release_skeleton(result, names=None):
+    """release_document without the tables: meta, each set's attrs and
+    sigma, and the predicted errors.
 
-    Targets of range workloads are reported in original coordinates
-    (negative values are suffixes).  names, when given, labels set
-    attributes; otherwise zero-based indices are used.
+    names, when given, labels set attributes; otherwise zero-based
+    indices are used.
     """
-    universe = result.workload.universe
     label = (lambda j: names[j]) if names else (lambda j: j)
-    sets_out = []
-    for members in result.workload.sets:
-        table = result.estimates[members]
-        rows = []
-        if members:
-            domain = [range(universe.domain_sizes[j]) for j in members]
-            for target in itertools.product(*domain):
-                value = float(table[tuple(target)])
-                shown = target
-                if result.embedding is not None:
-                    shown = result.embedding.lift_target(members, target)
-                rows.append({"t": list(shown), "estimate": value})
-        else:
-            rows.append({"t": [], "estimate": float(table)})
-        sets_out.append({
-            "attrs": [label(j) for j in members],
-            "sigma": result.per_set_sigma[members],
-            "table": rows,
-        })
     return {
         "meta": {"mu": result.plan.mu, "seed": result.seed,
                  "kind": result.kind},
-        "sets": sets_out,
+        "sets": [{"attrs": [label(j) for j in members],
+                  "sigma": result.per_set_sigma[members]}
+                 for members in result.workload.sets],
         "predicted": {
             "weighted_rms": result.predicted["weighted_rms"],
             "max_sigma": result.predicted["max_sigma"],
         },
     }
+
+
+@dataclass(frozen=True, eq=False)
+class TableLayout:
+    """Targets of the cells of a table, in original coordinates.
+
+    axes[i] lists the targets of the table's i-th attribute in index
+    order: 0..m-1, and for a numerical attribute of a range release
+    0..m-1 then the suffixes -1..-m.  targets is their row-major
+    product, an int array of shape (cells, |S|) whose row i is the
+    target of cell i of table.ravel().
+    """
+
+    axes: tuple
+    targets: np.ndarray
+
+
+def table_layouts(result):
+    """(keys, layouts): the target layout of each table of a release.
+
+    keys[k] is the layout key of the k-th set of result.workload, one
+    (size, lifted) pair per attribute, lifted for the numerical
+    attributes of a range release; layouts[key] is its TableLayout.
+    Each distinct layout is built once, one attribute at a time.
+    """
+    universe = result.workload.universe
+    pairs = [(size, result.embedding is not None and kind == NUMERICAL)
+             for size, kind in zip(universe.domain_sizes,
+                                   universe.attribute_kind)]
+    keys = [tuple([pairs[j] for j in members])
+            for members in result.workload.sets]
+    layouts = {}
+    for key in keys:
+        if key in layouts:
+            continue
+        axes = []
+        for size, lift in key:
+            axis = list(range(size))
+            if lift:
+                # the doubled domain's cell t >= m is the suffix m - 1 - t
+                m = size // 2
+                axis[m:] = range(-1, -m - 1, -1)
+            axes.append(axis)
+        shape = tuple(size for size, _ in key)
+        grid = np.empty(shape + (len(key),), dtype=np.int64)
+        for i, axis in enumerate(axes):
+            grid[..., i] = np.reshape(axis, (-1,) + (1,) * (len(key) - 1 - i))
+        layouts[key] = TableLayout(
+            axes=tuple(axes),
+            targets=grid.reshape(math.prod(shape), len(key)))
+    return keys, layouts
+
+
+def release_document(result, names=None):
+    """JSON-ready dict of a release: meta, per-set tables, predictions.
+
+    Each set's table lists one {"t": target, "estimate": value} row per
+    cell in row-major order.  Targets of range workloads are reported in
+    original coordinates (negative values are suffixes).  names, when
+    given, labels set attributes; otherwise zero-based indices are used.
+    The skeleton is release_skeleton and the targets table_layouts, which
+    the CLI writes from directly.
+    """
+    doc = release_skeleton(result, names)
+    keys, layouts = table_layouts(result)
+    for entry, members, key in zip(doc["sets"], result.workload.sets, keys):
+        entry["table"] = [
+            {"t": t, "estimate": value} for t, value
+            in zip(layouts[key].targets.tolist(),
+                   result.estimates[members].ravel().tolist())]
+    return doc

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from fourier_marginals import core
+from fourier_marginals import budget, core, mechanism
 
 
 @st.composite
@@ -51,6 +51,40 @@ def datasets(draw, universe, max_rows=8):
             for _ in range(n)]
     arr = np.array(rows, dtype=np.int64).reshape(n, universe.d)
     return core.Dataset(universe=universe, rows=arr)
+
+
+RELEASES = {"marginal": mechanism.release_marginals,
+            "product": mechanism.release_product,
+            "extended": mechanism.release_extended}
+
+
+@st.composite
+def releases(draw):
+    """(result, names): a seeded release of a small marginal, product or
+    extended workload, sometimes with the empty set, and attribute
+    labels for it."""
+    kind = draw(st.sampled_from(sorted(RELEASES)))
+    kinds = (core.CATEGORICAL, core.NUMERICAL) if kind == "extended" \
+        else (core.CATEGORICAL,)
+    universe = draw(universes(max_d=3, max_m=3, kinds=kinds))
+    sets = draw(set_families(universe.d, max_sets=3))
+    if draw(st.booleans()):
+        sets = ((),) + sets
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(sets),
+                            max_size=len(sets)))
+    phi = None
+    if kind == "product":
+        phi = tuple(tuple(draw(st.lists(st.floats(0.1, 2.0), min_size=m,
+                                        max_size=m)))
+                    for m in universe.domain_sizes)
+    workload = core.Workload(universe=universe, sets=sets,
+                             weights=np.array(weights), kind=kind, phi=phi)
+    dataset = draw(datasets(universe, max_rows=5))
+    sampler = budget.SeededSampler(draw(st.integers(0, 2 ** 32 - 1)))
+    result = RELEASES[kind](dataset, workload, mu=1.0, sampler=sampler)
+    names = draw(st.lists(st.text(max_size=4), min_size=universe.d,
+                          max_size=universe.d, unique=True))
+    return result, names
 
 
 def workload_primitives(workload):

@@ -1,19 +1,23 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import locale
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourier_marginals import budget, cli, core, factorization, mechanism
 
-from conftest import datasets, set_families, universes
+from conftest import releases
 
 GOLDEN_PAIR = (1.0 + math.sqrt(2.0)) / 2.0
 
@@ -167,70 +171,128 @@ def test_release_extended_workload(tmp_path, capsys):
         assert got[target] == pytest.approx(count, abs=1e-4)
 
 
-RELEASES = {"marginal": mechanism.release_marginals,
-            "product": mechanism.release_product,
-            "extended": mechanism.release_extended}
 SPECIAL_ESTIMATES = (-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
                      0.1, 2.0 / 3.0, 123456789.0)
+# labels that read like the splice points of the JSON writer, past and
+# present, or that need quoting or escaping in its templates
+TRICKY_LABELS = ("\x00table\x00", '\n  "sets": []', '\n  "sets": ',
+                 "%s", "%r%%", 'a,"b"', "\u00e9\n")
+
+# The release writers as they were when they walked the document's
+# rows, kept as references for the writers that work from the arrays.
+_ROW_HEAD = '        {\n          "estimate": %s,\n          "t": '
+_ROW_ITEM = "\n            %d"
+_ROW_TAIL = "\n          ]\n        }"
+_ROW_EMPTY = "[]\n        }"
+_TABLE_SLOT = "\x00table\x00"
+
+
+def reference_release_json(doc):
+    sets = doc["sets"]
+    skeleton = dict(doc, sets=[dict(entry, table=_TABLE_SLOT)
+                               for entry in sets])
+    parts = cli._json_text(skeleton).split(json.dumps(_TABLE_SLOT))
+    if len(parts) != len(sets) + 1:
+        return cli._json_text(doc)
+    out = [parts[0]]
+    for entry, part in zip(sets, parts[1:]):
+        rows = entry["table"]
+        estimates = [row["estimate"] for row in rows]
+        if not all(map(math.isfinite, estimates)):
+            return cli._json_text(doc)
+        width = len(rows[0]["t"])
+        template = _ROW_HEAD + ("[" + ",".join([_ROW_ITEM] * width)
+                                + _ROW_TAIL if width else _ROW_EMPTY)
+        out += ["[\n", ",\n".join([
+            template % (text, *row["t"]) for text, row
+            in zip(map(float.__repr__, estimates), rows)]), "\n      ]", part]
+    return "".join(out)
+
+
+def reference_release_csv(doc):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["attrs", "t", "sigma", "estimate"])
+    for entry in doc["sets"]:
+        attrs = "|".join(str(a) for a in entry["attrs"])
+        sigma = repr(float(entry["sigma"]))
+        for row in entry["table"]:
+            target = "|".join(str(v) for v in row["t"])
+            writer.writerow([attrs, target, sigma,
+                             repr(float(row["estimate"]))])
+    return buf.getvalue()
 
 
 @st.composite
-def release_documents(draw):
-    """Release documents as cmd_release writes them, some estimates
-    replaced by extreme or non-finite values."""
-    kind = draw(st.sampled_from(sorted(RELEASES)))
-    kinds = (core.CATEGORICAL, core.NUMERICAL) if kind == "extended" \
-        else (core.CATEGORICAL,)
-    universe = draw(universes(max_d=3, max_m=3, kinds=kinds))
-    sets = draw(set_families(universe.d, max_sets=3))
-    if draw(st.booleans()):
-        sets = ((),) + sets
-    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(sets),
-                            max_size=len(sets)))
-    phi = None
-    if kind == "product":
-        phi = tuple(tuple(draw(st.lists(st.floats(0.1, 2.0), min_size=m,
-                                        max_size=m)))
-                    for m in universe.domain_sizes)
-    workload = core.Workload(universe=universe, sets=sets,
-                             weights=np.array(weights), kind=kind, phi=phi)
-    dataset = draw(datasets(universe, max_rows=5))
-    sampler = budget.SeededSampler(draw(st.integers(0, 2 ** 32 - 1)))
-    result = RELEASES[kind](dataset, workload, mu=1.0, sampler=sampler)
-    names = draw(st.lists(st.text(max_size=4), min_size=universe.d,
-                          max_size=universe.d, unique=True))
+def release_outputs(draw):
+    """(result, names, meta, weights) as cmd_release writes them, some
+    estimates and sigmas of the result replaced by extreme or non-finite
+    values."""
+    result, names = draw(releases())
     # hypothesis favours the ends of a range, so rare cases take a value
     # from its middle
     if draw(st.integers(0, 19)) == 13:
-        # a label that reads like the writer's placeholder
-        names[0] = cli._TABLE_SLOT
-    doc = mechanism.release_document(result, names=names)
-    doc["meta"]["objective"] = draw(st.sampled_from(["weighted-rms",
-                                                     "max-variance"]))
-    doc["meta"]["value_maps"] = draw(st.dictionaries(
-        st.sampled_from(names),
-        st.dictionaries(st.text(max_size=6), st.integers(0, 5), max_size=3),
-        max_size=2))
+        label = draw(st.sampled_from(TRICKY_LABELS))
+        if label not in names:
+            names[0] = label
+    meta = {"objective": draw(st.sampled_from(["weighted-rms",
+                                               "max-variance"])),
+            "value_maps": draw(st.dictionaries(
+                st.sampled_from(names),
+                st.dictionaries(st.text(max_size=6), st.integers(0, 5),
+                                max_size=3),
+                max_size=2))}
+    weights = None
     if draw(st.booleans()):
-        doc["weights"] = [{"attrs": [names[j] for j in s],
-                           "p": draw(st.floats(0.0, 1.0))} for s in sets]
+        weights = [{"attrs": [names[j] for j in s],
+                    "p": draw(st.floats(0.0, 1.0))}
+                   for s in result.workload.sets]
     special = st.sampled_from(SPECIAL_ESTIMATES) | st.floats(
         allow_nan=False, allow_infinity=False)
     if draw(st.integers(0, 19)) == 7:
         special |= st.sampled_from([math.nan, math.inf, -math.inf])
-    for entry in doc["sets"]:
-        for row in entry["table"]:
+    for members in result.workload.sets:
+        table = result.estimates[members].copy()
+        cells = table.reshape(-1)
+        for i in range(cells.size):
             if draw(st.integers(0, 2)) == 0:
-                row["estimate"] = draw(special)
+                cells[i] = draw(special)
+        result.estimates[members] = table
+        if draw(st.integers(0, 9)) == 0:
+            result.per_set_sigma[members] = draw(special)
+    return result, names, meta, weights
+
+
+def _with_cli_fields(doc, meta, weights):
+    doc["meta"].update(meta)
+    if weights is not None:
+        doc["weights"] = weights
     return doc
 
 
-@given(release_documents())
+@given(release_outputs())
 @settings(max_examples=150, deadline=None)
-def test_release_writer_matches_json_dumps(doc):
+def test_release_writer_matches_json_dumps(output):
+    result, names, meta, weights = output
+    doc = _with_cli_fields(mechanism.release_document(result, names=names),
+                           meta, weights)
     expected = json.dumps(doc, sort_keys=True, indent=2,
                           default=cli._numpy_value) + "\n"
-    assert cli._release_json(doc) == expected
+    skeleton = _with_cli_fields(mechanism.release_skeleton(result, names),
+                                meta, weights)
+    assert cli._release_json(skeleton, result) == expected
+    assert reference_release_json(doc) == expected
+
+
+@given(release_outputs())
+@settings(max_examples=100, deadline=None)
+def test_release_csv_writer_matches_reference(output):
+    result, names, meta, weights = output
+    doc = _with_cli_fields(mechanism.release_document(result, names=names),
+                           meta, weights)
+    skeleton = _with_cli_fields(mechanism.release_skeleton(result, names),
+                                meta, weights)
+    assert cli._release_csv(skeleton, result) == reference_release_csv(doc)
 
 
 # ----------------------------------------------------------- failures
@@ -287,6 +349,148 @@ def test_string_phi_table_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "predict-error", "--workload", workload)
     assert code == 2 and out == ""
     assert "is not a list of numbers" in err
+
+
+def test_phi_list_exits_2(tmp_path, capsys):
+    doc = dict(PAIR_DOC, kind="product", phi=[1, 0])
+    workload = write_json(tmp_path, doc)
+    code, out, err = run(capsys, "predict-error", "--workload", workload)
+    assert code == 2 and out == ""
+    assert "is not an object mapping" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["predict-error", "release"])
+def test_overflowing_weight_sum_exits_2(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(PAIR_DOC))
+    for entry in doc["sets"]:
+        entry["weight"] = 1e308
+    workload = write_json(tmp_path, doc)
+    argv = [command, "--workload", workload]
+    if command == "release":
+        argv += ["--dataset", write_rows(tmp_path), "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "sum to inf" in err
+
+
+@pytest.mark.parametrize("command", ["predict-error", "release",
+                                     "optimize-weights", "verify",
+                                     "lower-bound", "plot-data"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
+    out = str(tmp_path / "missing" / "x.json") if target == "missing" \
+        else str(tmp_path)
+    if command == "plot-data":
+        argv = [command, "--table", "ratio", "--m", "2", "--k", "1",
+                "--d-max", "2"]
+    else:
+        argv = [command, "--workload", write_json(tmp_path, PAIR_DOC)]
+    if command == "release":
+        argv += ["--dataset", write_rows(tmp_path), "--seed", "1"]
+    code, out_text, err = run(capsys, *argv, "--out", out)
+    assert code == 2 and out_text == ""
+    assert f"cannot write output {out!r}" in err
+
+
+# arbitrary JSON, with integers kept small: a domain of size n costs
+# O(n) memory in product workloads
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+NAMES = ("a", "b", "c")
+
+
+def _or_any(draw, strategy):
+    """A draw from strategy, or now and then any JSON value."""
+    return draw(JSON_VALUES) if draw(st.integers(0, 5)) == 0 \
+        else draw(strategy)
+
+
+@st.composite
+def workload_documents(draw):
+    """Workload documents near the valid ones: each of attributes,
+    sets, attrs, weight, kind and phi is sometimes any JSON value."""
+    d = draw(st.integers(1, 3))
+    sizes = [_or_any(draw, st.integers(1, 4) | st.just(10 ** 400))
+             for _ in range(d)]
+    attributes = _or_any(draw, st.just([
+        {"name": _or_any(draw, st.just(NAMES[j])), "size": sizes[j],
+         "kind": _or_any(draw, st.sampled_from(["categorical",
+                                                "numerical"]))}
+        for j in range(d)]))
+    entry = st.fixed_dictionaries(
+        {"attrs": st.lists(st.sampled_from(NAMES[:d]), max_size=d,
+                           unique=True)},
+        optional={"weight": st.floats(0.0, 2.0)
+                  | st.sampled_from([1e308, 10 ** 400, -1.0])})
+    sets = _or_any(draw, st.lists(entry, max_size=3))
+    if isinstance(sets, list):
+        for item in sets:
+            if isinstance(item, dict):
+                for key in ("attrs", "weight"):
+                    if draw(st.integers(0, 7)) == 0:
+                        item[key] = draw(JSON_VALUES)
+    doc = {"attributes": attributes, "sets": sets,
+           "kind": _or_any(draw, st.sampled_from(
+               ["marginal", "product", "extended"]))}
+    if draw(st.booleans()):
+        doc["phi"] = _or_any(draw, st.dictionaries(
+            st.sampled_from(NAMES[:d]),
+            st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+            max_size=d))
+    return doc
+
+
+PHI_LIST_DOC = dict(PAIR_DOC, kind="product", phi=[1, 0])
+OVERFLOW_DOC = dict(PAIR_DOC, sets=[{"attrs": ["a"], "weight": 1e308},
+                                    {"attrs": ["b"], "weight": 1e308}])
+
+
+@given(workload_documents(), st.sampled_from([None, "missing",
+                                              "directory"]))
+@example(PHI_LIST_DOC, None)
+@example(OVERFLOW_DOC, None)
+@example(PAIR_DOC, "directory")
+@example(PAIR_DOC, "missing")
+@settings(max_examples=150, deadline=None)
+def test_workload_document_loads_or_exits_2(doc, target):
+    """Any workload document either loads, or raises a typed error and
+    predict-error exits 2; a loaded one is reported, or refused with a
+    typed error when its weights cannot be normalized."""
+    text = json.dumps(doc)
+    try:
+        _, workload, _ = core.read_workload_json(io.StringIO(text))
+    except core.FourierMarginalsError:
+        workload = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "workload.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["predict-error", "--workload", path]
+        if target is not None:
+            argv += ["--out", tmp if target == "directory"
+                     else os.path.join(tmp, "missing", "x.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    if workload is not None:
+        try:
+            weights = core.normalize_weights(workload).weights
+        except core.FourierMarginalsError:
+            workload = None
+        else:
+            assert math.fsum(weights) == pytest.approx(1.0)
+    if workload is None or target is not None:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert code == 0, err.getvalue()
+        assert json.loads(out.getvalue())["kind"] == workload.kind
 
 
 def test_repeated_csv_column_exits_2(tmp_path, capsys):

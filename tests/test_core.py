@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -104,6 +106,37 @@ def test_normalize_weights_rejects_all_zero():
     w = core.Workload(universe=u, sets=((0,),), weights=np.array([0.0]))
     with pytest.raises(core.AllZeroWeights):
         core.normalize_weights(w)
+
+
+@pytest.mark.parametrize("weights", [[1e308, 1e308], [1.7e308, 0.2e308],
+                                     [1e308] * 3])
+def test_normalize_weights_rejects_overflowing_sum(weights):
+    u = core.build_universe([2, 2, 2])
+    w = core.Workload(universe=u, sets=((0,), (1,), (2,))[:len(weights)],
+                      weights=np.array(weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(core.WeightOverflow, match="sum to inf"):
+            core.normalize_weights(w)
+
+
+@given(st.lists(st.floats(0.0, 1.7e308), min_size=1, max_size=4))
+@example([8.9e307, 8.9e307])
+@example([1e-320, 3e-321])
+@settings(max_examples=100, deadline=None)
+def test_normalize_weights_keeps_bits_of_finite_sums(weights):
+    weights = np.array(weights)
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    u = core.build_universe([2] * len(weights))
+    w = core.Workload(universe=u, sets=tuple((j,) for j in range(len(weights))),
+                      weights=weights)
+    if not 0 < total < math.inf:
+        with pytest.raises((core.AllZeroWeights, core.WeightOverflow)):
+            core.normalize_weights(w)
+        return
+    np.testing.assert_array_equal(core.normalize_weights(w).weights,
+                                  weights / float(total))
 
 
 def test_marginal_eval_examples():
@@ -561,6 +594,8 @@ PAIR_WORKLOAD = {"attributes": [{"name": "a", "size": 2},
     ("phi", {"a": [True, False]}),
     ("phi", {"a": 1.0}),
     ("phi", {"a": {"0": 1.0, "1": 0.0}}),
+    ("phi", {"a": [1.0, 10 ** 400]}),
+    ("weight", 10 ** 400),
 ])
 def test_read_workload_json_rejects_unconverted_numbers(field, value):
     doc = json.loads(json.dumps(PAIR_WORKLOAD))
@@ -569,8 +604,38 @@ def test_read_workload_json_rejects_unconverted_numbers(field, value):
     else:
         doc["phi"] = value
     with pytest.raises(core.AssignmentOutOfRange,
-                       match="is not a number|is not a list of numbers"):
+                       match="is not a number|is not a list of numbers|"
+                             "beyond the float range"):
         core.read_workload_json(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: [doc], "is not an object"),
+    (lambda doc: dict(doc, attributes={"a": 2}), "is not a list of attribute"),
+    (lambda doc: dict(doc, attributes=[["a", 2], ["b", 2]]),
+     "is not an object with a name and a size"),
+    (lambda doc: dict(doc, attributes=[{"name": 1, "size": 2}]),
+     "is not an object with a name and a size"),
+    (lambda doc: dict(doc, attributes=[{"name": "a"}]),
+     "is not an object with a name and a size"),
+    (lambda doc: dict(doc, attributes=[{"name": "a", "size": 10 ** 400}]),
+     "exceeds"),
+    (lambda doc: {key: doc[key] for key in ("attributes", "kind")},
+     "is not a list of set objects"),
+    (lambda doc: dict(doc, sets=[["a"]]), "is not an object"),
+    (lambda doc: dict(doc, sets=[{"weight": 1.0}]), "is not a list of"),
+    (lambda doc: dict(doc, sets=[{"attrs": [["a"]]}]), "unknown attribute"),
+    (lambda doc: dict(doc, sets=[{"attrs": [{"a": 1}]}]),
+     "unknown attribute"),
+    (lambda doc: dict(doc, phi=[1, 0]), "is not an object mapping"),
+    (lambda doc: dict(doc, phi="a"), "is not an object mapping"),
+    (lambda doc: dict(doc, phi={"a": [math.nan, 0.0]}), "must be finite"),
+    (lambda doc: dict(doc, phi={"a": [1.0, math.inf]}), "must be finite"),
+])
+def test_read_workload_json_rejects_malformed_documents(change, message):
+    text = json.dumps(change(json.loads(json.dumps(PAIR_WORKLOAD))))
+    with pytest.raises(core.AssignmentOutOfRange, match=message):
+        core.read_workload_json(io.StringIO(text))
 
 
 def test_read_workload_json_accepts_numbers():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fourier_marginals import budget, core, fourier, mechanism, oracle
 
-from conftest import datasets, set_families, universes, workloads
+from conftest import datasets, releases, set_families, universes, workloads
 
 
 def make_dataset(sizes, rows, kinds=None):
@@ -867,3 +867,67 @@ def test_release_document_extended_targets():
     assert targets == [0, 1, -1, -2]
     estimates = [row["estimate"] for row in doc["sets"][0]["table"]]
     assert estimates == pytest.approx([1.0, 2.0, 1.0, 0.0], abs=1e-8)
+
+
+def reference_release_document(result, names=None):
+    """release_document as it was built cell by cell, through
+    lift_target; the reference for the one built from table layouts."""
+    universe = result.workload.universe
+    label = (lambda j: names[j]) if names else (lambda j: j)
+    sets_out = []
+    for members in result.workload.sets:
+        table = result.estimates[members]
+        rows = []
+        if members:
+            domain = [range(universe.domain_sizes[j]) for j in members]
+            for target in itertools.product(*domain):
+                value = float(table[tuple(target)])
+                shown = target
+                if result.embedding is not None:
+                    shown = result.embedding.lift_target(members, target)
+                rows.append({"t": list(shown), "estimate": value})
+        else:
+            rows.append({"t": [], "estimate": float(table)})
+        sets_out.append({
+            "attrs": [label(j) for j in members],
+            "sigma": result.per_set_sigma[members],
+            "table": rows,
+        })
+    return {
+        "meta": {"mu": result.plan.mu, "seed": result.seed,
+                 "kind": result.kind},
+        "sets": sets_out,
+        "predicted": {
+            "weighted_rms": result.predicted["weighted_rms"],
+            "max_sigma": result.predicted["max_sigma"],
+        },
+    }
+
+
+@given(releases(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_release_document_matches_cell_by_cell_reference(release, labelled):
+    result, names = release
+    names = names if labelled else None
+    doc = mechanism.release_document(result, names=names)
+    assert doc == reference_release_document(result, names=names)
+    # the rows' targets are plain ints, as the reference's are
+    assert all(type(v) is int for entry in doc["sets"]
+               for row in entry["table"] for v in row["t"])
+
+
+def test_table_layouts_share_one_layout_per_shape():
+    data = make_dataset((2, 3, 2), [(0, 1, 1), (1, 2, 0)],
+                        (core.NUMERICAL, core.CATEGORICAL, core.NUMERICAL))
+    w = core.Workload(universe=data.universe,
+                      sets=((), (0,), (2,), (0, 1), (1, 2)),
+                      weights=np.ones(5), kind="extended")
+    result = mechanism.release_extended(data, w, mu=1.0, sampler=None)
+    keys, layouts = mechanism.table_layouts(result)
+    # attributes 0 and 2 are both numerical of size 2
+    assert keys[1] == keys[2] == ((4, True),)
+    assert len(layouts) == 4
+    assert layouts[keys[0]].targets.shape == (1, 0)
+    assert layouts[keys[1]].axes == ([0, 1, -1, -2],)
+    np.testing.assert_array_equal(
+        layouts[keys[3]].targets[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
