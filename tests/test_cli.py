@@ -10,12 +10,11 @@ import os
 import tempfile
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fourier_marginals import budget, cli, core, factorization, mechanism
+from fourier_marginals import cli, core, factorization, mechanism
 
 from conftest import releases
 
