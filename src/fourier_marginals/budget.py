@@ -28,8 +28,9 @@ and the per-query noise variance of a set S is tau D_S with
     D_S = sum_{R <= S} G_R z_{S - R} / (|U_S|^2 r_R).
 
 Error predictions and weight optimization therefore cost
-O(sum_S 2^|S|), not one term per frequency; per-frequency weights are
-only broadcast from the roots when a release draws its noise.
+O(sum_S 2^|S|), not one term per frequency.  A release broadcasts the
+roots to its frequencies member block by member block, into the arrays
+of a BudgetPlan: one row per frequency, in the order noise is drawn.
 
 The sampler wraps a counter-tracked PCG64 generator.  Identical seeds
 reproduce identical streams bit for bit within one build of this
@@ -44,6 +45,7 @@ implementation, and no formal privacy claim is made for it here.
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,27 +68,46 @@ class BudgetMismatch(FourierMarginalsError):
 
 @dataclass(frozen=True, eq=False)
 class BudgetPlan:
-    """Complete noise recipe for one release.
+    """Complete noise recipe for one release, as read-only arrays.
 
-    tau_map keeps every frequency with positive importance weight;
-    variances hold the complex noise variance 2 tau / tau_a and shares
-    the squared budget fraction tau_a / tau of each one.  Instances are
-    immutable; consistency is verified by accounting(), not here, so
-    tests can build deliberately broken plans.
+    indices holds every frequency with positive importance weight, one
+    int64 row each, in lexicographic order; tau holds tau_a, variance
+    the complex noise variance 2 tau / tau_a and share the squared
+    budget fraction tau_a / tau of each row.  tau_map, variances,
+    shares and to_document() are built from the arrays on access, as
+    read-only views.  Consistency is verified by accounting(), not
+    here, so tests can build deliberately broken plans.
     """
 
     mu: float
     tau_total: float
-    tau_map: dict
-    variances: dict
-    shares: dict
+    indices: np.ndarray
+    tau: np.ndarray
+    variance: np.ndarray
+    share: np.ndarray
+
+    def __post_init__(self):
+        for name in ("indices", "tau", "variance", "share"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def _view(self, values):
+        return MappingProxyType(dict(zip(map(tuple, self.indices.tolist()),
+                                         values.tolist())))
+
+    # {a: tau_a}, {a: 2 tau / tau_a} and {a: tau_a / tau}, read-only
+    tau_map = property(lambda self: self._view(self.tau))
+    variances = property(lambda self: self._view(self.variance))
+    shares = property(lambda self: self._view(self.share))
 
     def to_document(self):
         """JSON-ready dict with one entry per released frequency."""
         entries = [
-            {"a": list(a), "tau": self.tau_map[a],
-             "variance": self.variances[a], "share": self.shares[a]}
-            for a in sorted(self.tau_map)
+            {"a": a, "tau": tau, "variance": variance, "share": share}
+            for a, tau, variance, share in zip(
+                self.indices.tolist(), self.tau.tolist(),
+                self.variance.tolist(), self.share.tolist())
         ]
         return {"mu": self.mu, "tau_total": self.tau_total,
                 "entries": entries}
@@ -210,20 +231,62 @@ class SubsetPlan:
         return np.bincount(self.pair_set, weights=terms,
                            minlength=len(self.sets))
 
-    def tau_map(self, roots):
-        """{a: tau_a} for every frequency of every member, in closure
-        order; tau_a = r_R prod_{j in R} |phi_hat_j(a_j)|."""
-        out = {}
-        for members, root in zip(self.members, roots.tolist()):
-            freqs = fourier.frequency_vectors(self.universe, members)
-            if self.magnitudes is None or not members:
-                out.update(dict.fromkeys(freqs, root))
-                continue
-            scale = self.magnitudes[members[0]][1:]
-            for j in members[1:]:
-                scale = np.multiply.outer(scale, self.magnitudes[j][1:])
-            out.update(zip(freqs, (scale.ravel() * root).tolist()))
-        return out
+    def frequencies(self, roots):
+        """(indices, tau) of every frequency of every member, in closure
+        order; see _member_frequencies."""
+        return _member_frequencies(self.universe.domain_sizes,
+                                   self.members, roots, self.magnitudes)
+
+    def support_members(self, supports):
+        """Closure position of each boolean support row, len(members)
+        for a support that is not a member."""
+        index = {members: i for i, members in enumerate(self.members)}
+        attrs = iter(supports.nonzero()[1].tolist())
+        return np.array([
+            index.get(tuple(itertools.islice(attrs, size)), len(index))
+            for size in supports.sum(axis=1).tolist()], dtype=np.intp)
+
+
+def _member_frequencies(sizes, members, roots, magnitudes=None):
+    """(indices, tau) of every frequency of every member, in closure order.
+
+    Member R's block holds the int64 rows with a_j in 1 .. m_j - 1 for
+    j in R and zero elsewhere, in row-major order of those coordinates;
+    tau is _weights_at() of the rows.  No frequency is visited in Python.
+    """
+    d = len(sizes)
+    width = max(map(len, members), default=0)
+    # attrs[i, l] is the l-th attribute of member i, padded with a
+    # dummy attribute d of size 2 whose column is cut off at the end
+    attrs = np.array([r + (d,) * (width - len(r)) for r in members],
+                     dtype=np.intp).reshape(len(members), width)
+    span = np.append(np.asarray(sizes, dtype=np.int64), 2)[attrs] - 1
+    counts = span.prod(axis=1)
+    steps = counts[:, None] // np.cumprod(span, axis=1)
+    member_of = np.repeat(np.arange(len(members)), counts)
+    rank = np.arange(len(member_of)) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    indices = np.zeros((len(rank), d + 1), dtype=np.int64)
+    indices[np.arange(len(rank))[:, None], attrs[member_of]] = \
+        rank[:, None] // steps[member_of] % span[member_of] + 1
+    indices = np.ascontiguousarray(indices[:, :d])
+    return indices, _weights_at(indices, member_of, roots, magnitudes)
+
+
+def _weights_at(indices, member_of, roots, magnitudes=None):
+    """tau_a = r_R prod_{j in R} |phi_hat_j(a_j)| of each row a, where R
+    is the member at member_of (len(roots): none, tau_a = 0).
+
+    The factors are multiplied in attribute order, the root last, and
+    magnitudes None means plain marginals, tau_a = r_R.
+    """
+    tau = np.append(roots, 0.0)[member_of]
+    if magnitudes is None:
+        return tau
+    scale = np.ones(len(indices))
+    for j, table in enumerate(magnitudes):
+        scale *= np.where(indices[:, j] > 0, table[indices[:, j]], 1.0)
+    return scale * tau
 
 
 def subset_plan(workload, spectrum=None):
@@ -282,8 +345,7 @@ def tau_marginal(workload, p=None):
     zero-weight sets get tau_a = 0 and are kept in the map so callers
     can see what is missing.
     """
-    plan = subset_plan(workload)
-    return plan.tau_map(plan.roots(_weights(workload, p)))
+    return _tau_dict(subset_plan(workload), _weights(workload, p))
 
 
 def tau_product(workload, p=None, spectrum=None):
@@ -301,70 +363,93 @@ def tau_product(workload, p=None, spectrum=None):
     for table, m in zip(spectrum.tables, universe.domain_sizes):
         if len(table) != m:
             raise LengthMismatch("spectrum length must match domain size")
-    plan = subset_plan(workload, spectrum)
-    return plan.tau_map(plan.roots(_weights(workload, p)))
+    return _tau_dict(subset_plan(workload, spectrum), _weights(workload, p))
+
+
+def _tau_dict(structure, p):
+    indices, tau = structure.frequencies(structure.roots(p))
+    return dict(zip(map(tuple, indices.tolist()), tau.tolist()))
 
 
 def check_plan(plan, structure, roots, mu):
     """Reject a BudgetPlan that does not serve this workload at mu.
 
-    The plan must be made for mu and hold exactly as many frequencies
-    as the workload gives positive weight, and one frequency per
-    funded closure member must carry the workload's own weight up to
-    one common factor (plans are valid in any scale).  Raises
-    BudgetMismatch; returns nothing.
+    The plan must be made for mu and hold exactly the frequencies the
+    workload gives positive weight, as distinct rows in lexicographic
+    order, each with the workload's own tau_a = r_R prod_{j in R}
+    |phi_hat_j(a_j)| up to one common factor (plans are valid in any
+    scale).  The expected weights are formed on the plan's own rows, so
+    no frequency of the workload is enumerated.  Raises BudgetMismatch;
+    returns nothing.
     """
     if plan.mu != float(mu):
         raise BudgetMismatch(f"plan was made for mu={plan.mu}, the release "
                              f"asks for mu={mu}")
+    mismatch = BudgetMismatch("plan does not match the workload's weights")
     sizes = structure.universe.domain_sizes
     magnitudes = structure.magnitudes
-    if magnitudes is None:
-        nonzero = [range(1, m) for m in sizes]
-    else:
-        nonzero = [[v for v, t in enumerate(table.tolist()) if v and t > 0]
-                   for table in magnitudes]
-    count = 0
-    ratios = []
-    for members, root in zip(structure.members, roots.tolist()):
-        if root <= 0 or not all(nonzero[j] for j in members):
-            continue
-        count += math.prod(len(nonzero[j]) for j in members)
-        a = [0] * len(sizes)
-        tau = root
-        for j in members:
-            a[j] = nonzero[j][0]
-            if magnitudes is not None:
-                tau *= magnitudes[j][a[j]]
-        ratios.append(plan.tau_map.get(tuple(a), 0.0) / tau)
-    if len(plan.tau_map) != count or ratios and not (
-            0 < min(ratios) and max(ratios) - min(ratios)
-            <= 1e-9 * min(ratios)):
-        raise BudgetMismatch("plan does not match the workload's weights")
+    a = plan.indices
+    if a.dtype.kind != "i" or a.shape != (len(plan.tau), len(sizes)) \
+            or (a < 0).any() or (a >= np.array(sizes)).any():
+        raise mismatch
+    # strictly increasing rows: the first nonzero step of each is up
+    step = a[1:] - a[:-1]
+    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+        raise mismatch
+    supports, support_of = fourier._group_rows(a != 0)
+    expected = _weights_at(
+        a, structure.support_members(supports)[support_of], roots,
+        magnitudes)
+    nonzero = [m - 1 for m in sizes] if magnitudes is None \
+        else [np.count_nonzero(table[1:]) for table in magnitudes]
+    count = sum(math.prod(nonzero[j] for j in members)
+                for members, root in zip(structure.members, roots.tolist())
+                if root > 0)
+    if len(a) != count or not (expected > 0).all():
+        raise mismatch
+    if len(a):
+        ratios = plan.tau / expected
+        low = ratios.min()
+        if not (low > 0 and ratios.max() - low <= 1e-9 * low):
+            raise mismatch
 
 
-def plan_from_tau(mu, tau_map):
-    """Assemble a BudgetPlan from importance weights.
+def plan_from_arrays(mu, indices, tau):
+    """Assemble a BudgetPlan from frequency rows and their weights.
 
-    Zero-weight frequencies are dropped; the remaining ones get complex
-    noise variance 2 tau / tau_a and squared budget share tau_a / tau.
+    Zero-weight rows are dropped and the rest put in lexicographic
+    order; they get complex noise variance 2 tau / tau_a and squared
+    budget share tau_a / tau, where mu^2 tau is the sum of the positive
+    tau_a taken in the given order.
     """
     # mu * mu, not mu ** 2: overflow gives inf instead of raising
     if not (mu > 0 and 0 < mu * mu < math.inf):
         raise BudgetMismatch(f"budget mu={mu} must be positive with a "
                              "finite, nonzero square")
-    kept = {a: float(t) for a, t in tau_map.items() if t > 0}
-    total = sum(kept.values())
-    if total == 0:
+    tau = np.asarray(tau, dtype=float)
+    positive = tau > 0
+    if not positive.any():
         raise BudgetMismatch("no frequency has positive importance weight")
-    tau_total = total / mu ** 2
+    tau = tau[positive]
+    # the built-in sum, term after term: its roundings set every
+    # variance and share of the seeded outputs
+    tau_total = sum(tau.tolist()) / mu ** 2
     if tau_total == math.inf:
         raise BudgetMismatch(f"budget mu={mu} is so small that the noise "
                              "variances overflow")
-    variances = {a: 2.0 * tau_total / t for a, t in kept.items()}
-    shares = {a: t / tau_total for a, t in kept.items()}
-    return BudgetPlan(mu=float(mu), tau_total=tau_total, tau_map=kept,
-                      variances=variances, shares=shares)
+    indices = np.asarray(indices, dtype=np.int64)[positive]
+    order = np.lexsort(indices.T[::-1])
+    tau = tau[order]
+    return BudgetPlan(mu=float(mu), tau_total=tau_total,
+                      indices=indices[order], tau=tau,
+                      variance=2.0 * tau_total / tau, share=tau / tau_total)
+
+
+def plan_from_tau(mu, tau_map):
+    """plan_from_arrays of a {a: tau_a} map."""
+    return plan_from_arrays(
+        mu, np.array(list(tau_map), dtype=np.int64),
+        np.fromiter(tau_map.values(), dtype=float, count=len(tau_map)))
 
 
 def _check_arity(d, k, m):
@@ -384,16 +469,12 @@ def k_way_budget(d, k, m, mu):
     """
     d, k, m = int(d), int(k), int(m)
     _check_arity(d, k, m)
-    tau_map = {}
-    for members in itertools.chain.from_iterable(
-            itertools.combinations(range(d), r) for r in range(k + 1)):
-        value = math.sqrt(math.comb(d - len(members), k - len(members)))
-        for nonzero in itertools.product(range(1, m), repeat=len(members)):
-            a = [0] * d
-            for j, v in zip(members, nonzero):
-                a[j] = v
-            tau_map[tuple(a)] = value
-    return plan_from_tau(mu, tau_map)
+    closure = tuple(itertools.chain.from_iterable(
+        itertools.combinations(range(d), r) for r in range(k + 1)))
+    roots = [math.sqrt(math.comb(d - len(members), k - len(members)))
+             for members in closure]
+    return plan_from_arrays(mu, *_member_frequencies((m,) * d, closure,
+                                                     roots))
 
 
 def k_way_tau_sum(d, k, m):
@@ -413,17 +494,23 @@ def accounting(plan):
     """Composition check: shares must sum to mu^2.
 
     Returns {"mu_squared", "share_total", "residual"} and raises
-    BudgetMismatch when the residual exceeds 1e-9 * mu^2.
+    BudgetMismatch when the plan's arrays differ in length, when the
+    residual exceeds 1e-9 * mu^2, or when a variance is off its
+    2 tau / tau_a value.
     """
+    if not (len(plan.indices) == len(plan.tau) == len(plan.variance)
+            == len(plan.share)):
+        raise BudgetMismatch("plan arrays differ in length")
     target = plan.mu ** 2
-    share_total = sum(plan.shares.values())
+    share_total = float(plan.share.sum())
     residual = abs(share_total - target)
     if residual > 1e-9 * target:
         raise BudgetMismatch(
             f"shares sum to {share_total}, expected {target}")
-    for a, tau in plan.tau_map.items():
-        if abs(plan.variances[a] * tau - 2.0 * plan.tau_total) \
-                > 1e-9 * plan.tau_total:
-            raise BudgetMismatch(f"variance of {a} is off its 2 tau / tau_a value")
+    off = np.abs(plan.variance * plan.tau - 2.0 * plan.tau_total) \
+        > 1e-9 * plan.tau_total
+    if off.any():
+        a = tuple(plan.indices[off.argmax()].tolist())
+        raise BudgetMismatch(f"variance of {a} is off its 2 tau / tau_a value")
     return {"mu_squared": target, "share_total": share_total,
             "residual": residual}

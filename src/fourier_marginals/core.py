@@ -274,10 +274,10 @@ def read_workload_json(source):
     The document has the shape {"attributes": [{"name", "size", "kind"}],
     "sets": [{"attrs": [names], "weight"}], "kind": ..} plus an optional
     "phi" object mapping attribute names to factor tables for product
-    workloads.  Names must be strings, sizes integers, weights numbers
-    and phi tables lists of finite numbers; strings and booleans are
-    rejected, not converted.  A parsed document of any other shape
-    raises AssignmentOutOfRange.
+    workloads.  Names must be strings without leading or trailing
+    whitespace, sizes integers, weights numbers and phi tables lists of
+    finite numbers; strings and booleans are rejected, not converted.
+    A parsed document of any other shape raises AssignmentOutOfRange.
     Accepts a path, a file object, or an already-parsed dict.
     Returns (universe, workload, attribute names).
     """
@@ -300,6 +300,13 @@ def read_workload_json(source):
             raise AssignmentOutOfRange(
                 f"attribute {a!r} is not an object with a name and a size")
     names = [a["name"] for a in attrs]
+    for name in names:
+        # read_dataset_csv strips header cells, so such a name could
+        # never match a column
+        if name != name.strip():
+            raise AssignmentOutOfRange(
+                f"attribute name {name!r} has leading or trailing "
+                "whitespace")
     if len(set(names)) != len(names):
         raise AssignmentOutOfRange("duplicate attribute names")
     universe = build_universe([a["size"] for a in attrs],

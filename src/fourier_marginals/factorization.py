@@ -288,18 +288,21 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     # marginal coefficients are exact ones, not transform output
     coeffs = spectrum.tables if spectrum is not None \
         else tuple(np.ones(m) for m in w.universe.domain_sizes)
-    tau_map = structure.tau_map(roots)
-    freqs = tuple(sorted(a for a, t in tau_map.items() if t > 0))
-    tau = np.array([tau_map[a] for a in freqs])
+    indices, tau = structure.frequencies(roots)
+    positive = tau > 0
+    indices, tau = indices[positive], tau[positive]
+    order = np.lexsort(indices.T[::-1])
+    indices, tau = indices[order], tau[order]
     E = tau / tau.sum()
     rows, P = _row_index(w)
-    U = _coefficient_matrix(w, coeffs, rows, freqs)
-    V = _character_matrix(w.universe, freqs)
+    U = _coefficient_matrix(w, coeffs, rows, indices)
+    V = _character_matrix(w.universe, indices)
     # L and R are scaled in place in the builders' arrays
     L = np.divide(U, np.sqrt(E)[None, :], out=U)
     R = np.conjugate(V, out=V).T
     np.multiply(np.sqrt(E)[:, None], R, out=R)
-    return ExplicitFactorization(workload=w, rows=rows, freqs=freqs,
+    return ExplicitFactorization(workload=w, rows=rows,
+                                 freqs=tuple(map(tuple, indices.tolist())),
                                  L=L, R=R, E=E, P=P, tau=tau)
 
 

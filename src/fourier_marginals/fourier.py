@@ -138,16 +138,19 @@ def fourier_queries(dataset, indices):
 def _index_array(universe, indices):
     """indices as a (k, d) int64 array, checked against the domain.
 
-    Only input that fails the vectorized check is walked index by
-    index, so that the error names the first offending index.
+    An ndarray is taken as it is, other input as a list.  Only input
+    that fails the vectorized check is walked index by index, so that
+    the error names the first offending index.  The array returned is
+    never the caller's own object.
     """
-    indices = list(indices)
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
     shape = (len(indices), universe.d)
     try:
-        a = np.array(indices, dtype=np.int64)
+        a = np.asarray(indices, dtype=np.int64).view()
     except (TypeError, ValueError, OverflowError):
         a = None
-    if a is not None and not indices:
+    if a is not None and not len(indices):
         a = a.reshape(shape)
     if a is None or a.shape != shape or (a < 0).any() \
             or (a >= np.array(universe.domain_sizes)).any():

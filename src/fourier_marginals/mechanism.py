@@ -277,14 +277,9 @@ def _reconstruct(structure, table, values, spectrum):
                 step *= universe.domain_sizes[j]
     # the closure member each frequency lies on (len(members): none);
     # by_member lists the frequencies member by member, in their order
-    index = {members: i for i, members in enumerate(structure.members)}
-    attrs = iter(table.supports.nonzero()[1].tolist())
-    member_of = np.array([
-        index.get(tuple(itertools.islice(attrs, size)), len(index))
-        for size in table.supports.sum(axis=1).tolist()],
-        dtype=np.intp)[table.support_of]
+    member_of = structure.support_members(table.supports)[table.support_of]
     by_member = np.argsort(member_of, kind="stable")
-    counts = np.bincount(member_of, minlength=len(index) + 1)
+    counts = np.bincount(member_of, minlength=len(structure.members) + 1)
     lengths = counts[structure.pair_member]
     # pair by pair, the run of by_member that holds the pair's member
     runs = np.cumsum(counts)[structure.pair_member] - lengths \
@@ -324,11 +319,6 @@ def _reconstruct(structure, table, values, spectrum):
     return dict(zip(sets, estimates))
 
 
-def _empty_plan(mu):
-    return budget.BudgetPlan(mu=float(mu), tau_total=0.0, tau_map={},
-                             variances={}, shares={})
-
-
 def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
                  embedding=None):
     """Release a normalized product-form workload (spectrum None for
@@ -337,28 +327,29 @@ def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
     structure = budget.subset_plan(workload, spectrum)
     roots = structure.roots(workload.weights)
     if plan is None:
-        tau_map = structure.tau_map(roots)
-        if any(t > 0 for t in tau_map.values()):
-            plan = budget.plan_from_tau(mu, tau_map)
+        indices, tau = structure.frequencies(roots)
+        if (tau > 0).any():
+            plan = budget.plan_from_arrays(mu, indices, tau)
         else:
             # every reconstruction coefficient is zero: the workload is
             # constant, released exactly, and consumes no budget
-            plan = _empty_plan(mu)
+            plan = budget.BudgetPlan(mu=float(mu), tau_total=0.0,
+                                     indices=indices[:0], tau=tau[:0],
+                                     variance=tau[:0], share=tau[:0])
     else:
         budget.check_plan(plan, structure, roots, mu)
-    if plan.tau_map:
+    if len(plan.tau):
         budget.accounting(plan)
     # sigma_S is invariant under scaling the plan, so the workload's
     # own roots give the sigma of any plan that check_plan accepts
     predicted = _error_report(structure, roots, mu)
     _require_estimable(predicted["per_set_sigma"])
 
-    order = sorted(plan.tau_map)
-    table = fourier.fourier_queries(dataset, order)
+    table = fourier.fourier_queries(dataset, plan.indices)
     values = table.values
     if sampler is not None:
-        variances = np.array([plan.variances[a] for a in order], dtype=float)
-        values = values + budget.sample_complex_gaussian(variances, sampler)
+        values = values + budget.sample_complex_gaussian(plan.variance,
+                                                         sampler)
     estimates = _reconstruct(structure, table, values, spectrum)
     seed = sampler.seed if sampler is not None else None
     return ReleaseResult(kind=kind, workload=workload, estimates=estimates,

@@ -1,5 +1,7 @@
 """Budget plan and sampler tests."""
 
+import dataclasses
+import itertools
 import math
 import unittest
 
@@ -16,6 +18,21 @@ def two_singletons():
     u = core.build_universe([2, 2])
     return core.Workload(universe=u, sets=((0,), (1,)),
                          weights=np.array([0.5, 0.5]))
+
+
+def reference_k_way_tau(d, k, m):
+    """{a: sqrt(binom(d - l, k - l))} for every frequency of Hamming
+    weight l <= k, frequency by frequency in closure order."""
+    tau_map = {}
+    for members in itertools.chain.from_iterable(
+            itertools.combinations(range(d), r) for r in range(k + 1)):
+        value = math.sqrt(math.comb(d - len(members), k - len(members)))
+        for nonzero in itertools.product(range(1, m), repeat=len(members)):
+            a = [0] * d
+            for j, v in zip(members, nonzero):
+                a[j] = v
+            tau_map[tuple(a)] = value
+    return tau_map
 
 
 class TestTauMarginal(unittest.TestCase):
@@ -123,7 +140,6 @@ class TestKWayBudget(unittest.TestCase):
                                    math.sqrt(ratio), places=10)
 
     def test_matches_uniform_weight_plan(self):
-        import itertools
         d, k, m = 4, 2, 2
         u = core.build_universe([m] * d)
         sets = tuple(itertools.combinations(range(d), k))
@@ -137,6 +153,20 @@ class TestKWayBudget(unittest.TestCase):
                                    places=10)
             self.assertAlmostEqual(direct.shares[a], closed.shares[a],
                                    places=10)
+
+    def test_matches_per_frequency_reference(self):
+        for (d, k, m), mu in itertools.product(
+                ((1, 1, 2), (3, 2, 2), (4, 2, 3), (5, 3, 4), (3, 3, 5)),
+                (0.3, 1.0, 2.5)):
+            plan = budget.k_way_budget(d, k, m, mu)
+            expected = budget.plan_from_tau(mu, reference_k_way_tau(d, k, m))
+            self.assertEqual(plan.mu, expected.mu)
+            self.assertEqual(plan.tau_total, expected.tau_total)
+            for name in ("indices", "tau", "variance", "share"):
+                actual, wanted = getattr(plan, name), getattr(expected, name)
+                self.assertEqual(actual.dtype, wanted.dtype)
+                self.assertEqual(actual.shape, wanted.shape)
+                self.assertEqual(actual.tobytes(), wanted.tobytes())
 
     def test_bad_arity(self):
         for d, k, m in ((2, 0, 2), (2, 3, 2), (3, 1, 1)):
@@ -233,21 +263,33 @@ class TestAccounting(unittest.TestCase):
 
     def test_missing_frequency_detected(self):
         plan = budget.plan_from_tau(1.0, budget.tau_marginal(two_singletons()))
-        shares = dict(plan.shares)
-        shares.pop((1, 0))
-        broken = budget.BudgetPlan(mu=plan.mu, tau_total=plan.tau_total,
-                                   tau_map=plan.tau_map,
-                                   variances=plan.variances, shares=shares)
+        row = list(plan.shares).index((1, 0))
+        broken = dataclasses.replace(plan, share=np.delete(plan.share, row))
         with self.assertRaises(budget.BudgetMismatch):
             budget.accounting(broken)
 
     def test_empty_plan_rejected(self):
         with self.assertRaises(budget.BudgetMismatch):
             budget.plan_from_tau(1.0, {})
-        empty = budget.BudgetPlan(mu=1.0, tau_total=0.0, tau_map={},
-                                  variances={}, shares={})
+        plan = budget.plan_from_tau(1.0, budget.tau_marginal(two_singletons()))
+        empty = dataclasses.replace(
+            plan, tau_total=0.0, indices=plan.indices[:0], tau=plan.tau[:0],
+            variance=plan.variance[:0], share=plan.share[:0])
         with self.assertRaises(budget.BudgetMismatch):
             budget.accounting(empty)
+
+    def test_plan_is_read_only(self):
+        plan = budget.plan_from_tau(1.0, budget.tau_marginal(two_singletons()))
+        for name in ("indices", "tau", "variance", "share"):
+            with self.assertRaises(ValueError):
+                getattr(plan, name)[0] = 0
+        broken = dataclasses.replace(plan, variance=plan.variance * 2)
+        with self.assertRaises(ValueError):
+            broken.variance[0] = 1.0
+        for name in ("tau_map", "variances", "shares"):
+            with self.assertRaises(TypeError):
+                getattr(plan, name)[(0, 1)] = 1e-30
+        self.assertEqual(plan.variances[(0, 1)], plan.variance[1])
 
     def test_unusable_mu_rejected(self):
         tau = budget.tau_marginal(two_singletons())

@@ -492,6 +492,20 @@ def test_workload_document_loads_or_exits_2(doc, target):
         assert json.loads(out.getvalue())["kind"] == workload.kind
 
 
+def test_padded_attribute_name_exits_2(tmp_path, capsys):
+    # the CSV reader strips header cells, so the workload reader refuses
+    # names it could never match
+    doc = {"attributes": [{"name": "a ", "size": 2},
+                          {"name": "b", "size": 2}],
+           "sets": [{"attrs": ["a "]}]}
+    workload = write_json(tmp_path, doc)
+    rows = write_rows(tmp_path, '"a ",b\n0,1\n')
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--seed", "1")
+    assert code == 2 and out == ""
+    assert "attribute name 'a ' has leading or trailing whitespace" in err
+
+
 def test_repeated_csv_column_exits_2(tmp_path, capsys):
     workload = write_json(tmp_path, PAIR_DOC)
     rows = write_rows(tmp_path, "a,b,a\nred,0,1\n0,1,0\n")

@@ -309,6 +309,13 @@ def test_read_dataset_csv_string_codes():
     assert value_maps == {"color": {"red": 0, "blue": 1}}
 
 
+def test_read_dataset_csv_strips_header_cells():
+    universe, workload, names = core.read_workload_json(WORKLOAD_DOC)
+    text = " age ,\tcolor\n0,1\n3,2\n"
+    dataset, _ = core.read_dataset_csv(io.StringIO(text), universe, names)
+    np.testing.assert_array_equal(dataset.rows, [[1, 0], [2, 3]])
+
+
 def test_read_dataset_csv_missing_column():
     universe, workload, names = core.read_workload_json(WORKLOAD_DOC)
     with pytest.raises(core.LengthMismatch):
@@ -620,6 +627,9 @@ def test_read_workload_json_rejects_unconverted_numbers(field, value):
      "is not an object with a name and a size"),
     (lambda doc: dict(doc, attributes=[{"name": "a", "size": 10 ** 400}]),
      "exceeds"),
+    (lambda doc: dict(doc, attributes=[{"name": "a ", "size": 2},
+                                       {"name": "b", "size": 2}]),
+     "name 'a ' has leading or trailing whitespace"),
     (lambda doc: {key: doc[key] for key in ("attributes", "kind")},
      "is not a list of set objects"),
     (lambda doc: dict(doc, sets=[["a"]]), "is not an object"),

@@ -5,6 +5,7 @@ are checked for determinism, noise reuse across sets, and agreement
 with the closed-form error predictions and the brute-force reference.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourier_marginals import budget, core, fourier, mechanism, oracle
+from fourier_marginals import (budget, core, factorization, fourier,
+                               mechanism, oracle)
 
 from conftest import datasets, releases, set_families, universes, workloads
 
@@ -635,7 +637,7 @@ def test_planned_release_computes_no_tau(case, monkeypatch):
 
     def no_tau(self, roots):
         raise AssertionError("a planned release computed tau")
-    monkeypatch.setattr(budget.SubsetPlan, "tau_map", no_tau)
+    monkeypatch.setattr(budget.SubsetPlan, "frequencies", no_tau)
     result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4),
                      plan=plan)
     for s in w.sets:
@@ -678,6 +680,20 @@ def test_plan_for_other_weights_is_rejected():
     elsewhere = budget.plan_from_tau(1.0, {(0, 1): 1.0, (0, 2): 1.0})
     with pytest.raises(budget.BudgetMismatch):
         mechanism.release_marginals(data, fewer, mu=1.0, plan=elsewhere)
+    # every frequency is checked: (0, 2) is not the first frequency of
+    # its member (1,)
+    tau = budget.tau_marginal(w)
+    tau[(0, 2)] *= 2
+    doubled = budget.plan_from_tau(1.0, tau)
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, w, mu=1.0, plan=doubled)
+    # the workload's own frequencies, out of lexicographic order
+    plan = budget.plan_from_tau(1.0, budget.tau_marginal(w))
+    reversed_rows = dataclasses.replace(
+        plan, indices=plan.indices[::-1], tau=plan.tau[::-1],
+        variance=plan.variance[::-1], share=plan.share[::-1])
+    with pytest.raises(budget.BudgetMismatch):
+        mechanism.release_marginals(data, w, mu=1.0, plan=reversed_rows)
     # any scale of the workload's own weights is the same plan
     scaled = budget.plan_from_tau(1.0, budget.tau_marginal(w, p=[3.0, 3.0]))
     mechanism.release_marginals(data, w, mu=1.0, plan=scaled)
@@ -688,13 +704,53 @@ def test_inconsistent_plan_fails_accounting():
     w = core.Workload(universe=data.universe, sets=((0, 1),),
                       weights=np.array([1.0]))
     plan = budget.plan_from_tau(1.0, budget.tau_marginal(w))
-    a = next(iter(plan.variances))
-    broken = budget.BudgetPlan(
-        mu=plan.mu, tau_total=plan.tau_total, tau_map=plan.tau_map,
-        variances={**plan.variances, a: plan.variances[a] / 2},
-        shares=plan.shares)
+    variance = plan.variance.copy()
+    variance[0] /= 2
+    broken = dataclasses.replace(plan, variance=variance)
     with pytest.raises(budget.BudgetMismatch):
         mechanism.release_marginals(data, w, mu=1.0, plan=broken)
+
+
+@given(kinded_workloads(), st.sampled_from([0.25, 1.0, 1.7, 40.0]))
+@settings(max_examples=150, deadline=None)
+def test_release_plan_equals_per_frequency_plan(w, mu):
+    """The plan a release builds from member blocks is, bit for bit, the
+    plan of the per-frequency reference weights."""
+    if math.isinf(mechanism.predicted_error(w, mu=mu)["max_sigma"]):
+        return
+    data = core.Dataset(universe=w.universe,
+                        rows=np.zeros((1, w.universe.d), dtype=np.int64))
+    plan = RELEASES[w.kind](data, w, mu=mu).plan
+    product, magnitudes = product_form(w)
+    tau = reference_tau(product, magnitudes)
+    if not any(t > 0 for t in tau.values()):
+        assert len(plan.indices) == 0 and plan.tau_total == 0.0
+        return
+    expected = budget.plan_from_tau(mu, tau)
+    assert plan.mu == expected.mu
+    assert plan.tau_total == expected.tau_total
+    for name in ("indices", "tau", "variance", "share"):
+        actual, wanted = getattr(plan, name), getattr(expected, name)
+        assert actual.dtype == wanted.dtype
+        assert actual.shape == wanted.shape
+        assert actual.tobytes() == wanted.tobytes()
+
+
+def test_releases_walk_no_frequency(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a frequency walk ran")
+    monkeypatch.setattr(fourier, "frequency_vectors", walk)
+    for case in RELEASE_CASES:
+        data, w, release = release_case(*case)
+        result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
+        if case[0] != "extended":
+            release(data, w, mu=0.8, sampler=budget.SeededSampler(4),
+                    plan=result.plan)
+        factorization.build_factorization(w)
+    data = make_dataset((3, 3, 3), [(0, 1, 2), (2, 2, 0)])
+    mechanism.release_k_way(data, 2, mu=0.8, sampler=budget.SeededSampler(4))
+    mechanism.release_k_way(data, 2, mu=0.8, sampler=budget.SeededSampler(4),
+                            plan=budget.k_way_budget(3, 2, 3, 0.8))
 
 
 # ------------------------------- per-frequency reference, reconstruction
