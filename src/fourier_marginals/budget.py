@@ -44,7 +44,7 @@ implementation, and no formal privacy claim is made for it here.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -189,9 +189,15 @@ class SubsetPlan:
     members is the downward closure of sets, ordered by (size,
     lexicographic), and gains holds G_R for each member.  Every pair
     R <= S is listed once, set by set: pair_member and pair_set index
-    it and pair_zero holds z_{S - R}.  set_square holds |U_S|^2 per set
-    and magnitudes the tables |phi_hat_j| (None for plain marginals,
-    whose magnitudes are all 1).  Storage is O(sum_S 2^|S|).
+    it, pair_zero holds z_{S - R} and pair_square |U_S|^2.  The pairs
+    with G_R coef(R, S) > 0, where coef(R, S) = z_{S - R} / |U_S|^2,
+    are the ones some sigma_S needs; they are listed again, in the same
+    order: need_member and need_set index them, need_coef holds
+    coef(R, S) and need G_R coef(R, S).  These per-pair constants are
+    computed once, when the plan is made.
+    set_square holds |U_S|^2 per set and magnitudes the tables
+    |phi_hat_j| (None for plain marginals, whose magnitudes are all 1).
+    Storage is O(sum_S 2^|S|).
     """
 
     universe: Universe
@@ -203,19 +209,30 @@ class SubsetPlan:
     pair_zero: np.ndarray
     set_square: np.ndarray
     magnitudes: tuple = None
+    pair_square: np.ndarray = field(init=False, repr=False)
+    need_member: np.ndarray = field(init=False, repr=False)
+    need_set: np.ndarray = field(init=False, repr=False)
+    need_coef: np.ndarray = field(init=False, repr=False)
+    need: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def coef(self):
-        """z_{S - R} / |U_S|^2 for every pair."""
-        return self.pair_zero / self.set_square[self.pair_set]
+    def __post_init__(self):
+        square = self.set_square[self.pair_set]
+        coef = self.pair_zero / square
+        need = self.gains[self.pair_member] * coef
+        pairs = np.flatnonzero(need > 0)
+        for name, value in (("pair_square", square),
+                            ("need_member", self.pair_member[pairs]),
+                            ("need_set", self.pair_set[pairs]),
+                            ("need_coef", coef[pairs]),
+                            ("need", need[pairs])):
+            object.__setattr__(self, name, value)
 
     def roots(self, p):
         """Member roots r_R = sqrt(c_R(p)) for set weights p.
 
         Each c_R adds its terms p(S) z_{S - R} / |U_S|^2 in set order.
         """
-        terms = p[self.pair_set] * self.pair_zero \
-            / self.set_square[self.pair_set]
+        terms = p[self.pair_set] * self.pair_zero / self.pair_square
         return np.sqrt(np.bincount(self.pair_member, weights=terms,
                                    minlength=len(self.members)))
 
@@ -225,10 +242,9 @@ class SubsetPlan:
         Pairs with G_R z_{S - R} = 0 add nothing; a pair that needs a
         member without budget (r_R = 0) makes D_S infinite.
         """
-        need = self.gains[self.pair_member] * self.coef
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(need > 0, need / roots[self.pair_member], 0.0)
-        return np.bincount(self.pair_set, weights=terms,
+        with np.errstate(divide="ignore"):
+            terms = self.need / roots[self.need_member]
+        return np.bincount(self.need_set, weights=terms,
                            minlength=len(self.sets))
 
     def frequencies(self, roots):

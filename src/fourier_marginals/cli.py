@@ -488,27 +488,22 @@ def cmd_lower_bound(config):
     universe, workload, names = _load_workload(config.workload)
     upper = mechanism.predicted_error(workload, mu=config.mu)["weighted_rms"]
     doc = {"kind": workload.kind, "mu": config.mu, "upper_bound": upper}
+    # the witness of a range bound lives over the original universe, as
+    # does the dense matrix of every other kind
+    dense = factorization.dense_refusal(workload, config.dense_cap) is None
     if workload.kind == "extended":
-        value = factorization.extended_lower_bound(
-            workload, dense_cap=config.dense_cap)
+        lower = factorization.extended_lower_bound(
+            workload, dense_cap=config.dense_cap) / config.mu
         if core.NUMERICAL in universe.attribute_kind:
             doc["note"] = factorization.WITNESS_NOTE
-        # the witness lives over the original universe
-        cap = config.dense_cap or factorization.DENSE_UNIVERSE_CAP
-        rows = sum(universe.subuniverse_size(members)
-                   for members in workload.sets)
-        doc["dense_witness"] = (universe.size <= cap
-                                and rows <= factorization.DENSE_QUERY_CAP)
+    elif dense:
+        lower = factorization.svd_lower_bound(
+            workload, dense_cap=config.dense_cap) / config.mu
     else:
-        try:
-            value = factorization.svd_lower_bound(
-                workload, dense_cap=config.dense_cap)
-            doc["dense_witness"] = True
-        except factorization.DenseTooLarge:
-            value = factorization.certificate_document(
-                workload, dense_cap=config.dense_cap)["gammaF"]
-            doc["dense_witness"] = False
-    doc["lower_bound"] = value / config.mu
+        # past the caps the mechanism's own error is the certified bound
+        lower = upper
+    doc["dense_witness"] = dense
+    doc["lower_bound"] = lower
     doc["ratio"] = doc["lower_bound"] / upper if upper > 0 else None
     _emit(_json_text(doc), config.out)
     return EXIT_OK

@@ -21,7 +21,10 @@ sqrt(|U|) tau_a.  Three certificates follow:
     same bound, so the mechanism's worst-case error is optimal too;
   * for range-marginal workloads a Fourier test matrix gives a closed
     form trace bound showing the doubled-domain release is within the
-    ratio of two explicit log-like sums per numerical attribute.
+    ratio of two explicit log-like sums per numerical attribute.  The
+    bound is sum_R G_R r_R of the budget.SubsetPlan of the test
+    matrix's tables over the original universe, and the test matrix
+    takes its frequencies from the same plan.
 
 Every dense matrix is a stack of per-set blocks, and each block is a
 product over attributes: V~ and U~ of per-attribute character tables
@@ -31,13 +34,13 @@ one attribute's table over the grid at a time, in attribute order, so
 every entry is multiplied in the same order as a Kronecker product
 would, with no loop per frequency.
 
-Dense matrices are built only for small instances; past the caps the
-certificates fall back to closed forms: the weighted error is
-sum_R G_R r_R from mechanism.predicted_error, summed per member of the
-downward closure.  Whether every set can be estimated is decided by
-the release's own rule, an infinite sigma_S read off the
-budget.SubsetPlan, so a factorization is refused exactly when a
-release would be.
+Dense matrices are built only for small instances, as dense_refusal
+decides; past the caps the certificates fall back to closed forms: the
+weighted error is sum_R G_R r_R from mechanism.predicted_error, summed
+per member of the downward closure.  Whether every set can be
+estimated is decided by the release's own rule, an infinite sigma_S
+read off the budget.SubsetPlan, so a factorization is refused exactly
+when a release would be.
 """
 
 import itertools
@@ -48,8 +51,7 @@ import numpy as np
 
 from . import budget, fourier, mechanism
 from .core import (NUMERICAL, FourierMarginalsError, Workload,
-                   downward_closure, normalize_weights)
-from .mechanism import zeta
+                   normalize_weights)
 
 DENSE_UNIVERSE_CAP = 4096
 DENSE_QUERY_CAP = 8192
@@ -139,16 +141,28 @@ def _query_rows(workload):
     return sum(workload.universe.subuniverse_size(s) for s in workload.sets)
 
 
-def _check_dense_caps(workload, dense_cap=None):
+def dense_refusal(workload, dense_cap=None):
+    """The dense-cap rule: why the dense matrices of workload would
+    exceed the caps, or None when they fit.
+
+    The universe must be within dense_cap (DENSE_UNIVERSE_CAP when None)
+    and the query rows within DENSE_QUERY_CAP.  Every choice between a
+    dense certificate and a closed form is made here.
+    """
     cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
     size = workload.universe.size
     if size > cap:
-        raise DenseTooLarge(
-            f"universe size {size} exceeds the dense cap {cap}")
+        return f"universe size {size} exceeds the dense cap {cap}"
     rows = _query_rows(workload)
     if rows > DENSE_QUERY_CAP:
-        raise DenseTooLarge(
-            f"{rows} query rows exceed the dense cap {DENSE_QUERY_CAP}")
+        return f"{rows} query rows exceed the dense cap {DENSE_QUERY_CAP}"
+    return None
+
+
+def _check_dense_caps(workload, dense_cap=None):
+    refusal = dense_refusal(workload, dense_cap)
+    if refusal is not None:
+        raise DenseTooLarge(refusal)
 
 
 def _unit_table(m):
@@ -445,38 +459,33 @@ def _numerical_members(universe):
                if kind == NUMERICAL)
 
 
-def _extended_closed_form(workload):
-    """Range-query trace bound as an explicit double sum.
+def _witness_plan(workload):
+    """(plan, f_tables, coeffs) of the range-query test matrix.
 
-    One term per covered subset, split into categorical members (factor
-    m_j - 1) and numerical members (factor zeta(m_j)); the square root
-    collects the weights of the covering sets with a (1 + 1/m_j)^2
-    boost for every uncovered numerical attribute.
+    f_tables holds f_j(0) = (m + 1) / 2 and f_j(a) = 1 / (1 - omega_m^-a)
+    for every numerical attribute and None for categorical ones; coeffs
+    holds the witness's coefficients, f_j or ones.  plan is the
+    budget.SubsetPlan of coeffs over the original universe: |f_j| on
+    numerical attributes and ones on categorical ones.  Its sum_R G_R r_R
+    is the closed-form range bound: a numerical attribute adds
+    sum_{a > 0} |f_j(a)| = m_j zeta(m_j) / 2 to G_R when in R and
+    |f_j(0)|^2 = (m_j + 1)^2 / 4 to z_{S - R} when in S - R.
     """
     universe = workload.universe
-    sizes = universe.domain_sizes
-    numerical = _numerical_members(universe)
-    total = 0.0
-    for subset in downward_closure(workload, positive_only=True):
-        gain = 1.0
-        for j in subset:
-            gain *= zeta(sizes[j]) if j in numerical else sizes[j] - 1
-        inner = 0.0
-        for members, pS in zip(workload.sets, workload.weights):
-            if pS <= 0 or not set(subset) <= set(members):
-                continue
-            term = pS
-            cat_size = 1
-            for j in members:
-                if j in numerical:
-                    term /= 4.0
-                    if j not in subset:
-                        term *= (1.0 + 1.0 / sizes[j]) ** 2
-                else:
-                    cat_size *= sizes[j]
-            inner += term / cat_size ** 2
-        total += gain * math.sqrt(inner)
-    return total
+    f_tables = []
+    for m, kind in zip(universe.domain_sizes, universe.attribute_kind):
+        if kind == NUMERICAL:
+            f = np.empty(m, dtype=complex)
+            f[0] = (m + 1) / 2.0
+            a = np.arange(1, m)
+            f[1:] = 1.0 / (1.0 - np.exp(-2j * np.pi * a / m))
+            f_tables.append(f)
+        else:
+            f_tables.append(None)
+    coeffs = tuple(np.ones(m) if f is None else f
+                   for m, f in zip(universe.domain_sizes, f_tables))
+    plan = budget.subset_plan(workload, fourier.PhiSpectrum(tables=coeffs))
+    return plan, tuple(f_tables), coeffs
 
 
 def _prefix_matrix(workload):
@@ -504,24 +513,16 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     _check_dense_caps(w, dense_cap)
     sizes = universe.domain_sizes
     numerical = _numerical_members(universe)
-    f_tables = []
-    for j, m in enumerate(sizes):
-        if j in numerical:
-            f = np.empty(m, dtype=complex)
-            f[0] = (m + 1) / 2.0
-            a = np.arange(1, m)
-            f[1:] = 1.0 / (1.0 - np.exp(-2j * np.pi * a / m))
-            f_tables.append(f)
-        else:
-            f_tables.append(None)
-    coeffs = tuple(np.ones(m) if f is None else f
-                   for m, f in zip(sizes, f_tables))
-    freqs = tuple(sorted(
-        a for members in downward_closure(w, positive_only=True)
-        for a in fourier.frequency_vectors(universe, members)))
+    plan, f_tables, coeffs = _witness_plan(w)
+    roots = plan.roots(w.weights)
+    # the frequencies of the members some weighted set covers, in
+    # lexicographic order
+    indices, tau = plan.frequencies(roots)
+    grid = indices[tau > 0]
+    grid = grid[np.lexsort(grid.T[::-1])]
+    freqs = tuple(map(tuple, grid.tolist()))
     # kappa_a^2 adds, set by set, p(S) prod_{j in S numerical}
     # |f_j(a_j)|^2 / |U_S|^2 over the weighted sets S covering supp(a)
-    grid = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
     squares = {j: np.array([abs(f_tables[j][v]) ** 2 for v in range(m)])
                for j, m in enumerate(sizes) if j in numerical}
     inner = np.zeros(len(freqs))
@@ -545,10 +546,10 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     W = _prefix_matrix(w)
     trace = abs(complex(((np.sqrt(P)[:, None] * W) * np.conj(Y)).sum()))
     op_norm = float(np.linalg.svd(Y, compute_uv=False)[0])
-    return LowerBoundWitness(Y=Y, f_tables=tuple(f_tables), kappa=kappa,
+    return LowerBoundWitness(Y=Y, f_tables=f_tables, kappa=kappa,
                              trace_value=trace / math.sqrt(universe.size),
                              op_norm=op_norm,
-                             closed_form=_extended_closed_form(w),
+                             closed_form=float(plan.gains @ roots),
                              note=WITNESS_NOTE)
 
 
@@ -561,9 +562,9 @@ def extended_lower_bound(workload, p=None, dense_cap=None):
     agree with the closed form; larger instances skip the check.
     """
     w = normalize_weights(workload, p)
-    value = _extended_closed_form(w)
-    cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
-    if w.universe.size <= cap and _query_rows(w) <= DENSE_QUERY_CAP:
+    plan, _, _ = _witness_plan(w)
+    value = float(plan.gains @ plan.roots(w.weights))
+    if dense_refusal(w, dense_cap) is None:
         witness = lower_bound_witness(w, dense_cap=dense_cap)
         if abs(witness.trace_value - value) > 1e-8 * max(1.0, value):
             raise FourierMarginalsError(
@@ -588,8 +589,7 @@ def certificate_document(workload, p=None, kind=None, dense_cap=None):
     kind = kind or workload.kind
     w, _, _ = mechanism.as_product(normalize_weights(workload, p), kind)
     size = w.universe.size
-    cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
-    if size <= cap and _query_rows(w) <= DENSE_QUERY_CAP:
+    if dense_refusal(w, dense_cap) is None:
         fact = build_factorization(workload, p=p, kind=kind,
                                    dense_cap=dense_cap)
         report = norm_report(fact)

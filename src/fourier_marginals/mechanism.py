@@ -319,11 +319,14 @@ def _reconstruct(structure, table, values, spectrum):
     return dict(zip(sets, estimates))
 
 
-def _run_release(dataset, workload, spectrum, mu, sampler, plan, kind,
-                 embedding=None):
-    """Release a normalized product-form workload (spectrum None for
-    marginals).  A given plan is checked against the workload and mu
-    and used as it is; otherwise the plan is made from the weights."""
+def _run_release(dataset, workload, mu, sampler, plan, kind):
+    """Release a workload with normalized weights as the given kind, in
+    the product form as_product gives it.  A given plan is checked
+    against that form and mu and used as it is; otherwise the plan is
+    made from the weights."""
+    workload, spectrum, embedding = as_product(workload, kind)
+    if embedding is not None:
+        dataset = Dataset(universe=embedding.embedded, rows=dataset.rows)
     structure = budget.subset_plan(workload, spectrum)
     roots = structure.roots(workload.weights)
     if plan is None:
@@ -368,9 +371,8 @@ def release_marginals(dataset, workload, p=None, mu=1.0, sampler=None,
     given plan is used as it is, after checks: it must be made for mu
     and for this workload's weights, in any scale (BudgetMismatch).
     """
-    workload = normalize_weights(workload, p)
-    return _run_release(dataset, workload, None, mu, sampler, plan,
-                        "marginal")
+    return _run_release(dataset, normalize_weights(workload, p), mu,
+                        sampler, plan, "marginal")
 
 
 def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
@@ -381,10 +383,8 @@ def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
     without phi) this is release_marginals, noise stream included.  A
     given plan is checked as in release_marginals.
     """
-    workload = normalize_weights(workload, p)
-    spectrum = fourier.phi_spectrum(workload.phi_tables())
-    return _run_release(dataset, workload, spectrum, mu, sampler, plan,
-                        "product")
+    return _run_release(dataset, normalize_weights(workload, p), mu,
+                        sampler, plan, "product")
 
 
 def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
@@ -394,12 +394,8 @@ def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
     estimate() accepts original targets (negative values select
     suffixes).  The released tables cover every target of every set.
     """
-    inner, spectrum, embedding = as_product(normalize_weights(workload, p),
-                                            "extended")
-    embedded_dataset = Dataset(universe=embedding.embedded,
-                               rows=dataset.rows)
-    return _run_release(embedded_dataset, inner, spectrum, mu, sampler,
-                        None, "extended", embedding=embedding)
+    return _run_release(dataset, normalize_weights(workload, p), mu,
+                        sampler, None, "extended")
 
 
 def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
@@ -418,8 +414,7 @@ def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     sets = tuple(itertools.combinations(range(d), k))
     workload = Workload(universe=universe, sets=sets,
                         weights=np.full(len(sets), 1.0 / len(sets)))
-    return _run_release(dataset, workload, None, mu, sampler, plan,
-                        "marginal")
+    return _run_release(dataset, workload, mu, sampler, plan, "marginal")
 
 
 def predicted_error(workload, p=None, mu=1.0, kind=None):

@@ -1,31 +1,31 @@
 """Worst-case weight optimization for the max-variance objective.
 
-The weighted error of a release is (1/mu) sum_R G_R sqrt(c_R(p)), a
-concave function of the workload weights p on the simplex, and the
-max-variance guarantee is its value at the maximizing p*.  G_R and the
-coefficients coef(R, S) are read off the workload's budget.SubsetPlan,
-one per pair R <= S of closure member and set, and every quantity below
-is a bincount over those pairs; no members-by-sets matrix is formed.
-At p* the
-per-query noise deviation sigma_S is the same for every set carrying
-weight and no set exceeds it, so the maximum equals the weighted error.
+The weighted error of a release is (1/mu) sum_R G_R r_R(p), a concave
+function of the workload weights p on the simplex, and the max-variance
+guarantee is its value at the maximizing p*.  The objective, the member
+roots r_R and the derivatives below are read from the workload's
+budget.SubsetPlan by the same calls that give a release its weighted
+RMS and sigma_S, so the optimizer keeps no formula of its own and no
+members-by-sets matrix is formed.  At p* the per-query noise deviation
+sigma_S is the same for every set carrying weight and no set exceeds
+it, so the maximum equals the weighted error.
 
 optimize_pstar runs projected gradient ascent from the uniform interior
 point with a backtracking line search, which keeps the objective
 nondecreasing, and stops when the first-order residual drops below tol.
 The residual compares the scaled partial derivatives
 
-    D_S = sum_{R subseteq S} G_R coef(R, S) / sqrt(c_R(p)),
+    D_S = sum_{R subseteq S} G_R coef(R, S) / r_R,
 
-which must not exceed min over weighted sets S' of D_{S'} at an
-optimum; D_S is proportional to sigma_S^2, so the same check certifies
-variance maximality.  Near the optimum a damped Newton step solves the
-first-order equations on the support of p: its bordered system is dense,
-k + 1 square for a support of k sets, but its Jacobian is assembled
-from the pairs.  Every run is deterministic.  On the workloads in
-the test suite convergence takes well under a thousand iterations;
-pathological instances raise NoConvergence with the best iterate
-attached.
+SubsetPlan.derivatives, which must not exceed min over weighted sets S'
+of D_{S'} at an optimum; D_S is proportional to sigma_S^2, so the same
+check certifies variance maximality.  Near the optimum a damped Newton
+step solves the first-order equations on the support of p: its bordered
+system is dense, k + 1 square for a support of k sets, but its Jacobian
+is assembled from the plan's pairs with G_R coef(R, S) > 0, member by
+member.  Every run is deterministic.  On the workloads in the test
+suite convergence takes well under a thousand iterations; pathological
+instances raise NoConvergence with the best iterate attached.
 """
 
 from dataclasses import dataclass, field
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import budget, mechanism
-from .core import FourierMarginalsError
+from .core import FourierMarginalsError, normalize_weights
 
-# inner sums stay at or above this during iteration; the first-order
-# conditions guarantee strict positivity at the optimum itself
+# the inner sums r_R^2 stay at or above this during iteration; the
+# first-order conditions guarantee strict positivity at the optimum
 SUM_FLOOR = 1e-14
 SUPPORT_TOL = 1e-12
 # a member on at least 1/WIDE_SHARE of the Newton support enters the
@@ -80,94 +80,56 @@ class WeightSolution:
         return {s: float(v) for s, v in zip(self.sets, self.p_star)}
 
 
-@dataclass(frozen=True, eq=False)
-class _Structure:
-    """Objective data read off the workload's budget.SubsetPlan.
-
-    active marks the members of the downward closure that the objective
-    depends on, those with G_R > 0 and some coef(R, S) > 0, and
-    active_gains holds their G_R.  member, set and coef list the pairs
-    R <= S with coef(R, S) > 0 of the active members, member by member
-    and set by set within each member; member indexes the active
-    members.  Storage is one entry per pair.
-    """
-
-    members: tuple
-    sets: tuple
-    active: np.ndarray
-    active_gains: np.ndarray
-    member: np.ndarray
-    set: np.ndarray
-    coef: np.ndarray
-
-    def sums(self, p):
-        """Inner sums c_R(p) of the active members, each in set order."""
-        return np.bincount(self.member, weights=self.coef * p[self.set],
-                           minlength=self.active_gains.size)
-
-    def objective(self, c):
-        """sum_R G_R sqrt(c_R) from the inner sums."""
-        return float(self.active_gains @ np.sqrt(np.maximum(c, 0.0)))
-
-    def derivatives(self, c):
-        """Scaled partials D_S = 2 df/dp(S) from the inner sums; inf
-        where a set needs a member whose inner sum is 0."""
-        with np.errstate(divide="ignore"):
-            scale = self.active_gains / np.sqrt(c)
-        return np.bincount(self.set, weights=self.coef * scale[self.member],
-                           minlength=len(self.sets))
-
-    def jacobian(self, c, idx):
-        """J = -1/2 C_s^T diag(G / c^(3/2)) C_s on the support idx.
-
-        A member on at least 1/WIDE_SHARE of the support (the empty
-        member is on all of it) adds its rank-one term through one
-        matrix product of the wide members' dense rows; every other
-        member adds the products of its pairs one entry at a time, so
-        the cost is O(wide members * k^2 + sum over the others of their
-        pair count squared), not O(members * k^2).
-        """
-        k = idx.size
-        column = np.full(len(self.sets), -1)
-        column[idx] = np.arange(k)
-        col = column[self.set]
-        keep = col >= 0
-        member, col, coef = self.member[keep], col[keep], self.coef[keep]
-        weight = -0.5 * self.active_gains / c ** 1.5
-        degree = np.bincount(member, minlength=weight.size)
-        wide = degree[member] * WIDE_SHARE >= k
-        rows, row = np.unique(member[wide], return_inverse=True)
-        dense = np.zeros((rows.size, k))
-        dense[row, col[wide]] = coef[wide]
-        J = (dense.T * weight[rows]) @ dense
-        # the other pairs, in whole member blocks: each one meets every
-        # pair of its block, itself included
-        member, col, coef = member[~wide], col[~wide], coef[~wide]
-        count = degree[member]
-        first = np.repeat(np.arange(member.size), count)
-        shift = np.searchsorted(member, member) - (np.cumsum(count) - count)
-        second = np.repeat(shift, count) + np.arange(first.size)
-        np.add.at(J.reshape(-1), col[first] * k + col[second],
-                  weight[member[first]] * coef[first] * coef[second])
-        return J
-
-
-def _structure(workload, kind):
-    """The optimizer's _Structure of a workload, from its SubsetPlan."""
+def _plan(workload, kind):
+    """The budget.SubsetPlan of a workload's product form."""
     workload, spectrum, _ = mechanism.as_product(workload, kind)
-    plan = budget.subset_plan(workload, spectrum)
-    coef = plan.coef
-    positive = coef > 0
-    active = (plan.gains > 0) & (np.bincount(
-        plan.pair_member[positive], minlength=len(plan.members)) > 0)
-    rank = np.cumsum(active) - 1
-    keep = positive & active[plan.pair_member]
-    order = np.argsort(plan.pair_member[keep], kind="stable")
-    return _Structure(
-        members=plan.members, sets=plan.sets, active=active,
-        active_gains=plan.gains[active],
-        member=rank[plan.pair_member[keep]][order],
-        set=plan.pair_set[keep][order], coef=coef[keep][order])
+    return budget.subset_plan(workload, spectrum)
+
+
+def _floored(plan, roots):
+    """Whether a member that some set needs has r_R^2 below SUM_FLOOR."""
+    return bool((roots[plan.need_member] ** 2 < SUM_FLOOR).any())
+
+
+def _jacobian(plan, roots, idx):
+    """J = -1/2 C_s^T diag(G / r^3) C_s on the support idx.
+
+    C_s holds coef(R, S) of the plan's needed pairs, those with
+    G_R coef(R, S) > 0, on the sets of idx, taken member by member.  A
+    member on at least 1/WIDE_SHARE of the support (the empty member is
+    on all of it) adds its rank-one term through one matrix product of
+    the wide members' dense rows; every other member adds the products
+    of its pairs one entry at a time, so the cost is O(wide members *
+    k^2 + sum over the others of their pair count squared), not
+    O(members * k^2).
+    """
+    k = idx.size
+    column = np.full(len(plan.sets), -1)
+    column[idx] = np.arange(k)
+    col = column[plan.need_set]
+    keep = np.flatnonzero(col >= 0)
+    keep = keep[np.argsort(plan.need_member[keep], kind="stable")]
+    member, col, coef = plan.need_member[keep], col[keep], \
+        plan.need_coef[keep]
+    # members no set needs may have r_R = 0; their weight is never read
+    weight = np.zeros(len(plan.members))
+    np.divide(-0.5 * plan.gains, roots ** 3, out=weight, where=roots > 0)
+    degree = np.bincount(member, minlength=weight.size)
+    wide = degree[member] * WIDE_SHARE >= k
+    rows, row = np.unique(member[wide], return_inverse=True)
+    dense = np.zeros((rows.size, k))
+    dense[row, col[wide]] = coef[wide]
+    J = (dense.T * weight[rows]) @ dense
+    # the other pairs, in whole member blocks: each one meets every
+    # pair of its block, itself included
+    member, col, coef = member[~wide], col[~wide], coef[~wide]
+    count = degree[member]
+    first = np.repeat(np.arange(member.size), count)
+    shift = np.searchsorted(member, member) - (np.cumsum(count) - count)
+    second = np.repeat(shift, count) + np.arange(first.size)
+    np.add.at(J.reshape(-1), col[first] * k + col[second],
+              weight[member[first]] * coef[first] * coef[second])
+    return J
 
 
 def _project_simplex(v):
@@ -183,7 +145,7 @@ def _residual(D, p):
     return float(max(0.0, np.max(D) - np.min(D[supported])))
 
 
-def _newton_polish(structure, p, tol, trace):
+def _newton_polish(plan, p, tol, trace):
     """Equalize derivatives on the current support by damped Newton.
 
     Gradient ascent alone stalls once objective improvements fall under
@@ -194,21 +156,21 @@ def _newton_polish(structure, p, tol, trace):
     """
     best = None
     for _ in range(100):
-        c = structure.sums(p)
-        D = structure.derivatives(c)
+        roots = plan.roots(p)
+        D = plan.derivatives(roots)
         residual = _residual(D, p)
-        f_val = structure.objective(c)
+        f_val = float(plan.gains @ roots)
         trace.append(f_val)
         if best is None or residual < best[1]:
             best = (p.copy(), residual, f_val)
         if residual <= tol:
             break
         idx = np.flatnonzero(p > SUPPORT_TOL)
-        if idx.size <= 1 or (c <= 0).any():
+        if idx.size <= 1 or (roots[plan.need_member] <= 0).any():
             break
         k = idx.size
         system = np.zeros((k + 1, k + 1))
-        system[:k, :k] = structure.jacobian(c, idx)
+        system[:k, :k] = _jacobian(plan, roots, idx)
         system[:k, k] = -1.0
         system[k, :k] = 1.0
         lam = float(D[idx].mean())
@@ -224,8 +186,8 @@ def _newton_polish(structure, p, tol, trace):
         while alpha > 1e-12:
             trial = p.copy()
             trial[idx] = p[idx] + alpha * delta
-            if trial[idx].min() >= 0 and not (structure.sums(trial)
-                                              < SUM_FLOOR).any():
+            if trial[idx].min() >= 0 and not _floored(plan,
+                                                      plan.roots(trial)):
                 cand = trial
                 break
             alpha *= 0.5
@@ -237,7 +199,7 @@ def _newton_polish(structure, p, tol, trace):
             if trial.sum() <= 0:
                 break
             trial /= trial.sum()
-            if (structure.sums(trial) < SUM_FLOOR).any():
+            if _floored(plan, plan.roots(trial)):
                 break
             cand = trial
         if np.array_equal(cand, p):
@@ -256,24 +218,26 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
     """
     if tol <= 0:
         raise FourierMarginalsError(f"tol must be positive, got {tol}")
-    kind = kind or workload.kind
-    structure = _structure(workload, kind)
-    sets = structure.sets
+    if not workload.sets:
+        raise FourierMarginalsError(
+            "the workload has no sets, so it has no weights to optimize")
+    plan = _plan(workload, kind)
+    sets = plan.sets
     n = len(sets)
     p = np.full(n, 1.0 / n)
     step = 1.0
     trace = []
     for it in range(max_iter + 1):
-        c = structure.sums(p)
-        f_val = structure.objective(c)
+        roots = plan.roots(p)
+        f_val = float(plan.gains @ roots)
         trace.append(f_val)
-        D = structure.derivatives(c)
+        D = plan.derivatives(roots)
         residual = _residual(D, p)
         near = residual <= 1e-3 * max(1.0, float(np.max(D[np.isfinite(D)],
                                                         initial=0.0)))
         if residual > tol and near:
-            p_new, residual_new, f_new = _newton_polish(structure, p.copy(),
-                                                        tol, trace)
+            p_new, residual_new, f_new = _newton_polish(plan, p.copy(), tol,
+                                                        trace)
             if residual_new < residual:
                 p, residual, f_val = p_new, residual_new, f_new
         if residual <= tol:
@@ -286,20 +250,20 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
         moved = False
         while step > 1e-18:
             q = _project_simplex(p + step * gradient)
-            cq = structure.sums(q)
-            if (cq < SUM_FLOOR).any():
+            roots_q = plan.roots(q)
+            if _floored(plan, roots_q):
                 step *= 0.5
                 continue
             advance = float(gradient @ (q - p))
             if advance <= 0.0:
                 break  # projected fixed point at this step size
-            if structure.objective(cq) - f_val >= 1e-4 * advance:
+            if float(plan.gains @ roots_q) - f_val >= 1e-4 * advance:
                 moved = True
                 break
             step *= 0.5
         if not moved:
-            p_new, residual_new, f_new = _newton_polish(structure, p.copy(),
-                                                        tol, trace)
+            p_new, residual_new, f_new = _newton_polish(plan, p.copy(), tol,
+                                                        trace)
             if residual_new <= tol:
                 return WeightSolution(sets=sets, p_star=p_new,
                                       objective=f_new,
@@ -323,20 +287,22 @@ def kkt_check(workload, p, kind=None):
     sigma_gap is the worst shortfall of a weighted set's noise deviation
     from the maximum over all sets, 0 at an optimum.
     """
-    kind = kind or workload.kind
     p = np.asarray(p, dtype=float)
     if p.shape != (len(workload.sets),):
         raise NotOnSimplex(
             f"need {len(workload.sets)} weights, got shape {p.shape}")
-    if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > 1e-9 or p.min() < -1e-9:
         raise NotOnSimplex(
             f"weights must be nonnegative and sum to 1, got sum {p.sum()}")
     p = np.maximum(p, 0.0)
-    structure = _structure(workload, kind)
-    sets = structure.sets
-    D = structure.derivatives(structure.sums(p))
+    # the weights predicted_error reads: p scaled to sum to one
+    weighted = normalize_weights(workload, p)
+    plan = _plan(weighted, kind)
+    sets = plan.sets
+    roots = plan.roots(weighted.weights)
+    D = plan.derivatives(roots)
     supported = p > SUPPORT_TOL
-    report = mechanism.predicted_error(workload, p=p, kind=kind)
+    report = mechanism._error_report(plan, roots, 1.0)
     sigmas = report["per_set_sigma"]
     max_sigma = report["max_sigma"]
     gaps = [max_sigma - sigmas[s] for s, keep in zip(sets, supported)

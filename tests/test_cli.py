@@ -492,6 +492,22 @@ def test_workload_document_loads_or_exits_2(doc, target):
         assert json.loads(out.getvalue())["kind"] == workload.kind
 
 
+@pytest.mark.parametrize("command", ["optimize-weights", "verify",
+                                     "release"])
+def test_empty_workload_max_variance_exits_2(tmp_path, capsys, command):
+    doc = {"attributes": [{"name": "a", "size": 2}], "sets": []}
+    argv = [command, "--workload", write_json(tmp_path, doc)]
+    if command != "optimize-weights":
+        argv += ["--objective", "max-variance"]
+    if command == "release":
+        argv += ["--dataset", write_rows(tmp_path, "a\n0\n1\n"),
+                 "--seed", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no sets" in err
+
+
 def test_padded_attribute_name_exits_2(tmp_path, capsys):
     # the CSV reader strips header cells, so the workload reader refuses
     # names it could never match

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourier_marginals import budget, core, factorization, fourier
@@ -588,6 +588,41 @@ def reference_kappa(workload, f_tables, freqs):
     return kappa
 
 
+def reference_extended_closed_form(workload):
+    """Range-query trace bound as an explicit double sum.
+
+    One term per covered subset, split into categorical members (factor
+    m_j - 1) and numerical members (factor zeta(m_j)); the square root
+    collects the weights of the covering sets with a (1 + 1/m_j)^2
+    boost for every uncovered numerical attribute.
+    """
+    universe = workload.universe
+    sizes = universe.domain_sizes
+    numerical = factorization._numerical_members(universe)
+    total = 0.0
+    for subset in core.downward_closure(workload, positive_only=True):
+        gain = 1.0
+        for j in subset:
+            gain *= mechanism.zeta(sizes[j]) if j in numerical \
+                else sizes[j] - 1
+        inner = 0.0
+        for members, pS in zip(workload.sets, workload.weights):
+            if pS <= 0 or not set(subset) <= set(members):
+                continue
+            term = pS
+            cat_size = 1
+            for j in members:
+                if j in numerical:
+                    term /= 4.0
+                    if j not in subset:
+                        term *= (1.0 + 1.0 / sizes[j]) ** 2
+                else:
+                    cat_size *= sizes[j]
+            inner += term / cat_size ** 2
+        total += gain * math.sqrt(inner)
+    return total
+
+
 @st.composite
 def builder_workloads(draw):
     """Marginal, product (often with exact zeros in the spectrum, from
@@ -664,3 +699,12 @@ def test_property_builders_equal_loop_references(w):
         reference = reference_kappa(w, f_tables, freqs)
         assert list(witness.kappa) == list(reference)
         assert all(witness.kappa[a] == reference[a] for a in reference)
+
+
+@settings(deadline=None, max_examples=60)
+@given(builder_workloads())
+def test_property_range_bound_equals_double_sum(w):
+    assume(w.kind == "extended")
+    value = factorization.extended_lower_bound(w)
+    reference = reference_extended_closed_form(core.normalize_weights(w))
+    assert math.isclose(value, reference, rel_tol=1e-13)

@@ -7,7 +7,8 @@ import unittest.mock
 
 import numpy as np
 
-from fourier_marginals import core, fourier, mechanism, optimizer, oracle
+from fourier_marginals import (budget, core, fourier, mechanism,
+                               optimizer, oracle)
 
 
 def workload(sizes, sets, kinds=None, kind="marginal", phi=None):
@@ -140,6 +141,12 @@ class KktReports(unittest.TestCase):
         with self.assertRaises(optimizer.NotOnSimplex):
             optimizer.kkt_check(w, [1.0])
 
+    def test_empty_workload_is_off_the_simplex(self):
+        w = core.Workload(universe=core.build_universe([2]), sets=(),
+                          weights=np.zeros(0))
+        with self.assertRaises(optimizer.NotOnSimplex):
+            optimizer.kkt_check(w, [])
+
 
 class SolverBehaviour(unittest.TestCase):
 
@@ -193,6 +200,12 @@ class SolverBehaviour(unittest.TestCase):
         w = workload((2, 2), ((0,),))
         with self.assertRaises(core.FourierMarginalsError):
             optimizer.optimize_pstar(w, tol=0.0)
+
+    def test_rejects_empty_workload(self):
+        w = core.Workload(universe=core.build_universe([2]), sets=(),
+                          weights=np.zeros(0))
+        with self.assertRaisesRegex(core.FourierMarginalsError, "no sets"):
+            optimizer.optimize_pstar(w)
 
 
 class ExtendedAndDegenerate(unittest.TestCase):
@@ -397,21 +410,29 @@ class StructureFromSubsetPlan(unittest.TestCase):
     )
 
     def test_structure_equals_double_loop(self):
-        # the pairs, scattered to dense, are the double loop's active rows
+        # the plan's pairs, scattered to dense, are the double loop's C;
+        # its needed pairs are C's entries with G > 0
         for w in self.CASES:
-            s = optimizer._structure(w, None)
+            plan = optimizer._plan(w, None)
             members, sets, G, C, active = reference_structure(w, None)
-            self.assertEqual(list(s.members), members)
-            self.assertEqual(s.sets, sets)
-            np.testing.assert_array_equal(s.active, active)
-            np.testing.assert_array_equal(s.active_gains, G[active])
-            rows = np.flatnonzero(s.active)[s.member]
-            self.assertEqual(len(set(zip(rows, s.set))), s.coef.size)
-            self.assertTrue((s.coef > 0).all())
+            self.assertEqual(list(plan.members), members)
+            self.assertEqual(plan.sets, sets)
+            np.testing.assert_array_equal(plan.gains, G)
+            pairs = set(zip(plan.pair_member, plan.pair_set))
+            self.assertEqual(len(pairs), plan.pair_zero.size)
             dense = np.zeros_like(C)
-            dense[rows, s.set] = s.coef
-            np.testing.assert_array_equal(dense, np.where(active[:, None],
+            dense[plan.pair_member, plan.pair_set] = \
+                plan.pair_zero / plan.pair_square
+            np.testing.assert_array_equal(dense, C)
+            self.assertTrue((plan.need_coef > 0).all())
+            dense = np.zeros_like(C)
+            dense[plan.need_member, plan.need_set] = plan.need_coef
+            np.testing.assert_array_equal(dense, np.where(G[:, None] > 0,
                                                           C, 0.0))
+            np.testing.assert_array_equal(
+                plan.need, G[plan.need_member] * plan.need_coef)
+            np.testing.assert_array_equal(np.unique(plan.need_member),
+                                          np.flatnonzero(active))
 
     def test_pstar_unchanged(self):
         for w in self.CASES:
@@ -422,26 +443,45 @@ class StructureFromSubsetPlan(unittest.TestCase):
             self.assertEqual(new.iterations, iterations)
             self.assertLessEqual(new.kkt_residual, 1e-8)
 
+    def test_kkt_check_reads_the_release_sigma(self):
+        # derivatives and sigma come from the roots that predict-error
+        # and a release use, bit for bit
+        rng = np.random.default_rng(11)
+        for w in self.CASES:
+            p = rng.dirichlet(np.ones(len(w.sets)))
+            report = optimizer.kkt_check(w, p)
+            weighted = core.normalize_weights(w, p)
+            product, spectrum, _ = mechanism.as_product(weighted)
+            plan = budget.subset_plan(product, spectrum)
+            D = plan.derivatives(plan.roots(product.weights))
+            self.assertEqual(list(report["derivatives"].values()),
+                             D.tolist())
+            self.assertEqual(report["per_set_sigma"],
+                             mechanism.predicted_error(w, p=p)[
+                                 "per_set_sigma"])
+
     def test_jacobian_equals_dense_product(self):
         # 2- and 3-way sets over 8 attributes, on full and partial
         # supports, with every member dense, some or none
         sets = tuple(s for r in (2, 3)
                      for s in itertools.combinations(range(8), r))
         w = workload((2, 3, 2, 4, 3, 2, 3, 2), sets)
-        s = optimizer._structure(w, None)
+        plan = optimizer._plan(w, None)
         _, _, G, C, active = reference_structure(w, None)
         p = np.random.default_rng(3).uniform(0.5, 1.5, len(sets))
         p /= p.sum()
-        c = s.sums(p)
-        np.testing.assert_allclose(c, C[active] @ p, rtol=1e-14)
+        roots = plan.roots(p)
+        c = C[active] @ p
+        np.testing.assert_allclose(roots[active] ** 2, c, rtol=1e-14)
         for idx in (np.arange(len(sets)), np.arange(0, len(sets), 3)):
             Cs = C[active][:, idx]
             dense = -0.5 * Cs.T @ (Cs * (G[active] / c ** 1.5)[:, None])
             for share in (1, 4, 10 ** 6):
                 with unittest.mock.patch.object(optimizer, "WIDE_SHARE",
                                                 share):
-                    np.testing.assert_allclose(s.jacobian(c, idx), dense,
-                                               rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(
+                        optimizer._jacobian(plan, roots, idx), dense,
+                        rtol=1e-12, atol=0)
 
 
 if __name__ == "__main__":
