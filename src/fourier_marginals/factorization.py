@@ -41,6 +41,16 @@ per member of the downward closure.  Whether every set can be
 estimated is decided by the release's own rule, an infinite sigma_S
 read off the budget.SubsetPlan, so a factorization is refused exactly
 when a release would be.
+
+Memory holds one dense matrix at a time beside the pair: no temporary
+the size of L, R or W lives next to them.  build_factorization runs the
+SVD of P^(1/2) W, with W scaled in place, before it allocates U~ and V~,
+and keeps the bound.  The norms and the Gram residuals then read L and
+R BLOCK rows or columns at a time.  Each block goes through the same
+elementwise operations and reductions as the whole matrix would, so
+every reported number is the same float.  The range-query test matrix
+follows the same rule: its factors, W and the trace product are
+dropped before the SVD of Y.
 """
 
 import itertools
@@ -56,6 +66,9 @@ from .core import (NUMERICAL, FourierMarginalsError, Workload,
 DENSE_UNIVERSE_CAP = 4096
 DENSE_QUERY_CAP = 8192
 RANK_CUTOFF = 1e-12
+# rows or columns of L and R per block of the norms and Gram residuals;
+# a multiple of 16, and wide enough that BLAS runs near full speed
+BLOCK = 128
 
 
 class DenseTooLarge(FourierMarginalsError):
@@ -70,7 +83,10 @@ class ExplicitFactorization:
     matrix the pair factors; rows lists the (set, target) index of every
     row of L, freqs the frequency vector of every column; E and P are
     the diagonals of the normalization and row-weight matrices, and tau
-    the importance weight of each kept frequency.
+    the importance weight of each kept frequency.  trace_bound is
+    (1/sqrt(|U|)) ||P^(1/2) W||_tr of the same workload, from a dense
+    SVD of W assembled from the query definitions, with singular values
+    below rank_cutoff dropped; it does not depend on L, R or E.
     """
 
     workload: Workload
@@ -81,6 +97,8 @@ class ExplicitFactorization:
     E: np.ndarray
     P: np.ndarray
     tau: np.ndarray
+    trace_bound: float
+    rank_cutoff: float
 
 
 @dataclass(frozen=True)
@@ -309,6 +327,8 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     indices, tau = indices[order], tau[order]
     E = tau / tau.sum()
     rows, P = _row_index(w)
+    # W and LAPACK's copy of it are gone before U~ and V~ are allocated
+    bound, cutoff = _trace_bound(w, P)
     U = _coefficient_matrix(w, coeffs, rows, indices)
     V = _character_matrix(w.universe, indices)
     # L and R are scaled in place in the builders' arrays
@@ -317,33 +337,104 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     np.multiply(np.sqrt(E)[:, None], R, out=R)
     return ExplicitFactorization(workload=w, rows=rows,
                                  freqs=tuple(map(tuple, indices.tolist())),
-                                 L=L, R=R, E=E, P=P, tau=tau)
+                                 L=L, R=R, E=E, P=P, tau=tau,
+                                 trace_bound=bound, rank_cutoff=cutoff)
 
 
-def _trace_norm(matrix):
-    values = np.linalg.svd(matrix, compute_uv=False)
+def _trace_bound(w, P):
+    """((1 / sqrt(|U|)) ||P^(1/2) W||_tr, cutoff) by dense SVD.
+
+    W is assembled from the query definitions of w, never from a
+    factorization, and scaled by P^(1/2) in place; singular values below
+    RANK_CUTOFF times the largest are dropped from the sum.
+    """
+    W = _dense_matrix(w)
+    W *= np.sqrt(P)[:, None]
+    values = np.linalg.svd(W, compute_uv=False)
     cutoff = RANK_CUTOFF * (float(values[0]) if values.size else 0.0)
-    return float(values[values >= cutoff].sum()), cutoff
+    trace = float(values[values >= cutoff].sum())
+    return trace / math.sqrt(w.universe.size), cutoff
+
+
+def _blocks(total):
+    """Consecutive slices covering range(total), BLOCK long but the last.
+
+    BLAS computes a product in tiles counted from the start of its
+    operands, and numpy sends a single row or column to a matrix-vector
+    routine.  So blocks start at multiples of BLOCK, itself a multiple
+    of every tile size, and a last block of one is merged into the one
+    before: then each block of a product has the bits of the same block
+    of the whole product.
+    """
+    parts = [slice(start, min(start + BLOCK, total))
+             for start in range(0, total, BLOCK)]
+    if len(parts) > 1 and parts[-1].stop - parts[-1].start == 1:
+        parts[-2:] = [slice(parts[-2].start, total)]
+    return parts
+
+
+def _vector_norms(matrix, axis):
+    """np.linalg.norm(matrix, axis=axis) of a 2-D matrix, a block of the
+    kept axis at a time.
+
+    Each block goes through np.linalg.norm's own arithmetic, the real
+    part of conj(x) * x summed along axis, so every norm is the same
+    float as from the whole matrix.
+    """
+    kept = 1 - axis
+    out = np.empty(matrix.shape[kept])
+    for part in _blocks(matrix.shape[kept]):
+        x = matrix[(slice(None), part) if kept else part]
+        s = (x.conj() * x).real
+        out[part] = np.sqrt(np.add.reduce(s, axis=axis))
+    return out
+
+
+def _gram_residuals(fact):
+    """max |L* P L - (sum tau)^2 E| and max |R R* - |U| E|, entrywise.
+
+    The columns in a block of L* P L are conj(L^T conj(P L_block)) and
+    the rows in a block of R R* are conj(conj(R_block) R^T), so neither
+    Gram matrix nor a conjugate of L or R is ever held whole.  An empty
+    pair has residuals 0.0.
+    """
+    L, R = fact.L, fact.R
+    lpl_diagonal = float(fact.tau.sum()) ** 2 * fact.E
+    rr_diagonal = fact.workload.universe.size * fact.E
+    lpl = [0.0]
+    rr = [0.0]
+    for part in _blocks(L.shape[1]):
+        inside = np.arange(part.stop - part.start)
+        block = np.multiply(fact.P[:, None], L[:, part])
+        np.conjugate(block, out=block)
+        block = L.T @ block
+        np.conjugate(block, out=block)
+        block[inside + part.start, inside] -= lpl_diagonal[part]
+        lpl.append(np.abs(block).max())
+        block = np.conjugate(R[part]) @ R.T
+        np.conjugate(block, out=block)
+        block[inside, inside + part.start] -= rr_diagonal[part]
+        rr.append(np.abs(block).max())
+    return float(np.max(lpl)), float(np.max(rr))
 
 
 def norm_report(fact):
     """Norms of the pair next to the trace-norm lower bound.
 
-    The bound is computed from a matrix assembled directly from the
-    query definitions, not from L R, so agreement is evidence.
+    The bound is the one build_factorization computed, before L and R
+    existed, from a matrix assembled directly from the query
+    definitions, not from L R, so agreement is evidence.
     """
-    col = np.linalg.norm(fact.R, axis=0)
-    row = np.linalg.norm(fact.L, axis=1)
+    col = _vector_norms(fact.R, axis=0)
+    row = _vector_norms(fact.L, axis=1)
     col_max = float(col.max())
     row_max = float(row.max())
     frob = float(math.sqrt(float((fact.P * row ** 2).sum())))
-    W = _dense_matrix(fact.workload)
-    trace, cutoff = _trace_norm(np.sqrt(fact.P)[:, None] * W)
-    lower = trace / math.sqrt(fact.workload.universe.size)
     return NormReport(col_max=col_max, frob_weighted=frob, row_max=row_max,
                       gammaF_value=frob * col_max,
                       gamma2_value=row_max * col_max,
-                      svd_lower_bound=lower, rank_cutoff=cutoff)
+                      svd_lower_bound=fact.trace_bound,
+                      rank_cutoff=fact.rank_cutoff)
 
 
 def svd_lower_bound(workload, p=None, kind=None, dense_cap=None):
@@ -354,8 +445,7 @@ def svd_lower_bound(workload, p=None, kind=None, dense_cap=None):
     w, _, _ = mechanism.as_product(normalize_weights(workload, p), kind)
     _check_dense_caps(w, dense_cap)
     _, P = _row_index(w)
-    trace, _ = _trace_norm(np.sqrt(P)[:, None] * _dense_matrix(w))
-    return trace / math.sqrt(w.universe.size)
+    return _trace_bound(w, P)[0]
 
 
 def realify_pair(L, R):
@@ -432,14 +522,9 @@ def tightness_certificate(fact, p=None, kind=None):
         if ("product" if kind == "extended" else kind) != built:
             raise FourierMarginalsError(
                 f"factorization was built as {built!r}, not {kind!r}")
-    total = float(fact.tau.sum())
-    lpl = fact.L.conj().T @ (fact.P[:, None] * fact.L)
-    lpl_residual = float(np.abs(lpl - np.diag(total ** 2 * fact.E)).max())
-    rr = fact.R @ fact.R.conj().T
-    size = fact.workload.universe.size
-    rr_residual = float(np.abs(rr - np.diag(size * fact.E)).max())
-    col = np.linalg.norm(fact.R, axis=0)
-    row = np.linalg.norm(fact.L, axis=1)
+    lpl_residual, rr_residual = _gram_residuals(fact)
+    col = _vector_norms(fact.R, axis=0)
+    row = _vector_norms(fact.L, axis=1)
     if p is None:
         support = fact.P > 0
     else:
@@ -540,11 +625,22 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     norms = np.sqrt(inner)
     kappa = dict(zip(freqs, norms.tolist()))
     rows, P = _row_index(w)
-    U = _coefficient_matrix(w, coeffs, rows, freqs) / norms[None, :]
-    V = _character_matrix(universe, freqs) / math.sqrt(universe.size)
-    Y = np.sqrt(P)[:, None] * (U @ V.conj().T)
+    # every product is scaled in place; U, V, W and the trace product
+    # are dropped before the SVD of Y
+    U = _coefficient_matrix(w, coeffs, rows, freqs)
+    U /= norms[None, :]
+    V = _character_matrix(universe, freqs)
+    V /= math.sqrt(universe.size)
+    Y = U @ np.conjugate(V, out=V).T
+    del U, V
+    Y *= np.sqrt(P)[:, None]
     W = _prefix_matrix(w)
-    trace = abs(complex(((np.sqrt(P)[:, None] * W) * np.conj(Y)).sum()))
+    W *= np.sqrt(P)[:, None]
+    product = np.conj(Y)
+    product *= W
+    del W
+    trace = abs(complex(product.sum()))
+    del product
     op_norm = float(np.linalg.svd(Y, compute_uv=False)[0])
     return LowerBoundWitness(Y=Y, f_tables=f_tables, kappa=kappa,
                              trace_value=trace / math.sqrt(universe.size),
@@ -574,34 +670,3 @@ def extended_lower_bound(workload, p=None, dense_cap=None):
             raise FourierMarginalsError(
                 f"test matrix operator norm {witness.op_norm} exceeds 1")
     return value
-
-
-def _finite(value):
-    return float(value) if math.isfinite(value) else None
-
-
-def certificate_document(workload, p=None, kind=None, dense_cap=None):
-    """JSON-ready optimality certificate for one weighted workload.
-
-    Dense instances carry the SVD bound and the tightness residuals;
-    larger ones report the closed-form norms only.
-    """
-    kind = kind or workload.kind
-    w, _, _ = mechanism.as_product(normalize_weights(workload, p), kind)
-    size = w.universe.size
-    if dense_refusal(w, dense_cap) is None:
-        fact = build_factorization(workload, p=p, kind=kind,
-                                   dense_cap=dense_cap)
-        report = norm_report(fact)
-        residuals = tightness_certificate(fact)
-        return {"gammaF": report.gammaF_value,
-                "gamma2": _finite(report.gamma2_value),
-                "svd_lower": report.svd_lower_bound,
-                "residuals": residuals,
-                "dense": {"used": True, "size": size}}
-    predicted = mechanism.predicted_error(workload, p=p, mu=1.0, kind=kind)
-    return {"gammaF": predicted["weighted_rms"],
-            "gamma2": _finite(predicted["max_sigma"]),
-            "svd_lower": None,
-            "residuals": None,
-            "dense": {"used": False, "size": size}}

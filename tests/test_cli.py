@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fourier_marginals import cli, core, factorization, mechanism
+from fourier_marginals import cli, core, mechanism
 
 from conftest import releases
 
@@ -765,6 +765,28 @@ def test_verify_extended_includes_range_bound(tmp_path, capsys):
     assert {"range_trace_gap", "range_op_norm_excess"} <= names
 
 
+@pytest.mark.parametrize("objective", ["weighted-rms", "max-variance"])
+def test_verify_constant_workload_passes_at_zero(tmp_path, capsys,
+                                                 objective):
+    # an all-zero phi factor makes every query answer 0: the pair is
+    # empty, and every residual, norm and bound is exactly 0
+    constant = {
+        "attributes": [{"name": "a", "size": 2}, {"name": "b", "size": 3}],
+        "sets": [{"attrs": ["a", "b"], "weight": 1}],
+        "kind": "product",
+        "phi": {"a": [0, 0], "b": [1, 0, 0]},
+    }
+    workload = write_json(tmp_path, constant)
+    doc = run_json(capsys, "verify", "--workload", workload,
+                   "--objective", objective)
+    assert doc["pass"] is True
+    assert doc["gammaF"] == doc["svd_lower"] == 0.0
+    assert doc["residuals"] == {"lpl": 0.0, "rr": 0.0, "colnorm": 0.0,
+                                "rownorm": 0.0}
+    assert all(check["pass"] for check in doc["checks"])
+    assert len(doc["checks"]) == (6 if objective == "max-variance" else 4)
+
+
 def test_verify_max_variance_checks_row_norms(tmp_path, capsys):
     nested = {
         "attributes": [{"name": "a", "size": 2}, {"name": "b", "size": 2}],
@@ -873,11 +895,9 @@ def test_plot_data_writes_file_without_cr(tmp_path, capsys):
 
 
 def test_certificate_document_roundtrips_via_json(tmp_path, capsys):
-    # the library document behind verify serializes cleanly too
+    # the verify document serializes cleanly
     workload = write_json(tmp_path, PAIR_DOC)
     doc = run_json(capsys, "verify", "--workload", workload)
     again = json.loads(json.dumps(doc, sort_keys=True))
     assert again == doc
     assert doc["residuals"]["lpl"] <= 1e-10
-    cert = factorization.certificate_document
-    assert cert.__doc__

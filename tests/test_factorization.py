@@ -3,8 +3,8 @@
 import dataclasses
 import functools
 import itertools
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +325,108 @@ def test_tightness_kind_mismatch_rejected():
         factorization.tightness_certificate(fact, kind="product")
 
 
+# ------------------------------------------------- blocks and memory
+
+
+def _dense_certify_workload():
+    # 5 size-4 attributes, all 2- and 3-way sets: |U| = 1,024 and 800
+    # query rows
+    sets = list(itertools.combinations(range(5), 3)) \
+        + list(itertools.combinations(range(5), 2))
+    return make_workload((4,) * 5, sets,
+                         weights=[0.5 + 0.1 * i for i in range(len(sets))])
+
+
+@pytest.mark.parametrize("w", [
+    make_workload((4, 4, 3), [(0, 1, 2), (0, 1)], weights=[1.0, 0.5]),
+    make_workload((3, 4, 3), [(0, 1, 2), (1, 2)], kind="product",
+                  phi=((1.0, 0.5, 0.0), (2.0, 1.0, 0.0, 0.5),
+                       (1.0, 1.0, 0.5))),
+    make_workload((3, 4, 2), [(0, 1, 2), (1, 2), (0, 2)], kind="extended",
+                  kinds=(core.NUMERICAL, core.NUMERICAL, core.CATEGORICAL)),
+], ids=["marginal", "product", "extended"])
+def test_blocked_norms_and_residuals_equal_whole_matrices(w, monkeypatch):
+    fact = factorization.build_factorization(w)
+    monkeypatch.setattr(factorization, "BLOCK", 16)
+    assert len(factorization._blocks(len(fact.freqs))) >= 3
+    col = np.linalg.norm(fact.R, axis=0)
+    row = np.linalg.norm(fact.L, axis=1)
+    assert np.array_equal(factorization._vector_norms(fact.R, axis=0), col)
+    assert np.array_equal(factorization._vector_norms(fact.L, axis=1), row)
+    report = factorization.norm_report(fact)
+    assert report.col_max == float(col.max())
+    assert report.row_max == float(row.max())
+    # the unblocked Gram matrices, as whole products
+    total = float(fact.tau.sum())
+    lpl = fact.L.conj().T @ (fact.P[:, None] * fact.L)
+    rr = fact.R @ fact.R.conj().T
+    size = fact.workload.universe.size
+    residuals = factorization.tightness_certificate(fact)
+    assert residuals["lpl"] == float(
+        np.abs(lpl - np.diag(total ** 2 * fact.E)).max())
+    assert residuals["rr"] == float(np.abs(rr - np.diag(size * fact.E)).max())
+    assert residuals["colnorm"] == float(col.max() - col.min())
+
+
+def test_blocks_start_at_multiples_and_never_leave_one():
+    assert factorization._blocks(0) == []
+    assert factorization._blocks(1) == [slice(0, 1)]
+    block = factorization.BLOCK
+    assert factorization._blocks(2 * block + 1) == [
+        slice(0, block), slice(block, 2 * block + 1)]
+    assert factorization._blocks(block + 2)[-1] == slice(block, block + 2)
+
+
+def test_trace_bound_is_kept_from_before_the_pair():
+    w = _dense_certify_workload()
+    fact = factorization.build_factorization(w)
+    assert fact.trace_bound == factorization.svd_lower_bound(w)
+    corrupted = dataclasses.replace(fact, E=fact.E * 1.01)
+    report = factorization.norm_report(corrupted)
+    assert report.svd_lower_bound == fact.trace_bound
+    assert report.rank_cutoff == fact.rank_cutoff
+
+
+def test_verify_holds_one_dense_matrix_beside_the_pair():
+    w = _dense_certify_workload()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fact = factorization.build_factorization(w)
+        factorization.norm_report(fact)
+        factorization.tightness_certificate(fact)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    W = len(fact.rows) * w.universe.size * 8
+    assert peak <= fact.L.nbytes + fact.R.nbytes + W + 2 * 2 ** 20
+
+
+def test_witness_in_place_products_keep_bits():
+    w = make_workload((3, 4, 2), [(0, 1), (1, 2), (0, 2)], kind="extended",
+                      kinds=(core.NUMERICAL, core.NUMERICAL,
+                             core.CATEGORICAL))
+    witness = factorization.lower_bound_witness(w)
+    # the witness's products out of place, on the weights it read
+    w = core.normalize_weights(w)
+    universe = w.universe
+    freqs = tuple(witness.kappa)
+    norms = np.array(list(witness.kappa.values()))
+    coeffs = tuple(np.ones(m) if f is None else f
+                   for m, f in zip(universe.domain_sizes, witness.f_tables))
+    rows, P = factorization._row_index(w)
+    U = factorization._coefficient_matrix(w, coeffs, rows, freqs) \
+        / norms[None, :]
+    V = factorization._character_matrix(universe, freqs) \
+        / math.sqrt(universe.size)
+    Y = np.sqrt(P)[:, None] * (U @ V.conj().T)
+    W = factorization._prefix_matrix(w)
+    trace = abs(complex(((np.sqrt(P)[:, None] * W) * np.conj(Y)).sum()))
+    assert np.array_equal(witness.Y, Y)
+    assert witness.trace_value == trace / math.sqrt(universe.size)
+    assert witness.op_norm == float(np.linalg.svd(Y, compute_uv=False)[0])
+
+
 # ------------------------------------------- range-query lower bound
 
 
@@ -391,35 +493,6 @@ def test_range_witness_dense_cap():
         factorization.lower_bound_witness(w)
     # the closed form still answers
     assert factorization.extended_lower_bound(w) > 0
-
-
-# ------------------------------------------------------- documents
-
-
-def test_certificate_document_dense():
-    doc = factorization.certificate_document(two_singletons())
-    assert set(doc) == {"gammaF", "gamma2", "svd_lower", "residuals",
-                        "dense"}
-    assert set(doc["residuals"]) == {"lpl", "rr", "colnorm", "rownorm"}
-    assert doc["dense"] == {"used": True, "size": 4}
-    assert doc["gammaF"] == pytest.approx(GOLDEN_PAIR_GAMMA, abs=1e-12)
-    assert doc["svd_lower"] == pytest.approx(GOLDEN_PAIR_GAMMA, abs=1e-8)
-    json.dumps(doc)
-
-
-def test_certificate_document_closed_form_fallback():
-    sets = [(j,) for j in range(13)]
-    w = make_workload((2,) * 13, sets)
-    doc = factorization.certificate_document(w)
-    assert doc["dense"] == {"used": False, "size": 2 ** 13}
-    assert doc["svd_lower"] is None and doc["residuals"] is None
-    formula = oracle.pstar_objective((2,) * 13, w.sets,
-                                     w.weights / w.weights.sum())
-    assert doc["gammaF"] == pytest.approx(formula, rel=1e-10)
-    assert doc["gammaF"] == mechanism.predicted_error(
-        w, mu=1.0)["weighted_rms"]
-    assert doc["gamma2"] > 0
-    json.dumps(doc)
 
 
 # ------------------------------------------------- matrix identities
