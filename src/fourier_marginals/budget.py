@@ -195,8 +195,8 @@ class SubsetPlan:
     order: need_member and need_set index them, need_coef holds
     coef(R, S) and need G_R coef(R, S).  These per-pair constants are
     computed once, when the plan is made.
-    set_square holds |U_S|^2 per set and magnitudes the tables
-    |phi_hat_j| (None for plain marginals, whose magnitudes are all 1).
+    set_square holds |U_S|^2 per set and spectrum the fourier.PhiSpectrum
+    of the factor tables, the unit spectrum for plain marginals.
     Storage is O(sum_S 2^|S|).
     """
 
@@ -208,7 +208,7 @@ class SubsetPlan:
     pair_set: np.ndarray
     pair_zero: np.ndarray
     set_square: np.ndarray
-    magnitudes: tuple = None
+    spectrum: fourier.PhiSpectrum
     pair_square: np.ndarray = field(init=False, repr=False)
     need_member: np.ndarray = field(init=False, repr=False)
     need_set: np.ndarray = field(init=False, repr=False)
@@ -250,8 +250,7 @@ class SubsetPlan:
     def frequencies(self, roots):
         """(indices, tau) of every frequency of every member, in closure
         order; see _member_frequencies."""
-        return _member_frequencies(self.universe.domain_sizes,
-                                   self.members, roots, self.magnitudes)
+        return _member_frequencies(self.spectrum, self.members, roots)
 
     def support_members(self, supports):
         """Closure position of each boolean support row, len(members)
@@ -263,13 +262,15 @@ class SubsetPlan:
             for size in supports.sum(axis=1).tolist()], dtype=np.intp)
 
 
-def _member_frequencies(sizes, members, roots, magnitudes=None):
+def _member_frequencies(spectrum, members, roots):
     """(indices, tau) of every frequency of every member, in closure order.
 
-    Member R's block holds the int64 rows with a_j in 1 .. m_j - 1 for
+    The domain sizes are the lengths of the spectrum's tables.  Member
+    R's block holds the int64 rows with a_j in 1 .. m_j - 1 for
     j in R and zero elsewhere, in row-major order of those coordinates;
     tau is _weights_at() of the rows.  No frequency is visited in Python.
     """
+    sizes = [len(table) for table in spectrum.tables]
     d = len(sizes)
     width = max(map(len, members), default=0)
     # attrs[i, l] is the l-th attribute of member i, padded with a
@@ -286,49 +287,48 @@ def _member_frequencies(sizes, members, roots, magnitudes=None):
     indices[np.arange(len(rank))[:, None], attrs[member_of]] = \
         rank[:, None] // steps[member_of] % span[member_of] + 1
     indices = np.ascontiguousarray(indices[:, :d])
-    return indices, _weights_at(indices, member_of, roots, magnitudes)
+    return indices, _weights_at(indices, member_of, roots, spectrum)
 
 
-def _weights_at(indices, member_of, roots, magnitudes=None):
+def _weights_at(indices, member_of, roots, spectrum):
     """tau_a = r_R prod_{j in R} |phi_hat_j(a_j)| of each row a, where R
     is the member at member_of (len(roots): none, tau_a = 0).
 
-    The factors are multiplied in attribute order, the root last, and
-    magnitudes None means plain marginals, tau_a = r_R.
+    The factors of the scaled attributes are multiplied in attribute
+    order, the root last.
     """
-    tau = np.append(roots, 0.0)[member_of]
-    if magnitudes is None:
-        return tau
-    scale = np.ones(len(indices))
-    for j, table in enumerate(magnitudes):
-        scale *= np.where(indices[:, j] > 0, table[indices[:, j]], 1.0)
-    return scale * tau
+    scale = 1.0
+    for j in spectrum.scaled:
+        scale *= np.where(indices[:, j] > 0,
+                          spectrum.magnitudes[j][indices[:, j]], 1.0)
+    return scale * np.append(roots, 0.0)[member_of]
 
 
-def subset_plan(workload, spectrum=None):
-    """SubsetPlan of a workload's sets; spectrum None means marginals.
+def subset_plan(workload, spectrum):
+    """SubsetPlan of a workload's sets under the spectrum of its factor
+    tables.
 
     The workload's weights are not read: roots() takes them.
     """
     universe = workload.universe
     members = downward_closure(workload)
     index = {sub: i for i, sub in enumerate(members)}
-    if spectrum is None:
-        magnitudes = zeros = None
-        gains = [m - 1.0 for m in universe.domain_sizes]
-    else:
-        magnitudes = tuple(spectrum.magnitudes(j) for j in range(universe.d))
-        gains = [float(table[1:].sum()) for table in magnitudes]
-        zeros = [float(table[0]) ** 2 for table in magnitudes]
+    # a table of exact ones has G_j = m_j - 1 and |phi_hat_j(0)|^2 = 1
+    gains = [len(table) - 1.0 for table in spectrum.tables]
+    zeros = {}
+    for j in spectrum.scaled:
+        gains[j] = float(spectrum.magnitudes[j][1:].sum())
+        zeros[j] = float(spectrum.magnitudes[j][0]) ** 2
     pair_member, pair_set, pair_zero = [], [], []
     for k, s in enumerate(workload.sets):
+        scaled = [j for j in s if j in zeros] if zeros else ()
         for r in range(len(s) + 1):
             for sub in itertools.combinations(s, r):
                 pair_member.append(index[sub])
                 pair_set.append(k)
                 z = 1.0
-                if zeros is not None:
-                    for j in s:
+                if scaled:
+                    for j in scaled:
                         if j not in sub:
                             z *= zeros[j]
                 pair_zero.append(z)
@@ -341,7 +341,7 @@ def subset_plan(workload, spectrum=None):
         pair_zero=np.array(pair_zero, dtype=float),
         set_square=np.array([float(universe.subuniverse_size(s) ** 2)
                              for s in workload.sets]),
-        magnitudes=magnitudes)
+        spectrum=spectrum)
 
 
 def _weights(workload, p):
@@ -361,7 +361,8 @@ def tau_marginal(workload, p=None):
     zero-weight sets get tau_a = 0 and are kept in the map so callers
     can see what is missing.
     """
-    return _tau_dict(subset_plan(workload), _weights(workload, p))
+    spectrum = fourier.unit_spectrum(workload.universe.domain_sizes)
+    return _tau_dict(subset_plan(workload, spectrum), _weights(workload, p))
 
 
 def tau_product(workload, p=None, spectrum=None):
@@ -403,7 +404,7 @@ def check_plan(plan, structure, roots, mu):
                              f"asks for mu={mu}")
     mismatch = BudgetMismatch("plan does not match the workload's weights")
     sizes = structure.universe.domain_sizes
-    magnitudes = structure.magnitudes
+    spectrum = structure.spectrum
     a = plan.indices
     if a.dtype.kind != "i" or a.shape != (len(plan.tau), len(sizes)) \
             or (a < 0).any() or (a >= np.array(sizes)).any():
@@ -414,10 +415,10 @@ def check_plan(plan, structure, roots, mu):
         raise mismatch
     supports, support_of = fourier._group_rows(a != 0)
     expected = _weights_at(
-        a, structure.support_members(supports)[support_of], roots,
-        magnitudes)
-    nonzero = [m - 1 for m in sizes] if magnitudes is None \
-        else [np.count_nonzero(table[1:]) for table in magnitudes]
+        a, structure.support_members(supports)[support_of], roots, spectrum)
+    nonzero = [len(table) - 1 for table in spectrum.tables]
+    for j in spectrum.scaled:
+        nonzero[j] = np.count_nonzero(spectrum.magnitudes[j][1:])
     count = sum(math.prod(nonzero[j] for j in members)
                 for members, root in zip(structure.members, roots.tolist())
                 if root > 0)
@@ -446,19 +447,25 @@ def plan_from_arrays(mu, indices, tau):
     positive = tau > 0
     if not positive.any():
         raise BudgetMismatch("no frequency has positive importance weight")
-    tau = tau[positive]
-    # the built-in sum, term after term: its roundings set every
-    # variance and share of the seeded outputs
-    tau_total = sum(tau.tolist()) / mu ** 2
+    # the built-in sum, term after term in the given order: its
+    # roundings set every variance and share of the seeded outputs
+    tau_total = sum(tau[positive].tolist()) / mu ** 2
     if tau_total == math.inf:
         raise BudgetMismatch(f"budget mu={mu} is so small that the noise "
                              "variances overflow")
-    indices = np.asarray(indices, dtype=np.int64)[positive]
-    order = np.lexsort(indices.T[::-1])
-    tau = tau[order]
+    indices, tau = released_rows(np.asarray(indices, dtype=np.int64), tau)
     return BudgetPlan(mu=float(mu), tau_total=tau_total,
-                      indices=indices[order], tau=tau,
+                      indices=indices, tau=tau,
                       variance=2.0 * tau_total / tau, share=tau / tau_total)
+
+
+def released_rows(indices, tau):
+    """The rows of indices with tau_a > 0 and their weights, in
+    lexicographic order: the frequencies a release draws noise for."""
+    positive = tau > 0
+    indices, tau = indices[positive], tau[positive]
+    order = np.lexsort(indices.T[::-1])
+    return indices[order], tau[order]
 
 
 def plan_from_tau(mu, tau_map):
@@ -489,8 +496,8 @@ def k_way_budget(d, k, m, mu):
         itertools.combinations(range(d), r) for r in range(k + 1)))
     roots = [math.sqrt(math.comb(d - len(members), k - len(members)))
              for members in closure]
-    return plan_from_arrays(mu, *_member_frequencies((m,) * d, closure,
-                                                     roots))
+    return plan_from_arrays(mu, *_member_frequencies(
+        fourier.unit_spectrum((m,) * d), closure, roots))
 
 
 def k_way_tau_sum(d, k, m):

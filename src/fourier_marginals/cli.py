@@ -80,6 +80,8 @@ class RunConfig:
                               f"square, got {self.mu}")
         if self.command == "release" and self.seed is None:
             raise ConfigError("release draws noise and needs --seed")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.dense_cap is not None and self.dense_cap < 1:
@@ -431,6 +433,9 @@ def cmd_verify(config):
     fact = factorization.build_factorization(workload, p=p,
                                              dense_cap=config.dense_cap)
     if config.corrupt_scale != 1.0:
+        if not len(fact.E):
+            raise ConfigError("--corrupt-scale has no entry to mis-scale: "
+                              "the workload releases no frequency")
         E = fact.E.copy()
         E[int(np.argmax(E))] *= config.corrupt_scale
         fact = dataclasses.replace(fact, E=E)

@@ -317,19 +317,12 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     roots = structure.roots(w.weights)
     mechanism._require_estimable(
         mechanism._error_report(structure, roots, 1.0)["per_set_sigma"])
-    # marginal coefficients are exact ones, not transform output
-    coeffs = spectrum.tables if spectrum is not None \
-        else tuple(np.ones(m) for m in w.universe.domain_sizes)
-    indices, tau = structure.frequencies(roots)
-    positive = tau > 0
-    indices, tau = indices[positive], tau[positive]
-    order = np.lexsort(indices.T[::-1])
-    indices, tau = indices[order], tau[order]
+    indices, tau = budget.released_rows(*structure.frequencies(roots))
     E = tau / tau.sum()
     rows, P = _row_index(w)
     # W and LAPACK's copy of it are gone before U~ and V~ are allocated
     bound, cutoff = _trace_bound(w, P)
-    U = _coefficient_matrix(w, coeffs, rows, indices)
+    U = _coefficient_matrix(w, spectrum.tables, rows, indices)
     V = _character_matrix(w.universe, indices)
     # L and R are scaled in place in the builders' arrays
     L = np.divide(U, np.sqrt(E)[None, :], out=U)
@@ -602,9 +595,7 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     roots = plan.roots(w.weights)
     # the frequencies of the members some weighted set covers, in
     # lexicographic order
-    indices, tau = plan.frequencies(roots)
-    grid = indices[tau > 0]
-    grid = grid[np.lexsort(grid.T[::-1])]
+    grid, _ = budget.released_rows(*plan.frequencies(roots))
     freqs = tuple(map(tuple, grid.tolist()))
     # kappa_a^2 adds, set by set, p(S) prod_{j in S numerical}
     # |f_j(a_j)|^2 / |U_S|^2 over the weighted sets S covering supp(a)

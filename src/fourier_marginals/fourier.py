@@ -34,9 +34,9 @@ precision.
 All functions are pure; tables are immutable after construction.
 """
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,12 +72,26 @@ class FourierTable:
 
 @dataclass(frozen=True, eq=False)
 class PhiSpectrum:
-    """Per-attribute factor coefficients phi_hat_j(0 .. m_j - 1)."""
+    """Per-attribute factor coefficients phi_hat_j(0 .. m_j - 1).
+
+    magnitudes holds the tables |phi_hat_j| and scaled the attributes
+    whose table is not exactly one everywhere, both computed once; a
+    product over attributes need only read the scaled ones.  Every
+    table is made read-only.
+    """
 
     tables: tuple
+    magnitudes: tuple = field(init=False, repr=False)
+    scaled: tuple = field(init=False, repr=False)
 
-    def magnitudes(self, j):
-        return np.abs(self.tables[j])
+    def __post_init__(self):
+        magnitudes = tuple(np.abs(table) for table in self.tables)
+        for table in self.tables + magnitudes:
+            table.flags.writeable = False
+        object.__setattr__(self, "magnitudes", magnitudes)
+        object.__setattr__(self, "scaled", tuple(
+            j for j, table in enumerate(self.tables)
+            if not (table == 1).all()))
 
 
 def _validate_index(universe, a):
@@ -244,15 +258,20 @@ def phi_spectrum(phi):
 
     phi gives one real table of length m_j per attribute; each table is
     transformed by a length-m_j FFT.  The indicator of zero maps to the
-    all-ones spectrum, which recovers plain marginals.
+    all-ones spectrum up to rounding; plain marginals take the exact
+    unit_spectrum instead.
     """
-    tables = []
-    for values in phi:
-        v = np.asarray(values, dtype=float)
-        spectrum = np.fft.fft(v)
-        spectrum.flags.writeable = False
-        tables.append(spectrum)
-    return PhiSpectrum(tables=tuple(tables))
+    return PhiSpectrum(tables=tuple(
+        np.fft.fft(np.asarray(values, dtype=float)) for values in phi))
+
+
+@functools.lru_cache(maxsize=64)
+def unit_spectrum(sizes):
+    """The spectrum of plain marginals over a tuple of domain sizes:
+    exact ones, where phi_spectrum of the indicator of zero can round
+    away from 1 (first at m = 89).  One immutable object per sizes."""
+    return PhiSpectrum(tables=tuple(np.ones(m, dtype=complex)
+                                    for m in sizes))
 
 
 def inverse_table(coeffs, expected_shape=None):
@@ -276,22 +295,3 @@ def inverse_table(coeffs, expected_shape=None):
     # the call on small grids
     axes = tuple(range(c.ndim - len(shape), c.ndim))
     return np.fft.ifftn(c, s=shape, axes=axes) * math.prod(shape)
-
-
-def frequency_vectors(universe, members):
-    """All frequency vectors supported exactly on the given attributes.
-
-    Yields index tuples with a_j in {1, .., m_j - 1} for j in members and
-    zero elsewhere, in row-major order of the nonzero coordinates.
-    """
-    members = tuple(members)
-    d = universe.d
-    if not members:
-        yield (0,) * d
-        return
-    ranges = [range(1, universe.domain_sizes[j]) for j in members]
-    for nonzero in itertools.product(*ranges):
-        a = [0] * d
-        for j, v in zip(members, nonzero):
-            a[j] = v
-        yield tuple(a)

@@ -164,10 +164,10 @@ def as_product(workload, kind=None):
     """Product form of a workload: (workload, spectrum, embedding).
 
     kind defaults to the workload's own.  Marginal workloads come back
-    unchanged with spectrum None (every |phi_hat_j| is 1); product
-    workloads come with the spectrum of their factor tables; extended
-    workloads are replaced by their doubled-domain product workload,
-    returned with its embedding.  Weights are carried over as given.
+    unchanged with fourier.unit_spectrum; product workloads come with
+    the spectrum of their factor tables; extended workloads are replaced
+    by their doubled-domain product workload, returned with its
+    embedding.  Weights are carried over as given.
     """
     kind = kind or workload.kind
     embedding = None
@@ -177,7 +177,8 @@ def as_product(workload, kind=None):
                             weights=workload.weights, kind="product",
                             phi=embedding.phi)
     elif kind != "product":
-        return workload, None, None
+        return (workload,
+                fourier.unit_spectrum(workload.universe.domain_sizes), None)
     return workload, fourier.phi_spectrum(workload.phi_tables()), embedding
 
 
@@ -204,13 +205,20 @@ class ReleaseResult:
         return self.estimates[tuple(sorted(members))]
 
     def estimate(self, members, target):
-        members = tuple(sorted(members))
+        """The estimate of one target of one set of the workload; any
+        other set or target raises AssignmentOutOfRange."""
+        members, target = tuple(sorted(members)), tuple(target)
+        if members not in self.estimates or len(target) != len(members) \
+                or not all(isinstance(t, (int, np.integer)) for t in target):
+            raise AssignmentOutOfRange(
+                f"the workload has no set {members} with target {target}")
         if self.embedding is not None:
             target = self.embedding.embed_target(members, target)
-        table = self.estimates[members]
-        if not members:
-            return float(table)
-        return float(table[tuple(target)])
+        sizes = self.workload.universe.domain_sizes
+        for j, t in zip(members, target):
+            if not 0 <= t < sizes[j]:
+                raise _bad_target(j, t)
+        return float(self.estimates[members][target])
 
 
 def _error_report(structure, roots, mu):
@@ -243,7 +251,7 @@ def _require_estimable(per_set_sigma):
                 "positive weight or cover it by a larger weighted set")
 
 
-def _reconstruct(structure, table, values, spectrum):
+def _reconstruct(structure, table, values):
     """Estimate tables of every set from the released frequencies.
 
     table is the fourier.FourierTable of the released frequencies, in
@@ -252,9 +260,9 @@ def _reconstruct(structure, table, values, spectrum):
     the groups of the members R <= S that the plan pairs with it.  The
     sets' grids lie end to end in one array, sets of one shape side by
     side, so one fancy-index assignment scatters every frequency, after
-    scaling by prod_{j in S} phi_hat_j(a_j) for product workloads.  Each
-    grid shape then takes one inverse_table call over its stacked
-    grids.  Frequencies that were not released stay exact zeros.
+    scaling by prod_{j in S} phi_hat_j(a_j) on the spectrum's scaled
+    attributes.  Each grid shape then takes one inverse_table call over
+    its stacked grids.  Unreleased frequencies stay exact zeros.
     """
     universe = structure.universe
     sets = structure.sets
@@ -289,21 +297,18 @@ def _reconstruct(structure, table, values, spectrum):
     steps = strides[owners]
     a = table.indices[rows]
     cells = offsets[owners] + (a * steps).sum(axis=1)
+    # explicit parts, one attribute of S at a time in ascending order:
+    # the same roundings as multiplying each value in turn; leaving out
+    # a table of exact ones can only flip the sign of a zero part
+    coeffs = values[rows]
+    for j in structure.spectrum.scaled:
+        on = steps[:, j] > 0
+        t = structure.spectrum.tables[j][a[on, j]]
+        r, i = coeffs.real[on], coeffs.imag[on]
+        coeffs.real[on] = r * t.real - i * t.imag
+        coeffs.imag[on] = r * t.imag + i * t.real
     grid = np.zeros(end, dtype=complex)
-    if spectrum is None:
-        grid[cells] = values[rows]
-    else:
-        # explicit parts, one attribute of S at a time in ascending
-        # order: the same roundings as multiplying each value in turn
-        re, im = values.real[rows], values.imag[rows]
-        for j, phi_hat in enumerate(spectrum.tables):
-            on = steps[:, j] > 0
-            t = phi_hat[a[on, j]]
-            r, i = re[on], im[on]
-            re[on] = r * t.real - i * t.imag
-            im[on] = r * t.imag + i * t.real
-        grid.real[cells] = re
-        grid.imag[cells] = im
+    grid[cells] = coeffs
     estimates = [None] * len(sets)
     for shape, group in by_shape.items():
         start = offsets[group[0]]
@@ -353,7 +358,7 @@ def _run_release(dataset, workload, mu, sampler, plan, kind):
     if sampler is not None:
         values = values + budget.sample_complex_gaussian(plan.variance,
                                                          sampler)
-    estimates = _reconstruct(structure, table, values, spectrum)
+    estimates = _reconstruct(structure, table, values)
     seed = sampler.seed if sampler is not None else None
     return ReleaseResult(kind=kind, workload=workload, estimates=estimates,
                          per_set_sigma=dict(predicted["per_set_sigma"]),
@@ -380,8 +385,9 @@ def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
     """Private estimates of a workload of shifted product queries.
 
     With the indicator-of-zero tables (the default of a workload
-    without phi) this is release_marginals, noise stream included.  A
-    given plan is checked as in release_marginals.
+    without phi) this is release_marginals up to the rounding of their
+    FFT (not exactly one from m = 89).  A given plan is checked as in
+    release_marginals.
     """
     return _run_release(dataset, normalize_weights(workload, p), mu,
                         sampler, plan, "product")

@@ -1,5 +1,7 @@
 """Shared strategies and adapters for the test suite."""
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -26,7 +28,6 @@ def set_families(draw, d, max_sets=3):
 
 
 def _combinations(pool, r):
-    import itertools
     return list(itertools.combinations(pool, r))
 
 
@@ -85,6 +86,20 @@ def releases(draw):
     names = draw(st.lists(st.text(max_size=4), min_size=universe.d,
                           max_size=universe.d, unique=True))
     return result, names
+
+
+def frequency_vectors(universe, members):
+    """All frequency vectors supported exactly on the given attributes:
+    a_j in 1 .. m_j - 1 for j in members and zero elsewhere, as tuples
+    in row-major order of the nonzero coordinates.  The per-frequency
+    enumerator the reference computations walk."""
+    members = tuple(members)
+    ranges = [range(1, universe.domain_sizes[j]) for j in members]
+    for nonzero in itertools.product(*ranges):
+        a = [0] * universe.d
+        for j, v in zip(members, nonzero):
+            a[j] = v
+        yield tuple(a)
 
 
 def workload_primitives(workload):

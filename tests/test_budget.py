@@ -298,6 +298,16 @@ class TestAccounting(unittest.TestCase):
             with self.assertRaises(budget.BudgetMismatch):
                 budget.plan_from_tau(mu, tau)
 
+    def test_released_rows_keep_positive_weights_in_order(self):
+        indices = np.array([[1, 0], [0, 2], [0, 0], [0, 1]])
+        tau = np.array([0.5, 0.0, 2.0, -0.0])
+        rows, kept = budget.released_rows(indices, tau)
+        self.assertEqual(rows.tolist(), [[0, 0], [1, 0]])
+        self.assertEqual(kept.tolist(), [2.0, 0.5])
+        plan = budget.plan_from_arrays(1.0, indices, tau)
+        self.assertEqual(plan.indices.tolist(), rows.tolist())
+        self.assertEqual(plan.tau.tolist(), kept.tolist())
+
     def test_document_shape(self):
         plan = budget.plan_from_tau(1.5, budget.tau_marginal(two_singletons()))
         doc = plan.to_document()

@@ -2,11 +2,15 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import locale
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -580,6 +584,15 @@ def test_missing_seed_exits_2(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    workload = write_json(tmp_path, PAIR_DOC)
+    rows = write_rows(tmp_path)
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed must be nonnegative" in err
+
+
 def test_unknown_attribute_exits_2(tmp_path, capsys):
     bad = {"attributes": [{"name": "a", "size": 2}],
            "sets": [{"attrs": ["zz"], "weight": 1.0}]}
@@ -785,6 +798,12 @@ def test_verify_constant_workload_passes_at_zero(tmp_path, capsys,
                                 "rownorm": 0.0}
     assert all(check["pass"] for check in doc["checks"])
     assert len(doc["checks"]) == (6 if objective == "max-variance" else 4)
+    # nothing is released, so there is no normalization to corrupt
+    code, out, err = run(capsys, "verify", "--workload", workload,
+                         "--objective", objective, "--corrupt-scale", "2")
+    assert code == 2 and out == ""
+    assert "no entry to mis-scale" in err
+    assert "Traceback" not in err
 
 
 def test_verify_max_variance_checks_row_norms(tmp_path, capsys):
@@ -901,3 +920,102 @@ def test_certificate_document_roundtrips_via_json(tmp_path, capsys):
     again = json.loads(json.dumps(doc, sort_keys=True))
     assert again == doc
     assert doc["residuals"]["lpl"] <= 1e-10
+
+
+# -------------------------------------------------------- seeded bytes
+
+# sha256 of the stdout of seeded commands and of the demos.  A change
+# that moves any of these bits must re-record the digests and list the
+# moved outputs, with the reason, in CHANGES.md.
+
+PRODUCT_DOC = {
+    "attributes": [{"name": "a", "size": 2}, {"name": "b", "size": 3}],
+    "sets": [{"attrs": ["a"], "weight": 0.4},
+             {"attrs": ["a", "b"], "weight": 0.6}],
+    "kind": "product",
+    "phi": {"a": [1, 0.5], "b": [0.5, 1, 0]},
+}
+
+PINNED_FIXTURES = {
+    "marginal": (PAIR_DOC, PAIR_ROWS),
+    "product": (PRODUCT_DOC, "a,b\n0,0\n1,2\n0,1\n1,1\n0,2\n1,0\n"),
+    "extended": (RANGE_DOC, "color,age\n0,0\n1,2\n0,1\n1,1\n0,2\n"),
+}
+
+PINNED_OUTPUTS = {
+    ("marginal", "release"):
+        "b8d9d04d6a0e24b1760bfb7315f8ac69485ff033eaa2d4c5619463490d09664a",
+    ("marginal", "release-csv"):
+        "63755c5d2e16e8b3fff659cfef0a62956fa117a17176df6f099d9e97ca552b04",
+    ("marginal", "predict-error"):
+        "afb7be2677626a5df7b8d22a3191ef03dcd361906dab23f4d6baa1f58e1b448c",
+    ("marginal", "verify"):
+        "db414547ba7f6217a6f811502d21a7bd8c598fe9ba70ff26aa1afd05120520f9",
+    ("marginal", "lower-bound"):
+        "41d81ec94deae5a56d2756c243f0cd337a54154af3df4f3a3d7329a23a99b537",
+    ("product", "release"):
+        "e1ac62027a6d65a5da9c0bc6e7b0212e03aa6269e3d059ad9da218eb089a29a7",
+    ("product", "release-csv"):
+        "984f2520afd5bd7afc3c3c06dd6896e8032fa35af18096e274fa5455f58d715f",
+    ("product", "predict-error"):
+        "cd116a0ce6144dba0f107e6dce1535be4c192745de6b497594f1fa6a7da9e991",
+    ("product", "verify"):
+        "74b1823eee963ea593100dec981b054304f431cbaf286abd77ac4722a6b32fc5",
+    ("product", "lower-bound"):
+        "b4e4e5d660420f377e4d4da47f67452cf73f26978f5a343b623f33434d87baba",
+    ("extended", "release"):
+        "5d93c4137d321dd7727f1076f64c89fea5d630bafada6e5a82509effcddd3b93",
+    ("extended", "release-csv"):
+        "080effbe927320744e844a0bd914b941c66a7d0cba254cfa9691b1a874e728f3",
+    ("extended", "predict-error"):
+        "ee8fbf89307efc6337402f33a440d46b9ab26b65eb351e2f05fd47458df21095",
+    ("extended", "verify"):
+        "08631afe6f9d6f4932f5f7303eee69bd3c62af01225994cc253349bcd3f12688",
+    ("extended", "lower-bound"):
+        "8e235218a63e3b168e33decd23439bc6f79ad203ccd579f41667b3c79c677723",
+}
+
+PINNED_DEMOS = {
+    "error_curves.py":
+        "01e2e52f3b777e3006cbf42dfb6f77dd7cc5b88b0f42b8e9d0c3d92c9b972aad",
+    "optimize_weights.py":
+        "12b2f5ab3a00baca89621b020e85d96cc9f79db8f1bb47e7cbd0f35de14d4ed4",
+    "range_queries.py":
+        "84a9d7c292c2fa2ba2c4ff5ca8b6d081b80abda1080d843394fe2d3d59246d20",
+    "release_marginals.py":
+        "1979bce609545a86e5beb1dcaf6ff66555a2ea81a7be3c36ff5274c34acd1c7c",
+    "smoothed_queries.py":
+        "06379d0bc4437035aab0d4c711327ca10a1f7b91c8e300abac949e870c7163b3",
+    "verify_factorization.py":
+        "00c28ebb4def7e0b26430b172eb7653a75720c55c670249c4599aa3b07dd23e1",
+}
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, command", sorted(PINNED_OUTPUTS))
+def test_seeded_output_bytes_are_pinned(tmp_path, capsys, kind, command):
+    doc, text = PINNED_FIXTURES[kind]
+    argv = [command, "--workload", write_json(tmp_path, doc)]
+    if command.startswith("release"):
+        argv = ["release", *argv[1:], "--dataset",
+                write_rows(tmp_path, text), "--seed", "11", "--mu", "0.7"]
+        if command == "release-csv":
+            argv += ["--format", "csv"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert _digest(out) == PINNED_OUTPUTS[kind, command]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMOS))
+def test_demo_output_bytes_are_pinned(name):
+    path = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(REPO / "demos" / name)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert _digest(done.stdout) == PINNED_DEMOS[name]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fourier_marginals import budget, core, factorization, fourier
 from fourier_marginals import mechanism, optimizer, oracle
 
-from conftest import workloads
+from conftest import frequency_vectors, workloads
 
 GOLDEN_PAIR_GAMMA = (1.0 + math.sqrt(2.0)) / 2.0
 
@@ -730,10 +730,8 @@ def test_property_builders_equal_loop_references(w):
     product, spectrum, _ = mechanism.as_product(w)
     universe = product.universe
     freqs = tuple(sorted(a for members in core.downward_closure(product)
-                         for a in fourier.frequency_vectors(universe,
-                                                            members)))
-    coeffs = spectrum.tables if spectrum is not None \
-        else tuple(np.ones(m) for m in universe.domain_sizes)
+                         for a in frequency_vectors(universe, members)))
+    coeffs = spectrum.tables
     rows, _ = factorization._row_index(product)
     assert np.array_equal(factorization._character_matrix(universe, freqs),
                           reference_character_matrix(universe, freqs))

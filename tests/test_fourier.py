@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fourier_marginals import core, fourier, oracle
 
-from conftest import datasets, universes
+from conftest import datasets, frequency_vectors, universes
 
 
 def character_matrix(universe):
@@ -367,7 +367,7 @@ def reconstruct_marginal_table(dataset, members, phi=None):
     indices = []
     for r in range(len(members) + 1):
         for sub in itertools.combinations(members, r):
-            indices.extend(fourier.frequency_vectors(u, sub))
+            indices.extend(frequency_vectors(u, sub))
     table = fourier.fourier_queries(dataset, indices)
     coeffs = np.zeros(sub_sizes, dtype=complex)
     if phi is not None:
@@ -415,8 +415,8 @@ def test_noiseless_reconstruction_equals_product_queries(data):
 
 def test_frequency_vectors_enumeration():
     u = core.build_universe([2, 3, 4])
-    vecs = list(fourier.frequency_vectors(u, (0, 2)))
+    vecs = list(frequency_vectors(u, (0, 2)))
     assert len(vecs) == (2 - 1) * (4 - 1)
     for a in vecs:
         assert a[1] == 0 and a[0] != 0 and a[2] != 0
-    assert list(fourier.frequency_vectors(u, ())) == [(0, 0, 0)]
+    assert list(frequency_vectors(u, ())) == [(0, 0, 0)]

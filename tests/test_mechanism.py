@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from fourier_marginals import (budget, core, factorization, fourier,
                                mechanism, oracle)
 
-from conftest import datasets, releases, set_families, universes, workloads
+from conftest import (datasets, frequency_vectors, releases, set_families,
+                      universes, workloads)
 
 
 def make_dataset(sizes, rows, kinds=None):
@@ -475,9 +476,9 @@ def test_product_rms_matches_enumerated_objective():
 # ------------------------------------- per-frequency reference, subset plan
 
 
-def reference_tau(workload, magnitudes=None):
+def reference_tau(workload, magnitudes):
     """tau_a frequency by frequency, summing over the sets for each
-    closure member; magnitudes None means plain marginals."""
+    closure member, with the tables |phi_hat_j| in magnitudes."""
     universe = workload.universe
     out = {}
     for members in core.downward_closure(workload):
@@ -485,17 +486,15 @@ def reference_tau(workload, magnitudes=None):
         for s, pS in zip(workload.sets, workload.weights):
             if pS > 0 and set(members).issubset(s):
                 off = 1.0
-                if magnitudes is not None:
-                    for j in s:
-                        if j not in members:
-                            off *= magnitudes[j][0] ** 2
+                for j in s:
+                    if j not in members:
+                        off *= magnitudes[j][0] ** 2
                 c += pS * off / universe.subuniverse_size(s) ** 2
         root = math.sqrt(c)
-        for a in fourier.frequency_vectors(universe, members):
+        for a in frequency_vectors(universe, members):
             scale = 1.0
-            if magnitudes is not None:
-                for j in members:
-                    scale *= magnitudes[j][a[j]]
+            for j in members:
+                scale *= magnitudes[j][a[j]]
             out[a] = scale * root
     return out
 
@@ -506,11 +505,10 @@ def reference_sigma(universe, members, tau_map, tau_total, magnitudes):
     total = 0.0
     for r in range(len(members) + 1):
         for sub in itertools.combinations(members, r):
-            for a in fourier.frequency_vectors(universe, sub):
+            for a in frequency_vectors(universe, sub):
                 num = 1.0
-                if magnitudes is not None:
-                    for j in members:
-                        num *= magnitudes[j][a[j]] ** 2
+                for j in members:
+                    num *= magnitudes[j][a[j]] ** 2
                 if num == 0.0:
                     continue
                 tau_a = tau_map.get(a, 0.0)
@@ -521,20 +519,28 @@ def reference_sigma(universe, members, tau_map, tau_total, magnitudes):
 
 
 def product_form(workload):
-    """(normalized product-form workload, |phi_hat| tables or None)."""
+    """(normalized product-form workload, its phi_hat tables): exact
+    ones for a marginal workload, the FFT of phi otherwise."""
     w = core.normalize_weights(workload)
     if w.kind == "extended":
         emb = mechanism.embed_extended(w.universe)
         w = core.Workload(universe=emb.embedded, sets=w.sets,
                           weights=w.weights, kind="product", phi=emb.phi)
     if w.kind == "marginal":
-        return w, None
-    spectrum = fourier.phi_spectrum(w.phi_tables())
-    return w, [np.abs(t) for t in spectrum.tables]
+        return w, [np.ones(m, dtype=complex)
+                   for m in w.universe.domain_sizes]
+    return w, list(fourier.phi_spectrum(w.phi_tables()).tables)
+
+
+def product_tau(product):
+    """budget's tau map of a product-form workload."""
+    return (budget.tau_marginal(product) if product.kind == "marginal"
+            else budget.tau_product(product))
 
 
 def reference_report(workload, mu):
-    w, magnitudes = product_form(workload)
+    w, tables = product_form(workload)
+    magnitudes = [np.abs(t) for t in tables]
     tau_map = reference_tau(w, magnitudes)
     tau_total = sum(tau_map.values()) / mu ** 2
     sigma = {s: reference_sigma(w.universe, s, tau_map, tau_total,
@@ -583,9 +589,8 @@ def test_subset_plan_matches_per_frequency_reference(w):
         assert_close(report["per_set_sigma"][s], sigma_ref[s])
     assert_close(report["max_sigma"], max(sigma_ref.values()))
     assert_close(report["weighted_rms"], rms_ref)
-    product, magnitudes = product_form(w)
-    tau = (budget.tau_marginal(product) if magnitudes is None
-           else budget.tau_product(product))
+    product, _ = product_form(w)
+    tau = product_tau(product)
     assert list(tau) == list(tau_ref)
     assert tau == tau_ref  # same arithmetic in the same order
     sizes = product.universe.domain_sizes
@@ -626,13 +631,64 @@ def test_release_sigma_equals_predicted_error(case):
     assert result.predicted == report
 
 
+def bad_targets(universe, members, kind):
+    """Targets of the set members that no release of this kind serves:
+    one value too many or too few, and per attribute a value past the
+    end, a fraction, and one below the lowest target (-1, or -m - 1 for
+    the suffixes of a numerical attribute of a range workload)."""
+    good = (0,) * len(members)
+    out = [good + (0,), good[1:]]
+    for i, j in enumerate(members):
+        m = universe.domain_sizes[j]
+        suffixes = kind == "extended" \
+            and universe.attribute_kind[j] == core.NUMERICAL
+        for t in (m, 0.5, -m - 1 if suffixes else -1):
+            out.append(good[:i] + (t,) + good[i + 1:])
+    return out
+
+
+@pytest.mark.parametrize("case", RELEASE_CASES, ids=lambda c: c[0])
+def test_estimate_rejects_bad_targets(case):
+    data, w, release = release_case(*case)
+    result = release(data, w, mu=0.8, sampler=None)
+    for members in w.sets:
+        assert math.isfinite(result.estimate(members, (0,) * len(members)))
+        for target in bad_targets(data.universe, members, case[0]):
+            with pytest.raises(core.AssignmentOutOfRange):
+                result.estimate(members, target)
+    outside = next(s for r in range(1, w.universe.d + 1)
+                   for s in itertools.combinations(range(w.universe.d), r)
+                   if s not in w.sets)
+    with pytest.raises(core.AssignmentOutOfRange):
+        result.estimate(outside, (0,) * len(outside))
+    if case[0] == "marginal":
+        # negative indices would read cells from the end of the table
+        with pytest.raises(core.AssignmentOutOfRange):
+            result.estimate((0, 1), (-1, -1))
+
+
+def test_marginal_product_form_has_exact_unit_spectrum():
+    u = core.build_universe([89, 2])
+    w = core.Workload(universe=u, sets=((0, 1),), weights=np.array([1.0]))
+    product, spectrum, embedding = mechanism.as_product(w)
+    assert product is w and embedding is None
+    assert spectrum.scaled == ()
+    for table, m in zip(spectrum.tables, u.domain_sizes):
+        assert table.shape == (m,) and (table == 1).all()
+    # the FFT of the indicator of zero is not exactly one at m = 89
+    indicator = fourier.phi_spectrum(w.phi_tables())
+    assert indicator.scaled == (0,)
+    for case in RELEASE_CASES:
+        product, spectrum, _ = mechanism.as_product(release_case(*case)[1])
+        assert [len(t) for t in spectrum.tables] \
+            == list(product.universe.domain_sizes)
+
+
 @pytest.mark.parametrize("case", RELEASE_CASES[:2], ids=lambda c: c[0])
 def test_planned_release_computes_no_tau(case, monkeypatch):
     data, w, release = release_case(*case)
     product, _ = product_form(w)
-    tau = (budget.tau_marginal(product) if product.kind == "marginal"
-           else budget.tau_product(product))
-    plan = budget.plan_from_tau(0.8, tau)
+    plan = budget.plan_from_tau(0.8, product_tau(product))
     expected = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
 
     def no_tau(self, roots):
@@ -721,8 +777,8 @@ def test_release_plan_equals_per_frequency_plan(w, mu):
     data = core.Dataset(universe=w.universe,
                         rows=np.zeros((1, w.universe.d), dtype=np.int64))
     plan = RELEASES[w.kind](data, w, mu=mu).plan
-    product, magnitudes = product_form(w)
-    tau = reference_tau(product, magnitudes)
+    product, tables = product_form(w)
+    tau = reference_tau(product, [np.abs(t) for t in tables])
     if not any(t > 0 for t in tau.values()):
         assert len(plan.indices) == 0 and plan.tau_total == 0.0
         return
@@ -737,9 +793,14 @@ def test_release_plan_equals_per_frequency_plan(w, mu):
 
 
 def test_releases_walk_no_frequency(monkeypatch):
+    # the package holds no per-frequency enumerator, and a release
+    # neither validates indices one by one nor builds per-frequency dicts
+    assert not hasattr(fourier, "frequency_vectors")
+
     def walk(*args):
         raise AssertionError("a frequency walk ran")
-    monkeypatch.setattr(fourier, "frequency_vectors", walk)
+    monkeypatch.setattr(fourier, "_validate_index", walk)
+    monkeypatch.setattr(budget.BudgetPlan, "_view", walk)
     for case in RELEASE_CASES:
         data, w, release = release_case(*case)
         result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
@@ -756,23 +817,25 @@ def test_releases_walk_no_frequency(monkeypatch):
 # ------------------------------- per-frequency reference, reconstruction
 
 
-def reference_reconstruct(universe, members, noisy, spectrum):
+def reference_reconstruct(universe, members, noisy, tables):
     """One set's table from {a: noisy F_a}, frequency by frequency over
     every support inside the set, each value scaled by prod_{j in S}
-    phi_hat_j(a_j) one axis at a time; spectrum None means marginals."""
+    phi_hat_j(a_j) one axis at a time, from the phi_hat tables; a table
+    of exact ones scales nothing."""
+    ones = {j for j, table in enumerate(tables) if (table == 1).all()}
     if not members:
         return np.array(noisy.get((0,) * universe.d, 0j).real)
     shape = universe.subdomain_sizes(members)
     coeffs = np.zeros(shape, dtype=complex)
     for r in range(len(members) + 1):
         for sub in itertools.combinations(members, r):
-            for a in fourier.frequency_vectors(universe, sub):
+            for a in frequency_vectors(universe, sub):
                 value = noisy.get(a)
                 if value is None:
                     continue
-                if spectrum is not None:
-                    for j in members:
-                        value = value * spectrum.tables[j][a[j]]
+                for j in members:
+                    if j not in ones:
+                        value = value * tables[j][a[j]]
                 coeffs[tuple(a[j] for j in members)] = value
     table = fourier.inverse_table(coeffs, expected_shape=shape)
     return np.real(table) / universe.subuniverse_size(members)
@@ -789,15 +852,12 @@ def test_reconstruction_matches_per_frequency_reference(w, data):
     mu = 1.3
     dataset = data.draw(datasets(w.universe, max_rows=8))
     seed = data.draw(st.none() | st.integers(0, 2 ** 32 - 1))
-    product, magnitudes = product_form(w)
-    spectrum = None if magnitudes is None \
-        else fourier.phi_spectrum(product.phi_tables())
+    product, tables = product_form(w)
     kwargs = {"mu": mu}
     if seed is not None:
         kwargs["sampler"] = budget.SeededSampler(seed)
     if w.kind != "extended" and data.draw(st.booleans()):
-        tau = (budget.tau_marginal(product) if spectrum is None
-               else budget.tau_product(product))
+        tau = product_tau(product)
         if any(t > 0 for t in tau.values()):
             kwargs["plan"] = budget.plan_from_tau(mu, tau)
     release = RELEASES[w.kind]
@@ -819,7 +879,7 @@ def test_reconstruction_matches_per_frequency_reference(w, data):
     noisy = dict(zip(order, values.tolist()))
     for s in w.sets:
         expected = reference_reconstruct(product.universe, s, noisy,
-                                         spectrum)
+                                         tables)
         assert result.estimates[s].shape == expected.shape
         assert result.estimates[s].tobytes() == expected.tobytes()
 
