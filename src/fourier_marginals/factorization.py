@@ -562,7 +562,9 @@ def _witness_plan(workload):
             f_tables.append(None)
     coeffs = tuple(np.ones(m) if f is None else f
                    for m, f in zip(universe.domain_sizes, f_tables))
-    plan = budget.subset_plan(workload, fourier.PhiSpectrum(tables=coeffs))
+    scaled = tuple(j for j, f in enumerate(f_tables) if f is not None)
+    plan = budget.subset_plan(
+        workload, fourier.PhiSpectrum(tables=coeffs, scaled=scaled))
     return plan, tuple(f_tables), coeffs
 
 

@@ -34,7 +34,6 @@ precision.
 All functions are pure; tables are immutable after construction.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,24 +73,19 @@ class FourierTable:
 class PhiSpectrum:
     """Per-attribute factor coefficients phi_hat_j(0 .. m_j - 1).
 
-    magnitudes holds the tables |phi_hat_j| and scaled the attributes
-    whose table is not exactly one everywhere, both computed once; a
-    product over attributes need only read the scaled ones.  Every
-    table is made read-only.
+    The table of every attribute outside scaled is exactly one
+    everywhere, so a product over attributes need only read the scaled
+    ones.  magnitudes maps each scaled attribute to its |phi_hat_j|,
+    computed once.
     """
 
     tables: tuple
-    magnitudes: tuple = field(init=False, repr=False)
-    scaled: tuple = field(init=False, repr=False)
+    scaled: tuple
+    magnitudes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        magnitudes = tuple(np.abs(table) for table in self.tables)
-        for table in self.tables + magnitudes:
-            table.flags.writeable = False
-        object.__setattr__(self, "magnitudes", magnitudes)
-        object.__setattr__(self, "scaled", tuple(
-            j for j, table in enumerate(self.tables)
-            if not (table == 1).all()))
+        object.__setattr__(self, "magnitudes", {
+            j: np.abs(self.tables[j]) for j in self.scaled})
 
 
 def _validate_index(universe, a):
@@ -259,19 +253,25 @@ def phi_spectrum(phi):
     phi gives one real table of length m_j per attribute; each table is
     transformed by a length-m_j FFT.  The indicator of zero maps to the
     all-ones spectrum up to rounding; plain marginals take the exact
-    unit_spectrum instead.
+    unit_spectrum instead.  The tables are read-only.
     """
-    return PhiSpectrum(tables=tuple(
-        np.fft.fft(np.asarray(values, dtype=float)) for values in phi))
+    tables = tuple(np.fft.fft(np.asarray(values, dtype=float))
+                   for values in phi)
+    for table in tables:
+        table.flags.writeable = False
+    return PhiSpectrum(tables=tables, scaled=tuple(
+        j for j, table in enumerate(tables) if not (table == 1).all()))
 
 
-@functools.lru_cache(maxsize=64)
 def unit_spectrum(sizes):
-    """The spectrum of plain marginals over a tuple of domain sizes:
-    exact ones, where phi_spectrum of the indicator of zero can round
-    away from 1 (first at m = 89).  One immutable object per sizes."""
-    return PhiSpectrum(tables=tuple(np.ones(m, dtype=complex)
-                                    for m in sizes))
+    """The spectrum of plain marginals over the domain sizes: exact
+    ones, where phi_spectrum of the indicator of zero can round away
+    from 1 (first at m = 89).  Attributes of one size share one
+    read-only table."""
+    ones = {m: np.ones(m, dtype=complex) for m in set(sizes)}
+    for table in ones.values():
+        table.flags.writeable = False
+    return PhiSpectrum(tables=tuple(ones[m] for m in sizes), scaled=())
 
 
 def inverse_table(coeffs, expected_shape=None):

@@ -205,13 +205,18 @@ class ReleaseResult:
         return self.estimates[tuple(sorted(members))]
 
     def estimate(self, members, target):
-        """The estimate of one target of one set of the workload; any
-        other set or target raises AssignmentOutOfRange."""
-        members, target = tuple(sorted(members)), tuple(target)
-        if members not in self.estimates or len(target) != len(members) \
+        """The estimate of one target of one set of the workload, target[i]
+        being the value of attribute members[i] in any order of members;
+        any other set or target raises AssignmentOutOfRange."""
+        members, target = tuple(members), tuple(target)
+        order = sorted(range(len(members)), key=members.__getitem__)
+        if tuple(sorted(members)) not in self.estimates \
+                or len(target) != len(members) \
                 or not all(isinstance(t, (int, np.integer)) for t in target):
             raise AssignmentOutOfRange(
                 f"the workload has no set {members} with target {target}")
+        members, target = (tuple(x[i] for i in order)
+                           for x in (members, target))
         if self.embedding is not None:
             target = self.embedding.embed_target(members, target)
         sizes = self.workload.universe.domain_sizes

@@ -656,6 +656,13 @@ def test_estimate_rejects_bad_targets(case):
         for target in bad_targets(data.universe, members, case[0]):
             with pytest.raises(core.AssignmentOutOfRange):
                 result.estimate(members, target)
+        # the target follows the members as given, sorted or not
+        top = tuple(data.universe.domain_sizes[j] - 1 for j in members)
+        assert result.estimate(members[::-1], top[::-1]) \
+            == result.estimate(members, top)
+        if len(set(top)) > 1:
+            with pytest.raises(core.AssignmentOutOfRange):
+                result.estimate(members[::-1], top)
     outside = next(s for r in range(1, w.universe.d + 1)
                    for s in itertools.combinations(range(w.universe.d), r)
                    if s not in w.sets)
