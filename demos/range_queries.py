@@ -47,6 +47,6 @@ print(f"\njoint query x0 = 1 and x1 >= 4: released {est:.1f}, exact {exact}")
 
 # the achieved error sits between a certified floor and the prediction
 lower = factorization.extended_lower_bound(workload)
-upper = mechanism.predicted_error(workload, kind="extended")["weighted_rms"]
+upper = mechanism.predicted_error(workload)["weighted_rms"]
 print(f"\nweighted RMS: certified floor {lower:.4f} <= "
       f"predicted {upper:.4f} (ratio {lower / upper:.3f})")

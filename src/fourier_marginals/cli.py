@@ -369,15 +369,8 @@ def cmd_release(config):
         solution = optimizer.optimize_pstar(workload, tol=config.tol)
         p = solution.p_star
     sampler = budget.SeededSampler(config.seed)
-    if workload.kind == "product":
-        result = mechanism.release_product(dataset, workload, p=p,
-                                           mu=config.mu, sampler=sampler)
-    elif workload.kind == "extended":
-        result = mechanism.release_extended(dataset, workload, p=p,
-                                            mu=config.mu, sampler=sampler)
-    else:
-        result = mechanism.release_marginals(dataset, workload, p=p,
-                                             mu=config.mu, sampler=sampler)
+    result = mechanism.release_product(dataset, workload, p=p, mu=config.mu,
+                                       sampler=sampler)
     doc = mechanism.release_skeleton(result, names=names)
     doc["meta"]["objective"] = config.objective
     doc["meta"]["value_maps"] = value_maps

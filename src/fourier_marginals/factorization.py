@@ -300,7 +300,7 @@ def _dense_matrix(workload):
     return _query_matrix(workload, circulant)
 
 
-def build_factorization(workload, p=None, kind=None, dense_cap=None):
+def build_factorization(workload, p=None, dense_cap=None):
     """Materialize L, R, E, and P for one weighted workload.
 
     Running the release with this pair is the same distribution as the
@@ -310,10 +310,8 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     weighted set pays for.  dense_cap overrides the default universe
     cap.
     """
-    w, spectrum, _ = mechanism.as_product(normalize_weights(workload, p),
-                                          kind)
+    w, structure, _ = mechanism.as_product(normalize_weights(workload, p))
     _check_dense_caps(w, dense_cap)
-    structure = budget.subset_plan(w, spectrum)
     roots = structure.roots(w.weights)
     mechanism._require_estimable(
         mechanism._error_report(structure, roots, 1.0)["per_set_sigma"])
@@ -322,7 +320,7 @@ def build_factorization(workload, p=None, kind=None, dense_cap=None):
     rows, P = _row_index(w)
     # W and LAPACK's copy of it are gone before U~ and V~ are allocated
     bound, cutoff = _trace_bound(w, P)
-    U = _coefficient_matrix(w, spectrum.tables, rows, indices)
+    U = _coefficient_matrix(w, structure.spectrum.tables, rows, indices)
     V = _character_matrix(w.universe, indices)
     # L and R are scaled in place in the builders' arrays
     L = np.divide(U, np.sqrt(E)[None, :], out=U)
@@ -430,12 +428,12 @@ def norm_report(fact):
                       rank_cutoff=fact.rank_cutoff)
 
 
-def svd_lower_bound(workload, p=None, kind=None, dense_cap=None):
+def svd_lower_bound(workload, p=None, dense_cap=None):
     """(1 / sqrt(|U|)) ||P^(1/2) W||_tr by dense SVD.
 
     Valid for every factorization of W, whatever mechanism produced it.
     """
-    w, _, _ = mechanism.as_product(normalize_weights(workload, p), kind)
+    w, _, _ = mechanism.as_product(normalize_weights(workload, p))
     _check_dense_caps(w, dense_cap)
     _, P = _row_index(w)
     return _trace_bound(w, P)[0]
@@ -500,32 +498,19 @@ def realify(fact, drop_redundant=False):
                              labels=labels)
 
 
-def tightness_certificate(fact, p=None, kind=None):
+def tightness_certificate(fact):
     """Numerical residuals of the exact-optimality conditions.
 
     lpl and rr check the diagonal identities L* P L = (sum tau)^2 E and
     R R* = |U| E; colnorm is the spread of the column norms of R, which
     the trace bound needs to be uniform; rownorm is how far the weighted
     rows of L fall short of the longest row, which vanishes exactly at
-    the optimizing weights.  p narrows the rownorm check to the sets it
-    supports; kind, when given, must agree with the factorization.
+    the optimizing weights, over the rows of the sets with weight.
     """
-    if kind is not None:
-        built = fact.workload.kind
-        if ("product" if kind == "extended" else kind) != built:
-            raise FourierMarginalsError(
-                f"factorization was built as {built!r}, not {kind!r}")
     lpl_residual, rr_residual = _gram_residuals(fact)
     col = _vector_norms(fact.R, axis=0)
     row = _vector_norms(fact.L, axis=1)
-    if p is None:
-        support = fact.P > 0
-    else:
-        p = np.asarray(p, dtype=float)
-        per_row = np.concatenate([
-            np.full(fact.workload.universe.subuniverse_size(s), pS)
-            for s, pS in zip(fact.workload.sets, p)])
-        support = per_row > 0
+    support = fact.P > 0
     rownorm = float(row.max() - row[support].min()) \
         if support.any() else float("inf")
     return {"lpl": lpl_residual, "rr": rr_residual,

@@ -31,8 +31,7 @@ closed form (1/mu) sum_a tau_a.  Both are evaluated per member of the
 downward closure, from a budget.SubsetPlan: sigma_S^2 = tau D_S and
 sum_a tau_a = sum_R G_R r_R, so predicted_error and the per-set sigma
 of a release cost O(sum_S 2^|S|) and never enumerate frequencies.
-Marginal, product and extended workloads all go through as_product,
-which hands back the product form the plan is built from.
+as_product hands back every workload's product form with that plan.
 
 Range queries over numerical attributes (prefixes t >= 0 counting
 x <= t, suffixes t < 0 counting x >= |t|) are handled by doubling each
@@ -110,6 +109,8 @@ class ExtendedEmbedding:
         for j, t in zip(members, target):
             m = self.original.domain_sizes[j]
             numerical = self.original.attribute_kind[j] == NUMERICAL
+            if not _is_index(t):
+                raise _bad_target(j, t)
             if numerical and -m <= t < 0:
                 out.append(m - 1 - t)
             elif 0 <= t < m:
@@ -139,6 +140,11 @@ def _bad_target(j, t):
     return AssignmentOutOfRange(f"target {t} invalid for attribute {j}")
 
 
+def _is_index(t):
+    # bools are integers to Python, but no target is True or False
+    return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+
+
 def embed_extended(universe, workload=None):
     """Build the doubled-domain embedding of range-marginal queries.
 
@@ -160,26 +166,27 @@ def embed_extended(universe, workload=None):
                              phi=tuple(phi))
 
 
-def as_product(workload, kind=None):
-    """Product form of a workload: (workload, spectrum, embedding).
+def as_product(workload):
+    """Product form of a workload: (workload, plan, embedding).
 
-    kind defaults to the workload's own.  Marginal workloads come back
-    unchanged with fourier.unit_spectrum; product workloads come with
-    the spectrum of their factor tables; extended workloads are replaced
-    by their doubled-domain product workload, returned with its
-    embedding.  Weights are carried over as given.
+    Marginal workloads come back unchanged, planned with
+    fourier.unit_spectrum; product workloads with the spectrum of their
+    factor tables; extended workloads are replaced by their
+    doubled-domain product workload, returned with its embedding.  plan
+    is the budget.SubsetPlan of the product form, its spectrum
+    plan.spectrum.  Weights are carried over as given.
     """
-    kind = kind or workload.kind
     embedding = None
-    if kind == "extended":
-        embedding = embed_extended(workload.universe)
-        workload = Workload(universe=embedding.embedded, sets=workload.sets,
-                            weights=workload.weights, kind="product",
-                            phi=embedding.phi)
-    elif kind != "product":
-        return (workload,
-                fourier.unit_spectrum(workload.universe.domain_sizes), None)
-    return workload, fourier.phi_spectrum(workload.phi_tables()), embedding
+    if workload.kind == "marginal":
+        spectrum = fourier.unit_spectrum(workload.universe.domain_sizes)
+    else:
+        if workload.kind == "extended":
+            embedding = embed_extended(workload.universe)
+            workload = Workload(universe=embedding.embedded,
+                                sets=workload.sets, weights=workload.weights,
+                                kind="product", phi=embedding.phi)
+        spectrum = fourier.phi_spectrum(workload.phi_tables())
+    return workload, budget.subset_plan(workload, spectrum), embedding
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +196,8 @@ class ReleaseResult:
     estimates maps each query set to a real table over its target
     domain (the doubled domain for range workloads; use estimate() to
     look up original targets).  per_set_sigma gives the exact per-query
-    noise deviation of each set, constant across its targets.
+    noise deviation of each set, constant across its targets.  kind is
+    the kind of the workload given; workload is its product form.
     """
 
     kind: str
@@ -202,7 +210,12 @@ class ReleaseResult:
     embedding: ExtendedEmbedding = None
 
     def table(self, members):
-        return self.estimates[tuple(sorted(members))]
+        """The table of one set of the workload, members in any order;
+        any other set raises AssignmentOutOfRange."""
+        key = tuple(sorted(members))
+        if key not in self.estimates:
+            raise AssignmentOutOfRange(f"the workload has no set {members}")
+        return self.estimates[key]
 
     def estimate(self, members, target):
         """The estimate of one target of one set of the workload, target[i]
@@ -212,7 +225,7 @@ class ReleaseResult:
         order = sorted(range(len(members)), key=members.__getitem__)
         if tuple(sorted(members)) not in self.estimates \
                 or len(target) != len(members) \
-                or not all(isinstance(t, (int, np.integer)) for t in target):
+                or not all(map(_is_index, target)):
             raise AssignmentOutOfRange(
                 f"the workload has no set {members} with target {target}")
         members, target = (tuple(x[i] for i in order)
@@ -329,15 +342,14 @@ def _reconstruct(structure, table, values):
     return dict(zip(sets, estimates))
 
 
-def _run_release(dataset, workload, mu, sampler, plan, kind):
-    """Release a workload with normalized weights as the given kind, in
-    the product form as_product gives it.  A given plan is checked
-    against that form and mu and used as it is; otherwise the plan is
-    made from the weights."""
-    workload, spectrum, embedding = as_product(workload, kind)
+def _run_release(dataset, workload, mu, sampler, plan):
+    """Release a workload with normalized weights in the product form
+    as_product gives it.  A given plan is checked against that form and
+    mu and used as it is; otherwise the plan is made from the weights."""
+    kind = workload.kind
+    workload, structure, embedding = as_product(workload)
     if embedding is not None:
         dataset = Dataset(universe=embedding.embedded, rows=dataset.rows)
-    structure = budget.subset_plan(workload, spectrum)
     roots = structure.roots(workload.weights)
     if plan is None:
         indices, tau = structure.frequencies(roots)
@@ -371,48 +383,43 @@ def _run_release(dataset, workload, mu, sampler, plan, kind):
                          embedding=embedding)
 
 
-def release_marginals(dataset, workload, p=None, mu=1.0, sampler=None,
-                      plan=None):
-    """Private estimates of every marginal table in the workload.
+def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
+                    plan=None):
+    """Private estimates of every table of a workload, of its own kind.
 
     Weights are normalized internally; every set of the workload is
     reconstructed, including zero-weight sets whose frequencies are
     already paid for.  sampler=None skips the noise (test mode).  A
     given plan is used as it is, after checks: it must be made for mu
-    and for this workload's weights, in any scale (BudgetMismatch).
+    and for this workload's weights, in any scale (BudgetMismatch).  A
+    product workload with the indicator-of-zero tables releases as the
+    marginal workload up to the rounding of their FFT (not exactly one
+    from m = 89).
     """
     return _run_release(dataset, normalize_weights(workload, p), mu,
-                        sampler, plan, "marginal")
+                        sampler, plan)
 
 
-def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
-                    plan=None):
-    """Private estimates of a workload of shifted product queries.
-
-    With the indicator-of-zero tables (the default of a workload
-    without phi) this is release_marginals up to the rounding of their
-    FFT (not exactly one from m = 89).  A given plan is checked as in
-    release_marginals.
-    """
-    return _run_release(dataset, normalize_weights(workload, p), mu,
-                        sampler, plan, "product")
+# one release for every kind, under the name of each
+release_marginals = release_product
 
 
 def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
     """Private estimates of equality/prefix/suffix range marginals.
 
-    Runs the product release on the doubled domain; the result's
-    estimate() accepts original targets (negative values select
-    suffixes).  The released tables cover every target of every set.
+    release_product without a plan.  An extended workload is released
+    on the doubled domain; the result's estimate() accepts original
+    targets (negative values select suffixes).  The released tables
+    cover every target of every set.
     """
     return _run_release(dataset, normalize_weights(workload, p), mu,
-                        sampler, None, "extended")
+                        sampler, None)
 
 
 def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     """Private estimates of all k-way marginals of a uniform domain.
 
-    A given plan is checked as in release_marginals.
+    A given plan is checked as in release_product.
     """
     universe = dataset.universe
     sizes = set(universe.domain_sizes)
@@ -425,10 +432,10 @@ def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     sets = tuple(itertools.combinations(range(d), k))
     workload = Workload(universe=universe, sets=sets,
                         weights=np.full(len(sets), 1.0 / len(sets)))
-    return _run_release(dataset, workload, mu, sampler, plan, "marginal")
+    return _run_release(dataset, workload, mu, sampler, plan)
 
 
-def predicted_error(workload, p=None, mu=1.0, kind=None):
+def predicted_error(workload, p=None, mu=1.0):
     """Closed-form error report, no sampling.
 
     Returns per-set noise deviations, the weighted root mean squared
@@ -436,8 +443,7 @@ def predicted_error(workload, p=None, mu=1.0, kind=None):
     Unestimable zero-weight sets are reported with sigma = inf instead
     of raising.  Costs O(sum_S 2^|S|), whatever the domain sizes.
     """
-    workload, spectrum, _ = as_product(normalize_weights(workload, p), kind)
-    structure = budget.subset_plan(workload, spectrum)
+    workload, structure, _ = as_product(normalize_weights(workload, p))
     return _error_report(structure, structure.roots(workload.weights), mu)
 
 

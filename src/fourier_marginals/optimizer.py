@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import budget, mechanism
+from . import mechanism
 from .core import FourierMarginalsError, normalize_weights
 
 # the inner sums r_R^2 stay at or above this during iteration; the
@@ -78,12 +78,6 @@ class WeightSolution:
 
     def as_map(self):
         return {s: float(v) for s, v in zip(self.sets, self.p_star)}
-
-
-def _plan(workload, kind):
-    """The budget.SubsetPlan of a workload's product form."""
-    workload, spectrum, _ = mechanism.as_product(workload, kind)
-    return budget.subset_plan(workload, spectrum)
 
 
 def _floored(plan, roots):
@@ -208,20 +202,19 @@ def _newton_polish(plan, p, tol, trace):
     return best
 
 
-def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
+def optimize_pstar(workload, tol=1e-8, max_iter=20000):
     """Maximize the weighted error over workload weights on the simplex.
 
-    kind defaults to the workload's own kind; the workload's weights
-    are ignored (they are the variable being solved for).  Raises
-    NoConvergence with the best iterate attached when the residual
-    fails to reach tol within max_iter accepted steps.
+    The workload's weights are ignored (they are the variable being
+    solved for).  Raises NoConvergence with the best iterate attached
+    when the residual fails to reach tol within max_iter accepted steps.
     """
     if tol <= 0:
         raise FourierMarginalsError(f"tol must be positive, got {tol}")
     if not workload.sets:
         raise FourierMarginalsError(
             "the workload has no sets, so it has no weights to optimize")
-    plan = _plan(workload, kind)
+    _, plan, _ = mechanism.as_product(workload)
     sets = plan.sets
     n = len(sets)
     p = np.full(n, 1.0 / n)
@@ -279,7 +272,7 @@ def optimize_pstar(workload, kind=None, tol=1e-8, max_iter=20000):
     raise NoConvergence(max_iter, best)
 
 
-def kkt_check(workload, p, kind=None):
+def kkt_check(workload, p):
     """First-order optimality report for given weights.
 
     residual is the largest amount by which some D_S exceeds a weighted
@@ -297,7 +290,7 @@ def kkt_check(workload, p, kind=None):
     p = np.maximum(p, 0.0)
     # the weights predicted_error reads: p scaled to sum to one
     weighted = normalize_weights(workload, p)
-    plan = _plan(weighted, kind)
+    _, plan, _ = mechanism.as_product(weighted)
     sets = plan.sets
     roots = plan.roots(weighted.weights)
     D = plan.derivatives(roots)

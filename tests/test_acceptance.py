@@ -21,6 +21,7 @@ import time
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from fourier_marginals import budget, core, factorization, fourier
 from fourier_marginals import mechanism, optimizer, oracle
@@ -86,6 +87,7 @@ def test_criterion_01_pair_workload_golden_values():
     assert np.abs(eigenvalues - np.array([0.0, 0.5, 0.5, 1.0])).max() <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_02_k_way_sigma_formula_and_simulation():
     """Per-query sigma matches the closed form and simulated deviation."""
     for d in range(1, 7):
@@ -189,7 +191,7 @@ def test_criterion_07_prefix_attribute_error_curve():
     for m in range(2, 1025):
         w = make_workload((m,), [(0,)], kinds=("numerical",),
                           kind="extended")
-        rms = mechanism.predicted_error(w, kind="extended")["weighted_rms"]
+        rms = mechanism.predicted_error(w)["weighted_rms"]
         assert abs(rms - 0.5 * (1.0 + mechanism.eta(m))) <= 1e-10
     deviations = [mechanism.eta(m) - math.log(m) / math.pi
                   for m in range(2, 10_001)]
@@ -226,12 +228,13 @@ def test_criterion_08_range_embedding_and_bound_sandwich():
                           kind="extended",
                           kinds=(core.CATEGORICAL, core.NUMERICAL))
         lower = factorization.extended_lower_bound(w)
-        upper = mechanism.predicted_error(w, kind="extended")["weighted_rms"]
+        upper = mechanism.predicted_error(w)["weighted_rms"]
         assert lower <= upper + 1e-12
         ratios.append(lower / upper)
     assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
 
+@pytest.mark.slow
 def test_criterion_09_statistical_suite():
     """Unbiasedness, variance match, and normality on three workloads."""
     trials = 100_000
@@ -272,7 +275,7 @@ def test_criterion_09_statistical_suite():
                 return np.concatenate([out.estimates[s].ravel()
                                        for s in w.sets])
 
-            predicted = mechanism.predicted_error(w, kind="extended")
+            predicted = mechanism.predicted_error(w)
             sizes_of = mechanism.embed_extended(w.universe).target_count
         else:
             den = oracle.dense_workload(w.universe.domain_sizes, w.sets,

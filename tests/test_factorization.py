@@ -319,12 +319,6 @@ def test_tightness_row_gap_away_from_optimum():
     assert residuals["rownorm"] > 1e-3
 
 
-def test_tightness_kind_mismatch_rejected():
-    fact = factorization.build_factorization(two_singletons())
-    with pytest.raises(core.FourierMarginalsError):
-        factorization.tightness_certificate(fact, kind="product")
-
-
 # ------------------------------------------------- blocks and memory
 
 
@@ -347,6 +341,10 @@ def _dense_certify_workload():
 ], ids=["marginal", "product", "extended"])
 def test_blocked_norms_and_residuals_equal_whole_matrices(w, monkeypatch):
     fact = factorization.build_factorization(w)
+    # the pair, its workload and its bound all come from w's own kind
+    assert np.abs(fact.L @ fact.R
+                  - factorization._dense_matrix(fact.workload)).max() <= 1e-9
+    assert fact.trace_bound == factorization.svd_lower_bound(w)
     monkeypatch.setattr(factorization, "BLOCK", 16)
     assert len(factorization._blocks(len(fact.freqs))) >= 3
     col = np.linalg.norm(fact.R, axis=0)
@@ -456,7 +454,7 @@ def test_range_bound_below_release_error_and_ratio_grows():
         w = make_workload((m,), [(0,)], kind="extended",
                           kinds=("numerical",))
         lower = factorization.extended_lower_bound(w)
-        upper = mechanism.predicted_error(w, kind="extended")["weighted_rms"]
+        upper = mechanism.predicted_error(w)["weighted_rms"]
         assert lower <= upper + 1e-12
         ratios.append(lower / upper)
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -727,11 +725,11 @@ def builder_workloads(draw):
 @given(builder_workloads())
 def test_property_builders_equal_loop_references(w):
     w = core.normalize_weights(w)
-    product, spectrum, _ = mechanism.as_product(w)
+    product, plan, _ = mechanism.as_product(w)
     universe = product.universe
     freqs = tuple(sorted(a for members in core.downward_closure(product)
                          for a in frequency_vectors(universe, members)))
-    coeffs = spectrum.tables
+    coeffs = plan.spectrum.tables
     rows, _ = factorization._row_index(product)
     assert np.array_equal(factorization._character_matrix(universe, freqs),
                           reference_character_matrix(universe, freqs))

@@ -210,8 +210,9 @@ def test_indicator_product_identical_to_marginals():
     seed = 21
     a = mechanism.release_marginals(data, w, mu=1.1,
                                     sampler=budget.SeededSampler(seed))
-    b = mechanism.release_product(data, w, mu=1.1,
-                                  sampler=budget.SeededSampler(seed))
+    # the product side takes the indicator tables of a product workload
+    b = mechanism.release_product(data, dataclasses.replace(w, kind="product"),
+                                  mu=1.1, sampler=budget.SeededSampler(seed))
     for members in w.sets:
         np.testing.assert_array_equal(a.estimates[members],
                                       b.estimates[members])
@@ -254,14 +255,18 @@ def test_noiseless_product_release_matches_dense_reference():
     phi = ((1.0, 0.5, 0.0), (1.0, 1.0, 0.0, -1.0))
     w = core.Workload(universe=u, sets=((0,), (0, 1)),
                       weights=np.array([0.5, 0.5]), kind="product", phi=phi)
-    result = mechanism.release_product(data, w, mu=1.0, sampler=None)
     dw = oracle.dense_workload(u.domain_sizes, w.sets, w.weights,
                                kind="product", phi=[list(t) for t in phi],
                                data_rows=[tuple(r) for r in data.rows])
     answers = dw.W @ dw.h
-    for (members, target), value in zip(dw.rows, answers):
-        assert result.estimate(members, target) == pytest.approx(
-            value, abs=1e-9)
+    # every release function honours the factor tables of the workload
+    for release in (mechanism.release_product, mechanism.release_marginals,
+                    mechanism.release_extended):
+        result = release(data, w, mu=1.0, sampler=None)
+        assert result.kind == "product"
+        for (members, target), value in zip(dw.rows, answers):
+            assert result.estimate(members, target) == pytest.approx(
+                value, abs=1e-9)
 
 
 # ---------------------------------------------------------------- extended
@@ -286,6 +291,15 @@ def test_embedding_prefix_and_suffix_by_brute_force():
         for x in range(3):
             truth = (x <= t) if t >= 0 else (x >= -t)
             assert phi[(t_emb - x) % 6] == float(truth)
+
+
+@pytest.mark.parametrize("kind", [core.NUMERICAL, core.CATEGORICAL])
+def test_embedding_rejects_targets_that_are_not_integers(kind):
+    emb = mechanism.embed_extended(core.build_universe([3], [kind]))
+    assert emb.embed_target((0,), (np.int64(1),)) == (1,)
+    for t in (1.5, 1.0, True, "1"):
+        with pytest.raises(core.AssignmentOutOfRange):
+            emb.embed_target((0,), (t,))
 
 
 def test_embedding_target_map_is_bijection():
@@ -359,7 +373,8 @@ def test_categorical_only_extended_degenerates_to_marginal():
     w = core.Workload(universe=u, sets=((0,), (0, 1)),
                       weights=np.array([0.4, 0.6]))
     plain = mechanism.predicted_error(w, mu=1.0)
-    ext = mechanism.predicted_error(w, mu=1.0, kind="extended")
+    ext = mechanism.predicted_error(dataclasses.replace(w, kind="extended"),
+                                    mu=1.0)
     assert ext["weighted_rms"] == pytest.approx(plain["weighted_rms"],
                                                 rel=1e-12)
     for members in w.sets:
@@ -623,6 +638,26 @@ def release_case(kind, sizes, kinds, sets, weights):
 
 
 @pytest.mark.parametrize("case", RELEASE_CASES, ids=lambda c: c[0])
+def test_every_release_function_releases_the_workloads_own_kind(case):
+    data, w, _ = release_case(*case)
+    results = [release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
+               for release in (mechanism.release_marginals,
+                               mechanism.release_product,
+                               mechanism.release_extended)]
+    first = results[0]
+    assert first.kind == w.kind
+    for result in results[1:]:
+        assert result.kind == w.kind
+        for s in w.sets:
+            np.testing.assert_array_equal(result.estimates[s],
+                                          first.estimates[s])
+        assert result.per_set_sigma == first.per_set_sigma
+        for name in ("indices", "tau", "variance", "share"):
+            assert getattr(result.plan, name).tobytes() \
+                == getattr(first.plan, name).tobytes()
+
+
+@pytest.mark.parametrize("case", RELEASE_CASES, ids=lambda c: c[0])
 def test_release_sigma_equals_predicted_error(case):
     data, w, release = release_case(*case)
     result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
@@ -634,15 +669,16 @@ def test_release_sigma_equals_predicted_error(case):
 def bad_targets(universe, members, kind):
     """Targets of the set members that no release of this kind serves:
     one value too many or too few, and per attribute a value past the
-    end, a fraction, and one below the lowest target (-1, or -m - 1 for
-    the suffixes of a numerical attribute of a range workload)."""
+    end, a fraction, a bool, and one below the lowest target (-1, or
+    -m - 1 for the suffixes of a numerical attribute of a range
+    workload)."""
     good = (0,) * len(members)
     out = [good + (0,), good[1:]]
     for i, j in enumerate(members):
         m = universe.domain_sizes[j]
         suffixes = kind == "extended" \
             and universe.attribute_kind[j] == core.NUMERICAL
-        for t in (m, 0.5, -m - 1 if suffixes else -1):
+        for t in (m, 0.5, True, -m - 1 if suffixes else -1):
             out.append(good[:i] + (t,) + good[i + 1:])
     return out
 
@@ -668,6 +704,8 @@ def test_estimate_rejects_bad_targets(case):
                    if s not in w.sets)
     with pytest.raises(core.AssignmentOutOfRange):
         result.estimate(outside, (0,) * len(outside))
+    with pytest.raises(core.AssignmentOutOfRange):
+        result.table(outside)
     if case[0] == "marginal":
         # negative indices would read cells from the end of the table
         with pytest.raises(core.AssignmentOutOfRange):
@@ -677,7 +715,8 @@ def test_estimate_rejects_bad_targets(case):
 def test_marginal_product_form_has_exact_unit_spectrum():
     u = core.build_universe([89, 2])
     w = core.Workload(universe=u, sets=((0, 1),), weights=np.array([1.0]))
-    product, spectrum, embedding = mechanism.as_product(w)
+    product, plan, embedding = mechanism.as_product(w)
+    spectrum = plan.spectrum
     assert product is w and embedding is None
     assert spectrum.scaled == ()
     for table, m in zip(spectrum.tables, u.domain_sizes):
@@ -686,8 +725,8 @@ def test_marginal_product_form_has_exact_unit_spectrum():
     indicator = fourier.phi_spectrum(w.phi_tables())
     assert indicator.scaled == (0,)
     for case in RELEASE_CASES:
-        product, spectrum, _ = mechanism.as_product(release_case(*case)[1])
-        assert [len(t) for t in spectrum.tables] \
+        product, plan, _ = mechanism.as_product(release_case(*case)[1])
+        assert [len(t) for t in plan.spectrum.tables] \
             == list(product.universe.domain_sizes)
 
 

@@ -1,5 +1,6 @@
 """Worst-case weight solver checks against analytic and grid answers."""
 
+import dataclasses
 import itertools
 import math
 import unittest
@@ -7,8 +8,7 @@ import unittest.mock
 
 import numpy as np
 
-from fourier_marginals import (budget, core, fourier, mechanism,
-                               optimizer, oracle)
+from fourier_marginals import core, fourier, mechanism, optimizer, oracle
 
 
 def workload(sizes, sets, kinds=None, kind="marginal", phi=None):
@@ -223,7 +223,8 @@ class ExtendedAndDegenerate(unittest.TestCase):
     def test_extended_on_categorical_equals_marginal(self):
         w = workload((3, 2), ((0,), (0, 1)))
         plain = optimizer.optimize_pstar(w)
-        ext = optimizer.optimize_pstar(w, kind="extended")
+        ext = optimizer.optimize_pstar(dataclasses.replace(w,
+                                                           kind="extended"))
         np.testing.assert_allclose(ext.p_star, plain.p_star, atol=1e-9)
         self.assertAlmostEqual(ext.objective, plain.objective, delta=1e-12)
 
@@ -235,9 +236,9 @@ class ExtendedAndDegenerate(unittest.TestCase):
         self.assertEqual(sol.kkt_residual, 0.0)
 
 
-def reference_structure(workload, kind):
+def reference_structure(workload):
     """members, G, C and active by a double loop over members and sets."""
-    kind = kind or workload.kind
+    kind = workload.kind
     universe = workload.universe
     if kind == "extended":
         embedding = mechanism.embed_extended(universe)
@@ -349,7 +350,7 @@ def reference_newton(G, C, active, p, tol):
 def reference_optimize_pstar(workload, tol=1e-8, max_iter=20000):
     """The dense members-by-sets solver: (p*, objective, residual,
     iterations), by the same steps as optimizer.optimize_pstar."""
-    _, sets, G, C, active = reference_structure(workload, None)
+    _, sets, G, C, active = reference_structure(workload)
     p = np.full(len(sets), 1.0 / len(sets))
     step = 1.0
     for it in range(max_iter + 1):
@@ -413,8 +414,8 @@ class StructureFromSubsetPlan(unittest.TestCase):
         # the plan's pairs, scattered to dense, are the double loop's C;
         # its needed pairs are C's entries with G > 0
         for w in self.CASES:
-            plan = optimizer._plan(w, None)
-            members, sets, G, C, active = reference_structure(w, None)
+            _, plan, _ = mechanism.as_product(w)
+            members, sets, G, C, active = reference_structure(w)
             self.assertEqual(list(plan.members), members)
             self.assertEqual(plan.sets, sets)
             np.testing.assert_array_equal(plan.gains, G)
@@ -451,8 +452,7 @@ class StructureFromSubsetPlan(unittest.TestCase):
             p = rng.dirichlet(np.ones(len(w.sets)))
             report = optimizer.kkt_check(w, p)
             weighted = core.normalize_weights(w, p)
-            product, spectrum, _ = mechanism.as_product(weighted)
-            plan = budget.subset_plan(product, spectrum)
+            product, plan, _ = mechanism.as_product(weighted)
             D = plan.derivatives(plan.roots(product.weights))
             self.assertEqual(list(report["derivatives"].values()),
                              D.tolist())
@@ -466,8 +466,8 @@ class StructureFromSubsetPlan(unittest.TestCase):
         sets = tuple(s for r in (2, 3)
                      for s in itertools.combinations(range(8), r))
         w = workload((2, 3, 2, 4, 3, 2, 3, 2), sets)
-        plan = optimizer._plan(w, None)
-        _, _, G, C, active = reference_structure(w, None)
+        _, plan, _ = mechanism.as_product(w)
+        _, _, G, C, active = reference_structure(w)
         p = np.random.default_rng(3).uniform(0.5, 1.5, len(sets))
         p /= p.sum()
         roots = plan.roots(p)
