@@ -31,7 +31,8 @@ closed form (1/mu) sum_a tau_a.  Both are evaluated per member of the
 downward closure, from a budget.SubsetPlan: sigma_S^2 = tau D_S and
 sum_a tau_a = sum_R G_R r_R, so predicted_error and the per-set sigma
 of a release cost O(sum_S 2^|S|) and never enumerate frequencies.
-as_product hands back every workload's product form with that plan.
+as_product hands back every workload's product form with that plan;
+product_form gives the same form without planning.
 
 Range queries over numerical attributes (prefixes t >= 0 counting
 x <= t, suffixes t < 0 counting x >= |t|) are handled by doubling each
@@ -145,7 +146,7 @@ def _is_index(t):
     return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
 
 
-def embed_extended(universe, workload=None):
+def embed_extended(universe):
     """Build the doubled-domain embedding of range-marginal queries.
 
     A categorical-only universe embeds as itself.  The returned phi
@@ -166,25 +167,34 @@ def embed_extended(universe, workload=None):
                              phi=tuple(phi))
 
 
-def as_product(workload):
-    """Product form of a workload: (workload, plan, embedding).
+def product_form(workload):
+    """Product form of a workload, unplanned: (workload, embedding).
 
-    Marginal workloads come back unchanged, planned with
-    fourier.unit_spectrum; product workloads with the spectrum of their
-    factor tables; extended workloads are replaced by their
-    doubled-domain product workload, returned with its embedding.  plan
-    is the budget.SubsetPlan of the product form, its spectrum
-    plan.spectrum.  Weights are carried over as given.
+    Marginal and product workloads come back unchanged, with embedding
+    None; extended workloads are replaced by their doubled-domain
+    product workload, returned with its embedding.  Weights are carried
+    over as given.  A product form is its own product form.
     """
-    embedding = None
+    if workload.kind != "extended":
+        return workload, None
+    embedding = embed_extended(workload.universe)
+    return Workload(universe=embedding.embedded, sets=workload.sets,
+                    weights=workload.weights, kind="product",
+                    phi=embedding.phi), embedding
+
+
+def as_product(workload):
+    """Product form of a workload, planned: (workload, plan, embedding).
+
+    workload and embedding are product_form's; plan is the
+    budget.SubsetPlan of the product form, its spectrum plan.spectrum:
+    fourier.unit_spectrum for marginal workloads, the spectrum of the
+    factor tables otherwise.
+    """
+    workload, embedding = product_form(workload)
     if workload.kind == "marginal":
         spectrum = fourier.unit_spectrum(workload.universe.domain_sizes)
     else:
-        if workload.kind == "extended":
-            embedding = embed_extended(workload.universe)
-            workload = Workload(universe=embedding.embedded,
-                                sets=workload.sets, weights=workload.weights,
-                                kind="product", phi=embedding.phi)
         spectrum = fourier.phi_spectrum(workload.phi_tables())
     return workload, budget.subset_plan(workload, spectrum), embedding
 

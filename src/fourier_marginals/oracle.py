@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import stats
 
 
 MAX_UNIVERSE = 4096
@@ -338,6 +337,9 @@ def monte_carlo(release_fn, truth, trials, seed, sigma=None):
     sigma when given, otherwise by their sample deviation; queries with
     zero deviation get NaN KS entries.
     """
+    # scipy is needed here only, so the package imports without it
+    from scipy import stats
+
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     truth = np.asarray(truth, dtype=float)

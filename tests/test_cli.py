@@ -950,9 +950,9 @@ PINNED_OUTPUTS = {
     ("marginal", "predict-error"):
         "afb7be2677626a5df7b8d22a3191ef03dcd361906dab23f4d6baa1f58e1b448c",
     ("marginal", "verify"):
-        "db414547ba7f6217a6f811502d21a7bd8c598fe9ba70ff26aa1afd05120520f9",
+        "9f05c0eaef4d87537f21b10f0b8283fc54a09741798380a796d280c9ac7c3512",
     ("marginal", "lower-bound"):
-        "41d81ec94deae5a56d2756c243f0cd337a54154af3df4f3a3d7329a23a99b537",
+        "645ad091e1aacbe8449396c04093d4aec098759b766153534a62804d4e5ad5bd",
     ("product", "release"):
         "e1ac62027a6d65a5da9c0bc6e7b0212e03aa6269e3d059ad9da218eb089a29a7",
     ("product", "release-csv"):
@@ -960,9 +960,9 @@ PINNED_OUTPUTS = {
     ("product", "predict-error"):
         "cd116a0ce6144dba0f107e6dce1535be4c192745de6b497594f1fa6a7da9e991",
     ("product", "verify"):
-        "74b1823eee963ea593100dec981b054304f431cbaf286abd77ac4722a6b32fc5",
+        "71c126b0a978d6068ca5ceb9474a1a06db0a82211789552fcf37c556a3da7da3",
     ("product", "lower-bound"):
-        "b4e4e5d660420f377e4d4da47f67452cf73f26978f5a343b623f33434d87baba",
+        "eb4775976bb7daae28e41e7d3ed869358d7a8a8896067135ae4c8ab2301ea7aa",
     ("extended", "release"):
         "5d93c4137d321dd7727f1076f64c89fea5d630bafada6e5a82509effcddd3b93",
     ("extended", "release-csv"):
@@ -970,7 +970,7 @@ PINNED_OUTPUTS = {
     ("extended", "predict-error"):
         "ee8fbf89307efc6337402f33a440d46b9ab26b65eb351e2f05fd47458df21095",
     ("extended", "verify"):
-        "08631afe6f9d6f4932f5f7303eee69bd3c62af01225994cc253349bcd3f12688",
+        "de3455f274d8a708361e21ba4e23302876bfbd54c0f46e79b5da2ed052fcb47e",
     ("extended", "lower-bound"):
         "8e235218a63e3b168e33decd23439bc6f79ad203ccd579f41667b3c79c677723",
 }
@@ -1019,3 +1019,23 @@ def test_demo_output_bytes_are_pinned(name):
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert _digest(done.stdout) == PINNED_DEMOS[name]
+
+
+def test_cli_and_oracle_import_without_scipy(tmp_path, capsys):
+    workload = write_json(tmp_path, PAIR_DOC)
+    code, expected, err = run(capsys, "predict-error", "--workload",
+                              workload)
+    assert code == 0, err
+    path = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    # a None entry in sys.modules makes every scipy import fail
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from fourier_marginals import cli, oracle\n"
+              "oracle.dense_workload((2,), [(0,)], [1.0])\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = subprocess.run([sys.executable, "-c", script, "predict-error",
+                           "--workload", workload], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -115,7 +115,7 @@ def test_uncovered_zero_weight_set_rejected(sets, kind, phi, rejected):
         return
     fact = factorization.build_factorization(w)
     assert np.abs(fact.L @ fact.R
-                  - factorization._dense_matrix(fact.workload)).max() < 1e-9
+                  - reference_dense_matrix(fact.workload)).max() < 1e-9
     data = core.Dataset(universe=w.universe, rows=np.array([[1, 2], [0, 1]]))
     mechanism.release_product(data, w, sampler=budget.SeededSampler(3))
 
@@ -343,7 +343,7 @@ def test_blocked_norms_and_residuals_equal_whole_matrices(w, monkeypatch):
     fact = factorization.build_factorization(w)
     # the pair, its workload and its bound all come from w's own kind
     assert np.abs(fact.L @ fact.R
-                  - factorization._dense_matrix(fact.workload)).max() <= 1e-9
+                  - reference_dense_matrix(fact.workload)).max() <= 1e-9
     assert fact.trace_bound == factorization.svd_lower_bound(w)
     monkeypatch.setattr(factorization, "BLOCK", 16)
     assert len(factorization._blocks(len(fact.freqs))) >= 3
@@ -736,8 +736,6 @@ def test_property_builders_equal_loop_references(w):
     assert np.array_equal(
         factorization._coefficient_matrix(product, coeffs, rows, freqs),
         reference_coefficient_matrix(product, coeffs, rows, freqs))
-    assert np.array_equal(factorization._dense_matrix(product),
-                          reference_dense_matrix(product))
     assert np.array_equal(factorization._prefix_matrix(w),
                           reference_prefix_matrix(w))
     try:
@@ -777,3 +775,57 @@ def test_property_range_bound_equals_double_sum(w):
     value = factorization.extended_lower_bound(w)
     reference = reference_extended_closed_form(core.normalize_weights(w))
     assert math.isclose(value, reference, rel_tol=1e-13)
+
+
+def full_svd_trace_bound(product):
+    """(1 / sqrt(|U|)) ||P^(1/2) W||_tr of a product form from the
+    oracle's dense W, by the SVD of the whole matrix."""
+    kwargs = {} if product.kind == "marginal" else {
+        "kind": "product", "phi": product.phi_tables()}
+    den = dense_oracle(product, **kwargs)
+    values = np.linalg.svd(np.sqrt(den.P)[:, None] * den.W,
+                           compute_uv=False)
+    kept = values[values >= factorization.RANK_CUTOFF * values[0]]
+    return float(kept.sum()) / math.sqrt(product.universe.size), den
+
+
+@settings(deadline=None, max_examples=80)
+@given(builder_workloads())
+def test_property_projected_bound_equals_full_svd(w):
+    product, _ = mechanism.product_form(core.normalize_weights(w))
+    reference, den = full_svd_trace_bound(product)
+    got = factorization.svd_lower_bound(w)
+    assert abs(got - reference) <= 1e-12 * reference
+    # a projection never raises the trace norm
+    assert got <= reference * (1 + 1e-13)
+    # tight: Q Q* fixes every weighted row, so M M* = P^(1/2) W W* P^(1/2)
+    # over the rows of the sets with weight
+    M = factorization._projected_matrix(product)
+    A = (np.sqrt(den.P)[:, None] * den.W)[den.P > 0]
+    assert M.shape[1] <= product.universe.size
+    assert np.abs(M @ M.T - A @ A.T).max() <= 1e-12 * np.abs(A @ A.T).max()
+
+
+def test_projected_matrix_of_the_dense_certify_shape():
+    # the closure of all 2- and 3-way sets of 5 size-4 attributes spans
+    # 1 + 5 * 3 + 10 * 9 + 10 * 27 = 376 of the 1,024 columns of W
+    w = core.normalize_weights(_dense_certify_workload())
+    assert w.universe.size == 1024
+    assert factorization._projected_matrix(w).shape == (800, 376)
+    reference, _ = full_svd_trace_bound(w)
+    assert math.isclose(factorization.svd_lower_bound(w), reference,
+                        rel_tol=1e-13)
+
+
+def test_certificates_plan_nothing_past_the_caps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(budget, "subset_plan", refuse)
+    w = make_workload((8, 8), [(0, 1)])
+    for certify in (factorization.build_factorization,
+                    factorization.svd_lower_bound):
+        with pytest.raises(factorization.DenseTooLarge):
+            certify(w, dense_cap=32)
+    # svd_lower_bound plans nothing within the caps either
+    assert factorization.svd_lower_bound(w) > 0

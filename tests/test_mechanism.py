@@ -730,6 +730,26 @@ def test_marginal_product_form_has_exact_unit_spectrum():
             == list(product.universe.domain_sizes)
 
 
+@pytest.mark.parametrize("case", RELEASE_CASES, ids=lambda c: c[0])
+def test_product_form_is_as_product_unplanned(case, monkeypatch):
+    w = release_case(*case)[1]
+    planned, _, planned_embedding = mechanism.as_product(w)
+
+    def refuse(*args):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(budget, "subset_plan", refuse)
+    product, embedding = mechanism.product_form(w)
+    assert product.kind == planned.kind
+    assert product.universe == planned.universe
+    assert product.sets == planned.sets and product.phi == planned.phi
+    assert np.array_equal(product.weights, planned.weights)
+    assert (embedding is None) == (planned_embedding is None)
+    # a product form is its own product form
+    again, none = mechanism.product_form(product)
+    assert again is product and none is None
+
+
 @pytest.mark.parametrize("case", RELEASE_CASES[:2], ids=lambda c: c[0])
 def test_planned_release_computes_no_tau(case, monkeypatch):
     data, w, release = release_case(*case)
