@@ -19,9 +19,9 @@ An output path that cannot be written is an unusable flag.  The only
 environment variable consulted is FOURIER_MARGINALS_LOG, which sets
 the log level.
 
-Exit codes: 0 success, 2 unusable flags or input files, 3 a requested
-set cannot be estimated, 4 the weight optimizer did not converge,
-5 a certificate check failed.
+Exit codes: 0 success, 2 unusable flags or input files, or an instance
+past the dense or release caps, 3 a requested set cannot be estimated,
+4 the weight optimizer did not converge, 5 a certificate check failed.
 """
 
 import argparse

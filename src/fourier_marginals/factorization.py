@@ -16,15 +16,21 @@ sqrt(|U|) tau_a.  Three certificates follow:
 
   * the trace-norm bound (1 / sqrt(|U|)) ||P^(1/2) W||_tr equals
     ||P^(1/2) L||_F ||R||_{1->2}, so no factorization has smaller
-    weighted error.  It is computed by a dense SVD of M = P^(1/2) W Q,
-    where the orthonormal columns of Q are Kronecker products of
-    per-attribute bases, one block per member of the downward closure
-    of the weighted sets.  A projection never raises a trace norm, so
-    the value is a lower bound whatever Q is (sound); every weighted
-    row of W lies in the range of Q, so no singular value is lost
-    (tight).  M has sum_R prod_{j in R} (m_j - 1) columns against the
-    |U| of W: 376 against 1,024 for all 2- and 3-way sets of five
-    size-4 attributes;
+    weighted error.  It is read off M = P^(1/2) W Q, where the
+    orthonormal columns of Q are Kronecker products of per-attribute
+    bases, one block Q_R per member R of the downward closure of the
+    weighted sets.  A projection never raises a trace norm, so the
+    value is a lower bound whatever Q is (sound); every weighted row of
+    W lies in the range of Q, so no singular value is lost (tight).
+    The column blocks M_R = P^(1/2) W Q_R are mutually orthogonal,
+    because a circulant maps the constant vector to a multiple of
+    itself and the other basis columns are orthogonal to it; so the
+    singular values of M are the union of the blocks' own, and the
+    bound is one small dense SVD per member, summed.  M_R is nonzero
+    only on the rows of the weighted sets S >= R and has
+    prod_{j in R} (m_j - 1) columns: for all 2- and 3-way sets of five
+    size-4 attributes the largest blocks are 800 x 1, 448 x 3, 208 x 9
+    and 64 x 27, against the 800 x 1,024 of W;
   * at the optimizer's weights ||L||_{2->inf} ||R||_{1->2} meets the
     same bound, so the mechanism's worst-case error is optimal too;
   * for range-marginal workloads a Fourier test matrix gives a closed
@@ -36,12 +42,12 @@ sqrt(|U|) tau_a.  Three certificates follow:
 
 Every dense matrix is a stack of per-set blocks, and each block is a
 product over attributes: V~ and U~ of per-attribute character tables
-omega_m^(a v), the prefix matrix of per-attribute factor tables, and M
-of per-attribute factor tables times basis columns.  A block of V~, U~
-or the prefix matrix is filled in place in its preallocated output by
-broadcasting one attribute's table over the grid at a time, in
-attribute order, so every entry is multiplied in the same order as a
-Kronecker product would, with no loop per frequency.
+omega_m^(a v), the prefix matrix of per-attribute factor tables, and
+each M_R of per-attribute factor tables times basis columns.  A block
+of V~, U~ or the prefix matrix is filled in place in its preallocated
+output by broadcasting one attribute's table over the grid at a time,
+in attribute order, so every entry is multiplied in the same order as
+a Kronecker product would, with no loop per frequency.
 
 Dense matrices are built only for small instances, as dense_refusal
 decides; past the caps the certificates fall back to closed forms: the
@@ -52,11 +58,12 @@ read off the budget.SubsetPlan, so a factorization is refused exactly
 when a release would be.
 
 Memory holds one dense matrix at a time beside the pair: no temporary
-the size of L, R or M lives next to them, and neither W nor Q is ever
-formed.  Each block of M is the product of two Kronecker products, one
-per half of its set's attributes, written straight into M, so no
-block is held beside it either.  build_factorization runs the SVD of M
-before it allocates U~ and V~, and keeps the bound.  The norms and the
+the size of L or R lives next to them, and neither W nor Q nor M is
+ever formed.  Each set's rows of a member block M_R are the product of
+two Kronecker products, one per half of its set's attributes, written
+straight into M_R, and one member block is alive at a time.
+build_factorization takes the SVDs of the member blocks before it
+allocates U~ and V~, and keeps the bound.  The norms and the
 Gram residuals then read L and R BLOCK rows or columns at a time.  Each
 block goes through the same elementwise operations and reductions as
 the whole matrix would, so every reported number is the same float.
@@ -96,10 +103,11 @@ class ExplicitFactorization:
     row of L, freqs the frequency vector of every column; E and P are
     the diagonals of the normalization and row-weight matrices, and tau
     the importance weight of each kept frequency.  trace_bound is
-    (1/sqrt(|U|)) ||P^(1/2) W||_tr of the same workload, from a dense
-    SVD of P^(1/2) W Q assembled from the query definitions (see
-    _trace_bound), with singular values below rank_cutoff dropped; it
-    does not depend on L, R or E.
+    (1/sqrt(|U|)) ||P^(1/2) W||_tr of the same workload, from one dense
+    SVD per closure member of the column blocks of P^(1/2) W Q
+    assembled from the query definitions (see _trace_bound), with
+    singular values below rank_cutoff dropped; it does not depend on
+    L, R or E.
     """
 
     workload: Workload
@@ -320,7 +328,8 @@ def build_factorization(workload, p=None, dense_cap=None):
     indices, tau = budget.released_rows(*structure.frequencies(roots))
     E = tau / tau.sum()
     rows, P = _row_index(w)
-    # M and LAPACK's copy of it are gone before U~ and V~ are allocated
+    # the member blocks and LAPACK's copies of them are gone before U~
+    # and V~ are allocated
     bound, cutoff = _trace_bound(w)
     U = _coefficient_matrix(w, structure.spectrum.tables, rows, indices)
     V = _character_matrix(w.universe, indices)
@@ -335,28 +344,44 @@ def build_factorization(workload, p=None, dense_cap=None):
 
 
 def _trace_bound(w):
-    """((1 / sqrt(|U|)) ||P^(1/2) W||_tr, cutoff) by the dense SVD of
-    M = P^(1/2) W Q.
+    """((1 / sqrt(|U|)) ||P^(1/2) W||_tr, cutoff) from one dense SVD per
+    member block M_R = P^(1/2) W Q_R (see _member_blocks).
 
-    Q has orthonormal real columns, one block Q_R per member R of the
-    downward closure of the sets with positive weight: the Kronecker
-    product over all attributes of H_j[:, 1:] for j in R and the
-    constant column 1 / sqrt(m_j) elsewhere, where H_j is an orthogonal
-    m_j x m_j basis whose first column is 1 / sqrt(m_j).
+    Q = (Q_R) has orthonormal real columns, one block Q_R per member R
+    of the downward closure of the sets with positive weight: the
+    Kronecker product over all attributes of H_j[:, 1:] for j in R and
+    the constant column 1 / sqrt(m_j) elsewhere, where H_j is an
+    orthogonal m_j x m_j basis whose first column is 1 / sqrt(m_j).
 
     Sound: ||A Q||_tr <= ||A||_tr for every Q with orthonormal columns,
-    since Q* is a contraction, so the value bounds every factorization
-    of W from below whatever Q is, and an incomplete Q could only make
-    verify fail.  Tight: a row of W_S lies in the tensor product of
-    R^{m_j} over j in S and span(1) over j outside S, which is the
-    direct sum of the spaces of the Q_R with R <= S.  So Q Q* fixes
-    every row of a set with positive weight, M M* = P^(1/2) W W*
-    P^(1/2), and the nonzero singular values are those of P^(1/2) W.
-    Singular values below RANK_CUTOFF times the largest are dropped
-    from the sum.
+    since Q* is a contraction, so the value of M = P^(1/2) W Q bounds
+    every factorization of W from below whatever Q is, and an incomplete
+    Q could only make verify fail.  Tight: a row of W_S lies in the
+    tensor product of R^{m_j} over j in S and span(1) over j outside S,
+    which is the direct sum of the spaces of the Q_R with R <= S.  So
+    Q Q* fixes every row of a set with positive weight, M M* =
+    P^(1/2) W W* P^(1/2), and the nonzero singular values of M are
+    those of P^(1/2) W.
+
+    Split: the column blocks of M are mutually orthogonal, M_R* M_R' = 0
+    for R != R'.  Each set block of M_R* M_R' is a Kronecker product
+    over the attributes of the set, and an attribute j in R but not in
+    R' contributes (C_j H_j[:, 1:])* C_j 1 / sqrt(m_j), which is zero:
+    the circulant C_j maps the constant vector to a multiple of itself,
+    and so does C_j*, and the columns of H_j[:, 1:] are orthogonal to 1.
+    So M* M is block diagonal, the singular values of M are the union of
+    those of its blocks, and ||M||_tr is the sum of the blocks' trace
+    norms.  Without the orthogonality that sum could exceed ||M||_tr.
+    Each block keeps a numeric SVD, so the value stays independent of
+    the mechanism's closed form sum_R G_R r_R.  Singular values below
+    RANK_CUTOFF times the largest over all blocks are dropped from the
+    sum.
     """
-    values = np.linalg.svd(_projected_matrix(w), compute_uv=False)
-    cutoff = RANK_CUTOFF * (float(values[0]) if values.size else 0.0)
+    # normalized weights leave at least one weighted set, so at least
+    # the empty member has a block
+    values = np.concatenate([np.linalg.svd(block, compute_uv=False)
+                             for _, block in _member_blocks(w)])
+    cutoff = RANK_CUTOFF * float(values.max())
     trace = float(values[values >= cutoff].sum())
     return trace / math.sqrt(w.universe.size), cutoff
 
@@ -375,18 +400,20 @@ def _kron(a, b, out=None):
     return out
 
 
-def _projected_matrix(w):
-    """M = P^(1/2) W Q, one set block by one closure member at a time,
-    without the rows of sets of weight zero, which are zero.
+def _member_blocks(w):
+    """(R, M_R) for each member R of the downward closure of the
+    weighted sets, in closure order, one block alive at a time.
 
-    The block of rows S and columns R is zero unless R <= S, and then
-    sqrt(P_S) prod_{j not in S} sqrt(m_j) times the Kronecker product
-    over j in S of C_j H_j[:, 1:] (j in R) or C_j 1 / sqrt(m_j) (j not
-    in R), where C_j is the circulant of the factor table phi_j.  The
-    Kronecker product of each half of S is formed apart, and their
-    product is written straight into M, so neither W nor Q nor a block
-    is ever held beside M.  M has sum_R prod_{j in R} (m_j - 1) columns,
-    at most |U|.
+    M_R = P^(1/2) W Q_R is the column block of R (see _trace_bound),
+    without the rows of the sets that do not contain R and of the sets
+    of weight zero, which are zero.  Its rows are those of the weighted
+    sets S >= R, in set order, each sqrt(P_S) prod_{j not in S}
+    sqrt(m_j) times the Kronecker product over j in S of C_j H_j[:, 1:]
+    (j in R) or C_j 1 / sqrt(m_j) (j not in R), where C_j is the
+    circulant of the factor table phi_j.  The Kronecker product of each
+    half of S is formed apart, and their product is written straight
+    into the block, so neither W nor Q nor a set's rows are held beside
+    it.  M_R has prod_{j in R} (m_j - 1) columns.
     """
     universe = w.universe
     sizes = universe.domain_sizes
@@ -400,36 +427,34 @@ def _projected_matrix(w):
         basis = np.linalg.qr(basis)[0]
         inside.append(circulant @ basis[:, 1:])
         outside.append(circulant.sum(axis=1, keepdims=True) / math.sqrt(m))
-    columns = {}
-    total = 0
-    for member in downward_closure(w, positive_only=True):
-        width = math.prod(sizes[j] - 1 for j in member)
-        columns[member] = slice(total, total + width)
-        total += width
-    weighted = [(members, pS) for members, pS in zip(w.sets, w.weights)
-                if pS > 0]
-    M = np.zeros((sum(universe.subuniverse_size(members)
-                      for members, _ in weighted), total))
-    stop = 0
-    for members, pS in weighted:
+    # the weighted sets containing each member, with their scales
+    covering = {member: [] for member
+                in downward_closure(w, positive_only=True)}
+    for members, pS in zip(w.sets, w.weights):
+        if pS <= 0:
+            continue
         size = universe.subuniverse_size(members)
-        rows = slice(stop, stop + size)
-        stop += size
         scale = math.sqrt(pS / size) * math.prod(
             math.sqrt(m) for j, m in enumerate(sizes) if j not in members)
-        half = len(members) // 2
         for r in range(len(members) + 1):
             for member in itertools.combinations(members, r):
-                factors = [inside[j] if j in member else outside[j]
-                           for j in members]
-                left = functools.reduce(_kron, factors[:half],
-                                        np.full((1, 1), scale))
-                right = functools.reduce(_kron, factors[half:],
-                                         np.ones((1, 1)))
-                # M's block is split in place, and the inputs are apart
-                # from M, so numpy copies nothing
-                _kron(left, right, out=M[rows, columns[member]])
-    return M
+                covering[member].append((members, size, scale))
+    for member, sets in covering.items():
+        block = np.empty((sum(size for _, size, _ in sets),
+                          math.prod(sizes[j] - 1 for j in member)))
+        stop = 0
+        for members, size, scale in sets:
+            half = len(members) // 2
+            factors = [inside[j] if j in member else outside[j]
+                       for j in members]
+            left = functools.reduce(_kron, factors[:half],
+                                    np.full((1, 1), scale))
+            right = functools.reduce(_kron, factors[half:], np.ones((1, 1)))
+            # the block's rows are split in place, and the inputs are
+            # apart from the block, so numpy copies nothing
+            _kron(left, right, out=block[stop:stop + size])
+            stop += size
+        yield member, block
 
 
 def _blocks(total):
@@ -498,7 +523,7 @@ def norm_report(fact):
     """Norms of the pair next to the trace-norm lower bound.
 
     The bound is the one build_factorization computed, before L and R
-    existed, from a matrix assembled directly from the query
+    existed, from matrices assembled directly from the query
     definitions, not from L R, so agreement is evidence.
     """
     col = _vector_norms(fact.R, axis=0)
@@ -514,12 +539,17 @@ def norm_report(fact):
 
 
 def svd_lower_bound(workload, p=None, dense_cap=None):
-    """(1 / sqrt(|U|)) ||P^(1/2) W||_tr of the product form, by the
-    dense SVD of P^(1/2) W projected onto the closure's Kronecker basis.
+    """(1 / sqrt(|U|)) ||P^(1/2) W||_tr of the product form, from
+    P^(1/2) W projected onto the closure's Kronecker basis, one dense
+    SVD per closure member.
 
     Valid for every factorization of W, whatever mechanism produced it:
     a projection never raises a trace norm, and this one keeps every
-    nonzero singular value (see _trace_bound).  Plans nothing.
+    nonzero singular value.  The projection's column blocks, one per
+    member, are mutually orthogonal, since each circulant C_j maps the
+    constant vector to a multiple of itself, for C_j* too, and the
+    other basis columns are orthogonal to it; so its trace norm is the
+    sum of the blocks' (see _trace_bound).  Plans nothing.
     """
     w, _ = mechanism.product_form(normalize_weights(workload, p))
     _check_dense_caps(w, dense_cap)

@@ -18,7 +18,10 @@ FFT together.  A set is estimable when every pair R <= S with
 G_R z_{S - R} > 0 has budget (r_R > 0).  Otherwise its sigma is
 infinite: predicted_error reports it, and releases and
 factorization.build_factorization raise Unestimable through the one
-rule in _require_estimable.
+rule in _require_estimable.  A release whose plan enumerates more
+frequencies, or whose tables hold more cells, than the release caps is
+refused with ReleaseTooLarge by the one rule in release_refusal, before
+any array per frequency or cell is allocated.
 
 Per-query noise is Gaussian with a standard deviation that is constant
 on each set,
@@ -61,8 +64,21 @@ from .core import (NUMERICAL, AssignmentOutOfRange, Dataset,
                    build_universe, normalize_weights)
 
 
+# Each frequency a release enumerates carries an index row, its weight,
+# variance, share, measured value and noise, and each table cell a grid
+# entry and a reconstruction scatter row: at the caps these take a few
+# GiB.  The counterparts of factorization's dense caps; no flag moves
+# them.
+RELEASE_FREQUENCY_CAP = 2 ** 23
+RELEASE_CELL_CAP = 2 ** 24
+
+
 class NonUniformDomain(FourierMarginalsError):
     """The all-k-way release needs every attribute size equal."""
+
+
+class ReleaseTooLarge(FourierMarginalsError):
+    """The release would exceed the caps on its frequencies or cells."""
 
 
 def eta(m):
@@ -279,6 +295,39 @@ def _require_estimable(per_set_sigma):
                 "positive weight or cover it by a larger weighted set")
 
 
+def _size_refusal(frequencies, cells):
+    if frequencies > RELEASE_FREQUENCY_CAP:
+        return (f"{frequencies} frequencies exceed the release cap "
+                f"{RELEASE_FREQUENCY_CAP}")
+    if cells > RELEASE_CELL_CAP:
+        return f"{cells} table cells exceed the release cap {RELEASE_CELL_CAP}"
+    return None
+
+
+def release_refusal(plan):
+    """The release-cap rule: why releasing the workload of plan, a
+    budget.SubsetPlan, would exceed the caps, or None when it fits.
+
+    Two counts, made in O(closure) before any array per frequency or per
+    cell is allocated: the frequencies the plan enumerates,
+    sum_R prod_{j in R} (m_j - 1) over the members R of the downward
+    closure, among which are those released; and the cells of the sets'
+    tables, sum_S |U_S|, which also counts the rows reconstruction
+    scatters, since sum_{R <= S} prod_{j in R} (m_j - 1) = |U_S|.  The
+    release's counterpart of factorization.dense_refusal.
+    """
+    universe = plan.universe
+    return _size_refusal(
+        sum(math.prod(universe.domain_sizes[j] - 1 for j in members)
+            for members in plan.members),
+        sum(map(universe.subuniverse_size, plan.sets)))
+
+
+def _require_servable(refusal):
+    if refusal is not None:
+        raise ReleaseTooLarge(refusal)
+
+
 def _reconstruct(structure, table, values):
     """Estimate tables of every set from the released frequencies.
 
@@ -358,6 +407,7 @@ def _run_release(dataset, workload, mu, sampler, plan):
     mu and used as it is; otherwise the plan is made from the weights."""
     kind = workload.kind
     workload, structure, embedding = as_product(workload)
+    _require_servable(release_refusal(structure))
     if embedding is not None:
         dataset = Dataset(universe=embedding.embedded, rows=dataset.rows)
     roots = structure.roots(workload.weights)
@@ -429,7 +479,9 @@ def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
 def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     """Private estimates of all k-way marginals of a uniform domain.
 
-    A given plan is checked as in release_product.
+    A given plan is checked as in release_product.  Without one, the
+    release caps are applied to the closed-form counts before the
+    k-way plan is made.
     """
     universe = dataset.universe
     sizes = set(universe.domain_sizes)
@@ -438,6 +490,12 @@ def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     m = sizes.pop()
     d = universe.d
     if plan is None:
+        if 1 <= k <= d:
+            # k_way_budget enumerates the frequencies, so the counts are
+            # checked first; k_way_budget rejects any other k
+            _require_servable(_size_refusal(
+                sum(math.comb(d, l) * (m - 1) ** l for l in range(k + 1)),
+                math.comb(d, k) * m ** k))
         plan = budget.k_way_budget(d, k, m, mu)
     sets = tuple(itertools.combinations(range(d), k))
     workload = Workload(universe=universe, sets=sets,

@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -629,6 +630,26 @@ def test_uncovered_zero_weight_set_exits_3(tmp_path, capsys):
     assert "weight" in err
 
 
+def test_unservable_release_exits_2_before_allocating(tmp_path, capsys):
+    # one pair of two size-10^5 attributes: 10^10 frequencies and cells,
+    # 74.5 GiB of frequency rows alone
+    huge = {
+        "attributes": [{"name": "a", "size": 10 ** 5},
+                       {"name": "b", "size": 10 ** 5}],
+        "sets": [{"attrs": ["a", "b"], "weight": 1.0}],
+    }
+    workload = write_json(tmp_path, huge)
+    rows = write_rows(tmp_path, "a,b\n0,1\n5,7\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", rows, "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: 10000000000 frequencies exceed the release cap "
+                   f"{mechanism.RELEASE_FREQUENCY_CAP}\n")
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run(capsys)
     assert code == 2
@@ -950,9 +971,9 @@ PINNED_OUTPUTS = {
     ("marginal", "predict-error"):
         "afb7be2677626a5df7b8d22a3191ef03dcd361906dab23f4d6baa1f58e1b448c",
     ("marginal", "verify"):
-        "9f05c0eaef4d87537f21b10f0b8283fc54a09741798380a796d280c9ac7c3512",
+        "db414547ba7f6217a6f811502d21a7bd8c598fe9ba70ff26aa1afd05120520f9",
     ("marginal", "lower-bound"):
-        "645ad091e1aacbe8449396c04093d4aec098759b766153534a62804d4e5ad5bd",
+        "41d81ec94deae5a56d2756c243f0cd337a54154af3df4f3a3d7329a23a99b537",
     ("product", "release"):
         "e1ac62027a6d65a5da9c0bc6e7b0212e03aa6269e3d059ad9da218eb089a29a7",
     ("product", "release-csv"):

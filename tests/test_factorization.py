@@ -789,6 +789,36 @@ def full_svd_trace_bound(product):
     return float(kept.sum()) / math.sqrt(product.universe.size), den
 
 
+def assembled_member_blocks(product):
+    """The member blocks of _member_blocks placed into M = P^(1/2) W Q
+    over the rows of the weighted sets, with each member's columns."""
+    universe = product.universe
+    starts = {}
+    stop = 0
+    for members, pS in zip(product.sets, product.weights):
+        if pS > 0:
+            starts[members] = stop
+            stop += universe.subuniverse_size(members)
+    blocks = list(factorization._member_blocks(product))
+    M = np.zeros((stop, sum(block.shape[1] for _, block in blocks)))
+    columns = []
+    left = 0
+    for member, block in blocks:
+        assert block.shape[1] == math.prod(
+            universe.domain_sizes[j] - 1 for j in member)
+        cols = slice(left, left + block.shape[1])
+        left = cols.stop
+        columns.append(cols)
+        row = 0
+        for members, start in starts.items():
+            if set(member) <= set(members):
+                size = universe.subuniverse_size(members)
+                M[start:start + size, cols] = block[row:row + size]
+                row += size
+        assert row == block.shape[0]
+    return M, columns
+
+
 @settings(deadline=None, max_examples=80)
 @given(builder_workloads())
 def test_property_projected_bound_equals_full_svd(w):
@@ -798,20 +828,40 @@ def test_property_projected_bound_equals_full_svd(w):
     assert abs(got - reference) <= 1e-12 * reference
     # a projection never raises the trace norm
     assert got <= reference * (1 + 1e-13)
+
+
+@settings(deadline=None, max_examples=80)
+@given(builder_workloads())
+def test_property_member_blocks_split_the_projection(w):
+    product, _ = mechanism.product_form(core.normalize_weights(w))
+    _, den = full_svd_trace_bound(product)
+    M, columns = assembled_member_blocks(product)
+    assert M.shape[1] <= product.universe.size
+    # the column blocks are orthogonal: M* M is block diagonal, so the
+    # singular values of M are the union of the blocks' own
+    gram = M.T @ M
+    largest = max(np.abs(gram[cols, cols]).max() for cols in columns)
+    for cols, others in itertools.permutations(columns, 2):
+        assert np.abs(gram[cols, others]).max() <= 1e-12 * largest
     # tight: Q Q* fixes every weighted row, so M M* = P^(1/2) W W* P^(1/2)
     # over the rows of the sets with weight
-    M = factorization._projected_matrix(product)
     A = (np.sqrt(den.P)[:, None] * den.W)[den.P > 0]
-    assert M.shape[1] <= product.universe.size
     assert np.abs(M @ M.T - A @ A.T).max() <= 1e-12 * np.abs(A @ A.T).max()
 
 
-def test_projected_matrix_of_the_dense_certify_shape():
+def test_member_blocks_of_the_dense_certify_shape():
     # the closure of all 2- and 3-way sets of 5 size-4 attributes spans
-    # 1 + 5 * 3 + 10 * 9 + 10 * 27 = 376 of the 1,024 columns of W
+    # 1 + 5 * 3 + 10 * 9 + 10 * 27 = 376 of the 1,024 columns of W; the
+    # empty member's block has the rows of all 20 sets, a singleton's
+    # those of 6 triples and 4 pairs, a pair's those of 3 triples and
+    # itself, a triple's its own
     w = core.normalize_weights(_dense_certify_workload())
     assert w.universe.size == 1024
-    assert factorization._projected_matrix(w).shape == (800, 376)
+    shapes = [block.shape for _, block in factorization._member_blocks(w)]
+    assert sorted(set(shapes)) == [(64, 27), (208, 9), (448, 3), (800, 1)]
+    assert [shapes.count(shape) for shape in
+            ((800, 1), (448, 3), (208, 9), (64, 27))] == [1, 5, 10, 10]
+    assert sum(columns for _, columns in shapes) == 376
     reference, _ = full_svd_trace_bound(w)
     assert math.isclose(factorization.svd_lower_bound(w), reference,
                         rel_tol=1e-13)

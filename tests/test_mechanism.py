@@ -191,6 +191,17 @@ def test_k_way_rejects_non_uniform_domain():
         mechanism.release_k_way(data, 1, mu=1.0)
 
 
+def test_k_way_refuses_past_the_caps_before_planning(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(budget, "k_way_budget", refuse)
+    # 1 + 2 * 3,999 + 3,999^2 frequencies, over the frequency cap
+    data = make_dataset((4000, 4000), [(0, 0)])
+    with pytest.raises(mechanism.ReleaseTooLarge, match="frequencies"):
+        mechanism.release_k_way(data, 2, mu=1.0)
+
+
 def test_improvement_ratio_tends_to_quarter():
     # fixed k=2, m=2: sigma * mu / sqrt(binom(d,2)) falls toward 1/4
     ratios = [mechanism.k_way_sigma(d, 2, 2) / math.sqrt(math.comb(d, 2))
@@ -232,6 +243,46 @@ def test_zero_budget_workload_reports_unestimable_set():
     assert report["per_set_sigma"] == {(0,): 0.0, (1,): math.inf}
     with pytest.raises(core.Unestimable):
         mechanism.release_product(data, w, mu=1.0)
+
+
+def test_release_refuses_past_the_caps_before_allocating(monkeypatch):
+    # 10^10 frequencies: the frequency rows alone would take 74.5 GiB
+    data = make_dataset((10 ** 5, 10 ** 5), [(0, 1), (5, 7)])
+    w = core.Workload(universe=data.universe, sets=((0, 1),),
+                      weights=np.array([1.0]))
+    plan = budget.subset_plan(w, fourier.unit_spectrum((10 ** 5,) * 2))
+    assert mechanism.release_refusal(plan) == (
+        "10000000000 frequencies exceed the release cap "
+        f"{mechanism.RELEASE_FREQUENCY_CAP}")
+
+    def enumerate_frequencies(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(budget, "_member_frequencies", enumerate_frequencies)
+    for kind in ("marginal", "product", "extended"):
+        with pytest.raises(mechanism.ReleaseTooLarge, match="release cap"):
+            mechanism.release_product(
+                data, dataclasses.replace(w, kind=kind), mu=1.0)
+
+
+def test_release_cell_cap_counts_every_table_cell(monkeypatch):
+    # 8 closure members of one frequency each, 4 + 8 cells in the tables
+    data = make_dataset((2, 2, 2), [(0, 1, 1)])
+    w = core.Workload(universe=data.universe, sets=((0, 1), (0, 1, 2)),
+                      weights=np.array([0.5, 0.5]))
+    _, plan, _ = mechanism.as_product(w)
+    assert mechanism.release_refusal(plan) is None
+    monkeypatch.setattr(mechanism, "RELEASE_CELL_CAP", 11)
+    assert mechanism.release_refusal(plan) == (
+        "12 table cells exceed the release cap 11")
+    with pytest.raises(mechanism.ReleaseTooLarge):
+        mechanism.release_product(data, w, mu=1.0)
+    monkeypatch.setattr(mechanism, "RELEASE_CELL_CAP", 12)
+    monkeypatch.setattr(mechanism, "RELEASE_FREQUENCY_CAP", 7)
+    assert mechanism.release_refusal(plan) == (
+        "8 frequencies exceed the release cap 7")
+    monkeypatch.setattr(mechanism, "RELEASE_FREQUENCY_CAP", 8)
+    assert mechanism.release_product(data, w, mu=1.0).estimates
 
 
 def test_all_zero_factor_releases_exact_zeros():
