@@ -45,7 +45,8 @@ class LengthMismatch(FourierMarginalsError):
 
 
 class AllZeroWeights(FourierMarginalsError):
-    """Weight normalization was requested but every weight is zero."""
+    """Weight normalization was requested but every weight is zero, or
+    the workload has no sets and so no weights."""
 
 
 class WeightOverflow(FourierMarginalsError):
@@ -233,6 +234,9 @@ def normalize_weights(workload, p=None):
 
     Membership, order, kind and factor tables are unchanged.
     """
+    if not workload.sets:
+        raise AllZeroWeights(
+            "the workload has no sets, so it has no weights to normalize")
     if p is not None:
         workload = replace(workload, weights=p)
     with np.errstate(over="ignore"):

@@ -38,16 +38,18 @@ sqrt(|U|) tau_a.  Three certificates follow:
     ratio of two explicit log-like sums per numerical attribute.  The
     bound is sum_R G_R r_R of the budget.SubsetPlan of the test
     matrix's tables over the original universe, and the test matrix
-    takes its frequencies from the same plan.
+    takes its frequencies from the same plan.  The test matrix is
+    checked in the frequency basis, never formed (see LowerBoundWitness).
 
 Every dense matrix is a stack of per-set blocks, and each block is a
 product over attributes: V~ and U~ of per-attribute character tables
-omega_m^(a v), the prefix matrix of per-attribute factor tables, and
-each M_R of per-attribute factor tables times basis columns.  A block
-of V~, U~ or the prefix matrix is filled in place in its preallocated
-output by broadcasting one attribute's table over the grid at a time,
-in attribute order, so every entry is multiplied in the same order as
-a Kronecker product would, with no loop per frequency.
+omega_m^(a v), the witness's Z of the tables T_j = w_j omega_m^(a v)
+with w_j the prefix indicator 1{v <= t} or the identity, and each M_R
+of per-attribute factor tables times basis columns.  A block of V~, U~
+or Z is filled in place in its preallocated output by broadcasting one
+attribute's table over the grid at a time, in attribute order, so
+every entry is multiplied in the same order as a Kronecker product
+would, with no loop per frequency.
 
 Dense matrices are built only for small instances, as dense_refusal
 decides; past the caps the certificates fall back to closed forms: the
@@ -67,8 +69,8 @@ allocates U~ and V~, and keeps the bound.  The norms and the
 Gram residuals then read L and R BLOCK rows or columns at a time.  Each
 block goes through the same elementwise operations and reductions as
 the whole matrix would, so every reported number is the same float.
-The range-query test matrix follows the same rule: its factors, the
-prefix matrix and the trace product are dropped before the SVD of Y.
+The range-query witness holds no matrix with |U| columns, only the
+rows x k factors P^(1/2) U~ and Z, with k the witness's frequencies.
 """
 
 import functools
@@ -107,7 +109,8 @@ class ExplicitFactorization:
     SVD per closure member of the column blocks of P^(1/2) W Q
     assembled from the query definitions (see _trace_bound), with
     singular values below rank_cutoff dropped; it does not depend on
-    L, R or E.
+    L, R or E.  row_norms and col_norms, the norms of the rows of L and
+    the columns of R, are computed once per pair, on first use.
     """
 
     workload: Workload
@@ -120,6 +123,14 @@ class ExplicitFactorization:
     tau: np.ndarray
     trace_bound: float
     rank_cutoff: float
+
+    @functools.cached_property
+    def row_norms(self):
+        return _vector_norms(self.L, axis=1)
+
+    @functools.cached_property
+    def col_norms(self):
+        return _vector_norms(self.R, axis=0)
 
 
 @dataclass(frozen=True)
@@ -153,16 +164,17 @@ class RealFactorization:
 
 @dataclass(frozen=True, eq=False)
 class LowerBoundWitness:
-    """Dense test matrix certifying the range-query lower bound.
+    """The range-query test matrix Y = P^(1/2) U~ V~* / sqrt(|U|), read
+    in the frequency basis; U~ holds the coefficients f_j (None for
+    categorical attributes in f_tables), column a divided by kappa_a.
 
-    Y = P^(1/2) U V* has operator norm at most 1, so the trace value
-    |tr(P^(1/2) W Y*)| / sqrt(|U|) bounds every factorization of the
-    prefix query matrix from below.  f_tables holds the per-attribute
-    diagonal weights of the construction (None for categorical
-    attributes) and kappa the column normalizers.
+    op_norm = ||Y||_2 <= 1, so trace_value = |tr(P^(1/2) W Y*)| / sqrt(|U|)
+    bounds every factorization of the prefix query matrix W from below.
+    V~ / sqrt(|U|) has orthonormal columns, so op_norm is that of the
+    rows x k matrix P^(1/2) U~, and trace_value is
+    |sum_{r,a} P_r conj(U~_{r,a}) Z_{r,a}| with Z = W V~ / |U|.
     """
 
-    Y: np.ndarray
     f_tables: tuple
     kappa: dict
     trace_value: float
@@ -174,10 +186,6 @@ class LowerBoundWitness:
 WITNESS_NOTE = ("certifies the prefix query family; quoted unchanged for "
                 "prefix-suffix releases, whose matching bound is not "
                 "computed here")
-
-
-def _query_rows(workload):
-    return sum(workload.universe.subuniverse_size(s) for s in workload.sets)
 
 
 def dense_refusal(workload, dense_cap=None):
@@ -192,7 +200,7 @@ def dense_refusal(workload, dense_cap=None):
     size = workload.universe.size
     if size > cap:
         return f"universe size {size} exceeds the dense cap {cap}"
-    rows = _query_rows(workload)
+    rows = sum(workload.universe.subuniverse_size(s) for s in workload.sets)
     if rows > DENSE_QUERY_CAP:
         return f"{rows} query rows exceed the dense cap {DENSE_QUERY_CAP}"
     return None
@@ -211,18 +219,19 @@ def _unit_table(m):
     return np.exp(2j * np.pi * ((v[:, None] * v[None, :]) % m) / m)
 
 
-def _character_grid(grid, sizes, freqs, axes):
-    """Multiply grid[..., k] in place by chi_{freqs[k]} on the given axes.
+def _character_grid(grid, tables, freqs, axes):
+    """Multiply grid[..., k] in place by tables[j][v_j, freqs[k, j]] for
+    each attribute j in axes.
 
     grid has one axis per attribute in axes, then one per frequency;
     the factors multiply from the right in the order of axes.
     """
     for axis, j in enumerate(axes):
         shape = [1] * grid.ndim
-        shape[axis] = sizes[j]
+        shape[axis] = tables[j].shape[0]
         shape[-1] = freqs.shape[0]
-        np.multiply(grid, _unit_table(sizes[j])[:, freqs[:, j]]
-                    .reshape(shape), out=grid)
+        np.multiply(grid, tables[j][:, freqs[:, j]].reshape(shape),
+                    out=grid)
 
 
 def _character_matrix(universe, freqs):
@@ -230,8 +239,8 @@ def _character_matrix(universe, freqs):
     sizes = universe.domain_sizes
     freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
     cols = np.ones((universe.size, len(freqs)), dtype=complex)
-    _character_grid(cols.reshape(tuple(sizes) + (len(freqs),)), sizes,
-                    freqs, range(universe.d))
+    _character_grid(cols.reshape(tuple(sizes) + (len(freqs),)),
+                    [_unit_table(m) for m in sizes], freqs, range(universe.d))
     return cols
 
 
@@ -269,10 +278,10 @@ def _coefficient_products(coeffs, freqs, members):
     return scale
 
 
-def _coefficient_matrix(workload, coeffs, rows, freqs):
-    """U~ with entries coeff(S, a) chi_a(t) / |U_S| on supp(a) within S."""
+def _coefficient_matrix(workload, coeffs, tables, rows, freqs):
+    """Entries coeff(S, a) prod_{j in S} tables[j][t_j, a_j] / |U_S| on
+    supp(a) within S: U~ when tables are the unit tables omega_m^(a v)."""
     universe = workload.universe
-    sizes = universe.domain_sizes
     freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
     out = np.ones((len(rows), len(freqs)), dtype=complex)
     start = 0
@@ -282,29 +291,10 @@ def _coefficient_matrix(workload, coeffs, rows, freqs):
         scale = _coefficient_products(coeffs, freqs, members)
         _character_grid(
             block.reshape(universe.subdomain_sizes(members)
-                          + (len(freqs),)), sizes, freqs, members)
+                          + (len(freqs),)), tables, freqs, members)
         np.multiply(scale / size, block, out=block)
         outside = [j for j in range(universe.d) if j not in members]
         block[:, freqs[:, outside].any(axis=1) | (scale == 0)] = 0.0
-        start += size
-    return out
-
-
-def _query_matrix(workload, factor):
-    """Stacked set blocks: the Kronecker product over all attributes of
-    factor(j) for members j of the set and a row of ones elsewhere."""
-    universe = workload.universe
-    sizes = tuple(universe.domain_sizes)
-    out = np.ones((_query_rows(workload), universe.size))
-    start = 0
-    for members in workload.sets:
-        size = universe.subuniverse_size(members)
-        block = out[start:start + size].reshape(
-            universe.subdomain_sizes(members) + sizes)
-        for axis, j in enumerate(members):
-            shape = [1] * block.ndim
-            shape[axis] = shape[len(members) + j] = sizes[j]
-            block *= factor(j).reshape(shape)
         start += size
     return out
 
@@ -331,7 +321,9 @@ def build_factorization(workload, p=None, dense_cap=None):
     # the member blocks and LAPACK's copies of them are gone before U~
     # and V~ are allocated
     bound, cutoff = _trace_bound(w)
-    U = _coefficient_matrix(w, structure.spectrum.tables, rows, indices)
+    U = _coefficient_matrix(w, structure.spectrum.tables,
+                            [_unit_table(m) for m in w.universe.domain_sizes],
+                            rows, indices)
     V = _character_matrix(w.universe, indices)
     # L and R are scaled in place in the builders' arrays
     L = np.divide(U, np.sqrt(E)[None, :], out=U)
@@ -526,8 +518,8 @@ def norm_report(fact):
     existed, from matrices assembled directly from the query
     definitions, not from L R, so agreement is evidence.
     """
-    col = _vector_norms(fact.R, axis=0)
-    row = _vector_norms(fact.L, axis=1)
+    col = fact.col_norms
+    row = fact.row_norms
     col_max = float(col.max())
     row_max = float(row.max())
     frob = float(math.sqrt(float((fact.P * row ** 2).sum())))
@@ -625,8 +617,8 @@ def tightness_certificate(fact):
     the optimizing weights, over the rows of the sets with weight.
     """
     lpl_residual, rr_residual = _gram_residuals(fact)
-    col = _vector_norms(fact.R, axis=0)
-    row = _vector_norms(fact.L, axis=1)
+    col = fact.col_norms
+    row = fact.row_norms
     support = fact.P > 0
     rownorm = float(row.max() - row[support].min()) \
         if support.any() else float("inf")
@@ -670,25 +662,13 @@ def _witness_plan(workload):
     return plan, tuple(f_tables), coeffs
 
 
-def _prefix_matrix(workload):
-    """Dense prefix query matrix over the original universe.
-
-    Categorical members contribute equality factors, numerical members
-    the lower-triangular all-ones factor 1{x <= t}.
-    """
-    universe = workload.universe
-    numerical = _numerical_members(universe)
-    return _query_matrix(workload, lambda j: (
-        np.tril(np.ones((universe.domain_sizes[j],) * 2)) if j in numerical
-        else np.eye(universe.domain_sizes[j])))
-
-
 def lower_bound_witness(workload, p=None, dense_cap=None):
-    """Dense test matrix for the range-query lower bound.
+    """The range-query test matrix in the frequency basis.
 
-    Builds Y = P^(1/2) U V* from per-attribute weight tables f_j and
-    checks nothing itself; callers compare trace_value against the
-    closed form and op_norm against 1.
+    Builds P^(1/2) U~ and Z = W V~ / |U| (see LowerBoundWitness) from
+    per-attribute tables, never a matrix with |U| columns, and checks
+    nothing itself; callers compare trace_value against the closed form
+    and op_norm against 1.
     """
     w = normalize_weights(workload, p)
     universe = w.universe
@@ -720,25 +700,24 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     norms = np.sqrt(inner)
     kappa = dict(zip(freqs, norms.tolist()))
     rows, P = _row_index(w)
-    # every product is scaled in place; U, V, W and the trace product
-    # are dropped before the SVD of Y
-    U = _coefficient_matrix(w, coeffs, rows, freqs)
+    unit = [_unit_table(m) for m in sizes]
+    # Z's tables T_j[t, a] = sum_x w_j[t, x] omega_m^(a x): prefix sums
+    # of the unit table where w_j = 1{x <= t}, the unit table where w_j
+    # is the identity
+    prefix = [np.cumsum(table, axis=0) if j in numerical else table
+              for j, table in enumerate(unit)]
+    root = np.sqrt(P)[:, None]
+    U = _coefficient_matrix(w, coeffs, unit, rows, freqs)
     U /= norms[None, :]
-    V = _character_matrix(universe, freqs)
-    V /= math.sqrt(universe.size)
-    Y = U @ np.conjugate(V, out=V).T
-    del U, V
-    Y *= np.sqrt(P)[:, None]
-    W = _prefix_matrix(w)
-    W *= np.sqrt(P)[:, None]
-    product = np.conj(Y)
-    product *= W
-    del W
-    trace = abs(complex(product.sum()))
-    del product
-    op_norm = float(np.linalg.svd(Y, compute_uv=False)[0])
-    return LowerBoundWitness(Y=Y, f_tables=f_tables, kappa=kappa,
-                             trace_value=trace / math.sqrt(universe.size),
+    U *= root
+    Z = _coefficient_matrix(w, [np.ones(m) for m in sizes], prefix, rows,
+                            freqs)
+    Z *= root
+    Z *= np.conj(U)
+    trace = abs(complex(Z.sum()))
+    del Z
+    op_norm = float(np.linalg.svd(U, compute_uv=False)[0])
+    return LowerBoundWitness(f_tables=f_tables, kappa=kappa, trace_value=trace,
                              op_norm=op_norm,
                              closed_form=float(plan.gains @ roots),
                              note=WITNESS_NOTE)

@@ -513,6 +513,20 @@ def test_empty_workload_max_variance_exits_2(tmp_path, capsys, command):
     assert "no sets" in err
 
 
+@pytest.mark.parametrize("command", ["release", "predict-error", "verify",
+                                     "lower-bound"])
+def test_empty_workload_exits_2(tmp_path, capsys, command):
+    doc = {"attributes": [{"name": "a", "size": 2}], "sets": []}
+    argv = [command, "--workload", write_json(tmp_path, doc)]
+    if command == "release":
+        argv += ["--dataset", write_rows(tmp_path, "a\n0\n1\n"),
+                 "--seed", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: the workload has no sets, so it has no weights "
+                   "to normalize\n")
+
+
 def test_padded_attribute_name_exits_2(tmp_path, capsys):
     # the CSV reader strips header cells, so the workload reader refuses
     # names it could never match
@@ -991,7 +1005,7 @@ PINNED_OUTPUTS = {
     ("extended", "predict-error"):
         "ee8fbf89307efc6337402f33a440d46b9ab26b65eb351e2f05fd47458df21095",
     ("extended", "verify"):
-        "de3455f274d8a708361e21ba4e23302876bfbd54c0f46e79b5da2ed052fcb47e",
+        "42a8b1c41fa14c5d6c5fc0475024a725b1569441b7b91ea9c7896eab6e0b0acf",
     ("extended", "lower-bound"):
         "8e235218a63e3b168e33decd23439bc6f79ad203ccd579f41667b3c79c677723",
 }

@@ -407,22 +407,43 @@ def test_witness_in_place_products_keep_bits():
     witness = factorization.lower_bound_witness(w)
     # the witness's products out of place, on the weights it read
     w = core.normalize_weights(w)
-    universe = w.universe
+    sizes = w.universe.domain_sizes
     freqs = tuple(witness.kappa)
     norms = np.array(list(witness.kappa.values()))
     coeffs = tuple(np.ones(m) if f is None else f
-                   for m, f in zip(universe.domain_sizes, witness.f_tables))
+                   for m, f in zip(sizes, witness.f_tables))
+    unit = [factorization._unit_table(m) for m in sizes]
+    prefix = [table if f is None else np.cumsum(table, axis=0)
+              for table, f in zip(unit, witness.f_tables)]
     rows, P = factorization._row_index(w)
-    U = factorization._coefficient_matrix(w, coeffs, rows, freqs) \
-        / norms[None, :]
-    V = factorization._character_matrix(universe, freqs) \
-        / math.sqrt(universe.size)
-    Y = np.sqrt(P)[:, None] * (U @ V.conj().T)
-    W = factorization._prefix_matrix(w)
-    trace = abs(complex(((np.sqrt(P)[:, None] * W) * np.conj(Y)).sum()))
-    assert np.array_equal(witness.Y, Y)
-    assert witness.trace_value == trace / math.sqrt(universe.size)
-    assert witness.op_norm == float(np.linalg.svd(Y, compute_uv=False)[0])
+    root = np.sqrt(P)[:, None]
+    U = root * (factorization._coefficient_matrix(w, coeffs, unit, rows,
+                                                  freqs) / norms[None, :])
+    Z = root * factorization._coefficient_matrix(
+        w, [np.ones(m) for m in sizes], prefix, rows, freqs)
+    assert witness.trace_value == abs(complex((Z * np.conj(U)).sum()))
+    assert witness.op_norm == float(np.linalg.svd(U, compute_uv=False)[0])
+
+
+def test_range_witness_allocates_less_than_one_wide_matrix():
+    # 6 range pairs of 2 numerical size-16 and 2 categorical size-4
+    # attributes: 528 query rows over |U| = 4,096
+    pairs = list(itertools.combinations(range(4), 2))
+    w = make_workload((16, 16, 4, 4), pairs, kind="extended",
+                      kinds=(core.NUMERICAL, core.NUMERICAL,
+                             core.CATEGORICAL, core.CATEGORICAL))
+    rows = sum(w.universe.subuniverse_size(s) for s in w.sets)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        witness = factorization.lower_bound_witness(w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(witness.trace_value - witness.closed_form) <= 1e-8
+    assert witness.op_norm <= 1 + 1e-9
+    # one rows x |U| complex matrix
+    assert peak < rows * w.universe.size * 16
 
 
 # ------------------------------------------- range-query lower bound
@@ -474,15 +495,6 @@ def test_range_bound_mixed_universe_witness_agrees():
     assert witness.f_tables[0] is None
     assert witness.f_tables[1][0] == pytest.approx(2.0)  # (m + 1) / 2 at m=3
     assert witness.note
-
-
-def test_range_bound_prefix_matrix_matches_reference():
-    w = make_workload((2, 3), [(0, 1), (1,)], [0.6, 0.4], kind="extended",
-                      kinds=("categorical", "numerical"))
-    built = factorization._prefix_matrix(core.normalize_weights(w))
-    den = dense_oracle(w, kind="extended",
-                       attr_kinds=w.universe.attribute_kind)
-    assert np.abs(built - den.W).max() == 0.0
 
 
 def test_range_witness_dense_cap():
@@ -632,13 +644,6 @@ def reference_dense_matrix(workload):
     return _reference_kron_blocks(workload, circulant)
 
 
-def reference_prefix_matrix(workload):
-    numerical = factorization._numerical_members(workload.universe)
-    return _reference_kron_blocks(
-        workload, lambda j, m: np.tril(np.ones((m, m))) if j in numerical
-        else np.eye(m))
-
-
 def reference_kappa(workload, f_tables, freqs):
     """kappa_a frequency by frequency and set by set."""
     universe = workload.universe
@@ -730,14 +735,14 @@ def test_property_builders_equal_loop_references(w):
     freqs = tuple(sorted(a for members in core.downward_closure(product)
                          for a in frequency_vectors(universe, members)))
     coeffs = plan.spectrum.tables
+    unit = [factorization._unit_table(m) for m in universe.domain_sizes]
     rows, _ = factorization._row_index(product)
     assert np.array_equal(factorization._character_matrix(universe, freqs),
                           reference_character_matrix(universe, freqs))
     assert np.array_equal(
-        factorization._coefficient_matrix(product, coeffs, rows, freqs),
+        factorization._coefficient_matrix(product, coeffs, unit, rows,
+                                          freqs),
         reference_coefficient_matrix(product, coeffs, rows, freqs))
-    assert np.array_equal(factorization._prefix_matrix(w),
-                          reference_prefix_matrix(w))
     try:
         fact = factorization.build_factorization(w)
     except core.Unestimable:
@@ -759,13 +764,41 @@ def test_property_builders_equal_loop_references(w):
         coeffs = tuple(np.ones(m) if f is None else f
                        for m, f in zip(w.universe.domain_sizes, f_tables))
         freqs = tuple(witness.kappa)
+        unit = [factorization._unit_table(m) for m in w.universe.domain_sizes]
         rows, _ = factorization._row_index(w)
         assert np.array_equal(
-            factorization._coefficient_matrix(w, coeffs, rows, freqs),
+            factorization._coefficient_matrix(w, coeffs, unit, rows, freqs),
             reference_coefficient_matrix(w, coeffs, rows, freqs))
         reference = reference_kappa(w, f_tables, freqs)
         assert list(witness.kappa) == list(reference)
         assert all(witness.kappa[a] == reference[a] for a in reference)
+
+
+@settings(deadline=None, max_examples=60)
+@given(builder_workloads())
+def test_property_witness_equals_dense_test_matrix(w):
+    assume(w.kind == "extended")
+    witness = factorization.lower_bound_witness(w)
+    # Y = P^(1/2) U~ V~* / sqrt(|U|) whole, from the loop references, on
+    # the weights the witness read, against the oracle's dense W
+    w = core.normalize_weights(w)
+    universe = w.universe
+    den = dense_oracle(w, kind="extended",
+                       attr_kinds=universe.attribute_kind)
+    freqs = tuple(witness.kappa)
+    norms = np.array(list(witness.kappa.values()))
+    coeffs = tuple(np.ones(m) if f is None else f
+                   for m, f in zip(universe.domain_sizes, witness.f_tables))
+    U = reference_coefficient_matrix(w, coeffs, den.rows, freqs) \
+        / norms[None, :]
+    V = reference_character_matrix(universe, freqs)
+    root = np.sqrt(den.P)[:, None]
+    Y = root * (U @ V.conj().T) / math.sqrt(universe.size)
+    trace = abs(complex((root * den.W * np.conj(Y)).sum())) \
+        / math.sqrt(universe.size)
+    op_norm = float(np.linalg.svd(Y, compute_uv=False)[0])
+    assert math.isclose(witness.trace_value, trace, rel_tol=1e-12)
+    assert math.isclose(witness.op_norm, op_norm, rel_tol=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
