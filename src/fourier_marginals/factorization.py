@@ -45,11 +45,11 @@ Every dense matrix is a stack of per-set blocks, and each block is a
 product over attributes: V~ and U~ of per-attribute character tables
 omega_m^(a v), the witness's Z of the tables T_j = w_j omega_m^(a v)
 with w_j the prefix indicator 1{v <= t} or the identity, and each M_R
-of per-attribute factor tables times basis columns.  A block of V~, U~
-or Z is filled in place in its preallocated output by broadcasting one
-attribute's table over the grid at a time, in attribute order, so
-every entry is multiplied in the same order as a Kronecker product
-would, with no loop per frequency.
+of per-attribute factor tables times basis columns.  V~ is filled in
+place in its preallocated output, and a set's block of U~ or Z on its
+carried columns, by broadcasting one attribute's table over the grid at
+a time, in attribute order, so every entry is multiplied in the same
+order as a Kronecker product would, with no loop per frequency.
 
 Dense matrices are built only for small instances, as dense_refusal
 decides; past the caps the certificates fall back to closed forms: the
@@ -65,12 +65,17 @@ ever formed.  Each set's rows of a member block M_R are the product of
 two Kronecker products, one per half of its set's attributes, written
 straight into M_R, and one member block is alive at a time.
 build_factorization takes the SVDs of the member blocks before it
-allocates U~ and V~, and keeps the bound.  The norms and the
-Gram residuals then read L and R BLOCK rows or columns at a time.  Each
-block goes through the same elementwise operations and reductions as
-the whole matrix would, so every reported number is the same float.
-The range-query witness holds no matrix with |U| columns, only the
-rows x k factors P^(1/2) U~ and Z, with k the witness's frequencies.
+allocates U~ and V~, and keeps the bound.  U~ and Z are filled set by
+set on the frequencies with supp(a) within the set, the only columns
+where a set's rows are nonzero.  The norms read L and R BLOCK rows or
+columns at a time, through the same elementwise operations and
+reductions as the whole matrix would, so each norm is the same float.
+The Gram residuals hold one BLOCK-wide column block of a Gram matrix,
+on and above its diagonal, plus one set's rows of L on the columns
+where they are nonzero: L* P L is summed set by set, so its residual
+equals that of the whole product up to the order of summation.  The
+range-query witness holds no matrix with |U| columns, only the rows x k
+factors P^(1/2) U~ and Z, with k the witness's frequencies.
 """
 
 import functools
@@ -280,21 +285,26 @@ def _coefficient_products(coeffs, freqs, members):
 
 def _coefficient_matrix(workload, coeffs, tables, rows, freqs):
     """Entries coeff(S, a) prod_{j in S} tables[j][t_j, a_j] / |U_S| on
-    supp(a) within S: U~ when tables are the unit tables omega_m^(a v)."""
+    supp(a) within S, and zero elsewhere: U~ when tables are the unit
+    tables omega_m^(a v).  Each set's block is filled only on the
+    columns it carries, then copied into the zero matrix."""
     universe = workload.universe
     freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
-    out = np.ones((len(rows), len(freqs)), dtype=complex)
+    out = np.zeros((len(rows), len(freqs)), dtype=complex)
     start = 0
     for members in workload.sets:
         size = universe.subuniverse_size(members)
-        block = out[start:start + size]
-        scale = _coefficient_products(coeffs, freqs, members)
-        _character_grid(
-            block.reshape(universe.subdomain_sizes(members)
-                          + (len(freqs),)), tables, freqs, members)
-        np.multiply(scale / size, block, out=block)
         outside = [j for j in range(universe.d) if j not in members]
-        block[:, freqs[:, outside].any(axis=1) | (scale == 0)] = 0.0
+        carried = ~freqs[:, outside].any(axis=1)
+        sub = freqs[carried]
+        scale = _coefficient_products(coeffs, sub, members)
+        block = np.ones((size, len(sub)), dtype=complex)
+        _character_grid(
+            block.reshape(universe.subdomain_sizes(members) + (len(sub),)),
+            tables, sub, members)
+        np.multiply(scale / size, block, out=block)
+        block[:, scale == 0] = 0.0
+        out[start:start + size, carried] = block
         start += size
     return out
 
@@ -484,29 +494,62 @@ def _vector_norms(matrix, axis):
 
 
 def _gram_residuals(fact):
-    """max |L* P L - (sum tau)^2 E| and max |R R* - |U| E|, entrywise.
+    """max |L* P L - (sum tau)^2 E| and max |R R* - |U| E|, entrywise,
+    over the upper block triangle of each Gram matrix.
 
-    The columns in a block of L* P L are conj(L^T conj(P L_block)) and
-    the rows in a block of R R* are conj(conj(R_block) R^T), so neither
-    Gram matrix nor a conjugate of L or R is ever held whole.  An empty
+    A Gram matrix is Hermitian, so its blocks below the diagonal hold
+    nothing the ones above do not check.  For a column block of L* P L
+    the rows of L come set by set, and L* P L is the sum over sets S of
+    L_S* P_S L_S, with L_S the rows of S on the columns where they hold
+    a nonzero.  Those columns are read off L itself, not off the
+    supports S should carry, so a stray nonzero or a NaN anywhere in L
+    enters the sum.  Each term is conj(L_S^T conj(P_S L_S)), with L_S
+    gathered on the block's columns and those before it (a view when
+    that is all of them), so neither Gram matrix, nor a conjugate of L
+    or R, nor a copy of L is ever held.  The rows in a block of R R* are
+    conj(conj(R_block) R^T) on the columns from the block on.  An empty
     pair has residuals 0.0.
     """
     L, R = fact.L, fact.R
+    universe = fact.workload.universe
     lpl_diagonal = float(fact.tau.sum()) ** 2 * fact.E
-    rr_diagonal = fact.workload.universe.size * fact.E
+    rr_diagonal = universe.size * fact.E
+    # each set's rows of L and the columns they hold a nonzero in
+    sets = []
+    start = 0
+    for members in fact.workload.sets:
+        rows = slice(start, start + universe.subuniverse_size(members))
+        sets.append((rows, np.flatnonzero((L[rows] != 0).any(axis=0))))
+        start = rows.stop
     lpl = [0.0]
     rr = [0.0]
     for part in _blocks(L.shape[1]):
         inside = np.arange(part.stop - part.start)
-        block = np.multiply(fact.P[:, None], L[:, part])
-        np.conjugate(block, out=block)
-        block = L.T @ block
+        # conj of rows :part.stop of the column block part of L* P L
+        block = np.zeros((part.stop, len(inside)), dtype=complex)
+        for rows, carried in sets:
+            before, stop = np.searchsorted(carried, [part.start, part.stop])
+            if before == stop:
+                continue
+            if stop == part.stop:
+                # the set carries every column up to the block's end
+                ours = L[rows, :stop]
+            else:
+                cols = carried[:stop]
+                ours = L[rows][:, cols]
+            term = np.multiply(fact.P[rows, None], ours[:, before:])
+            np.conjugate(term, out=term)
+            term = ours.T @ term
+            if stop == part.stop:
+                block += term
+            else:
+                block[np.ix_(cols, cols[before:] - part.start)] += term
         np.conjugate(block, out=block)
         block[inside + part.start, inside] -= lpl_diagonal[part]
         lpl.append(np.abs(block).max())
-        block = np.conjugate(R[part]) @ R.T
+        block = np.conjugate(R[part]) @ R[part.start:].T
         np.conjugate(block, out=block)
-        block[inside, inside + part.start] -= rr_diagonal[part]
+        block[inside, inside] -= rr_diagonal[part]
         rr.append(np.abs(block).max())
     return float(np.max(lpl)), float(np.max(rr))
 
@@ -671,11 +714,16 @@ def lower_bound_witness(workload, p=None, dense_cap=None):
     and op_norm against 1.
     """
     w = normalize_weights(workload, p)
-    universe = w.universe
     _check_dense_caps(w, dense_cap)
+    return _witness(w, *_witness_plan(w))
+
+
+def _witness(w, plan, f_tables, coeffs):
+    """lower_bound_witness of the normalized workload w, from the plan,
+    f_tables and coeffs _witness_plan(w) returns."""
+    universe = w.universe
     sizes = universe.domain_sizes
     numerical = _numerical_members(universe)
-    plan, f_tables, coeffs = _witness_plan(w)
     roots = plan.roots(w.weights)
     # the frequencies of the members some weighted set covers, in
     # lexicographic order
@@ -732,15 +780,16 @@ def extended_lower_bound(workload, p=None, dense_cap=None):
     agree with the closed form; larger instances skip the check.
     """
     w = normalize_weights(workload, p)
-    plan, _, _ = _witness_plan(w)
-    value = float(plan.gains @ plan.roots(w.weights))
-    if dense_refusal(w, dense_cap) is None:
-        witness = lower_bound_witness(w, dense_cap=dense_cap)
-        if abs(witness.trace_value - value) > 1e-8 * max(1.0, value):
-            raise FourierMarginalsError(
-                f"range bound mismatch: dense trace {witness.trace_value} "
-                f"vs closed form {value}")
-        if witness.op_norm > 1 + 1e-9:
-            raise FourierMarginalsError(
-                f"test matrix operator norm {witness.op_norm} exceeds 1")
+    plan, f_tables, coeffs = _witness_plan(w)
+    if dense_refusal(w, dense_cap) is not None:
+        return float(plan.gains @ plan.roots(w.weights))
+    witness = _witness(w, plan, f_tables, coeffs)
+    value = witness.closed_form
+    if abs(witness.trace_value - value) > 1e-8 * max(1.0, value):
+        raise FourierMarginalsError(
+            f"range bound mismatch: dense trace {witness.trace_value} "
+            f"vs closed form {value}")
+    if witness.op_norm > 1 + 1e-9:
+        raise FourierMarginalsError(
+            f"test matrix operator norm {witness.op_norm} exceeds 1")
     return value

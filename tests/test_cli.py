@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fourier_marginals import cli, core, mechanism
+from fourier_marginals import budget, cli, core, factorization, mechanism
 
 from conftest import releases
 
@@ -801,6 +801,27 @@ def test_verify_corrupted_normalization_exits_5(tmp_path, capsys):
     assert any(not check["pass"] for check in doc["checks"])
 
 
+def test_verify_nan_in_left_factor_exits_5(tmp_path, capsys, monkeypatch):
+    build = factorization.build_factorization
+
+    def planted(*args, **kwargs):
+        fact = build(*args, **kwargs)
+        # the rows of set a on frequency (0, 1), whose support leaves a
+        assert fact.rows[0][0] == (0,) and fact.freqs[1] == (0, 1)
+        fact.L[0, 1] = math.nan
+        return fact
+
+    monkeypatch.setattr(factorization, "build_factorization", planted)
+    workload = write_json(tmp_path, PAIR_DOC)
+    code, out, _ = run(capsys, "verify", "--workload", workload)
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert math.isnan(doc["residuals"]["lpl"])
+    checks = {check["name"]: check for check in doc["checks"]}
+    assert checks["factor_product"]["pass"] is False
+
+
 def test_verify_extended_includes_range_bound(tmp_path, capsys):
     workload = write_json(tmp_path, RANGE_DOC)
     doc = run_json(capsys, "verify", "--workload", workload)
@@ -885,6 +906,22 @@ def test_lower_bound_extended_below_upper(tmp_path, capsys):
     assert doc["lower_bound"] < doc["upper_bound"]
     assert 0 < doc["ratio"] < 1
     assert "prefix" in doc["note"]
+
+
+def test_lower_bound_extended_plans_the_witness_once(tmp_path, capsys,
+                                                    monkeypatch):
+    plan = budget.subset_plan
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(budget, "subset_plan", counted)
+    workload = write_json(tmp_path, RANGE_DOC)
+    run_json(capsys, "lower-bound", "--workload", workload)
+    # one plan for the predicted error, one for the witness
+    assert len(calls) == 2
 
 
 def test_lower_bound_beyond_cap_uses_closed_form(tmp_path, capsys):
@@ -995,7 +1032,7 @@ PINNED_OUTPUTS = {
     ("product", "predict-error"):
         "cd116a0ce6144dba0f107e6dce1535be4c192745de6b497594f1fa6a7da9e991",
     ("product", "verify"):
-        "71c126b0a978d6068ca5ceb9474a1a06db0a82211789552fcf37c556a3da7da3",
+        "eb23824a54f38e913c19991beb7be30dbc982be8bd410a1c66a6000aa9b7d3c3",
     ("product", "lower-bound"):
         "eb4775976bb7daae28e41e7d3ed869358d7a8a8896067135ae4c8ab2301ea7aa",
     ("extended", "release"):
@@ -1005,7 +1042,7 @@ PINNED_OUTPUTS = {
     ("extended", "predict-error"):
         "ee8fbf89307efc6337402f33a440d46b9ab26b65eb351e2f05fd47458df21095",
     ("extended", "verify"):
-        "42a8b1c41fa14c5d6c5fc0475024a725b1569441b7b91ea9c7896eab6e0b0acf",
+        "859c4f3340f06acc3662dac2c9e3d51f10b8d9b0c8feed82f228a2b929be85d3",
     ("extended", "lower-bound"):
         "8e235218a63e3b168e33decd23439bc6f79ad203ccd579f41667b3c79c677723",
 }
