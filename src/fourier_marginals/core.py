@@ -212,18 +212,14 @@ def build_universe(domain_sizes, kinds=None):
     return Universe(domain_sizes=sizes, attribute_kind=kinds)
 
 
-def downward_closure(workload, positive_only=False):
+def downward_closure(workload):
     """Closure of the workload's sets under taking subsets.
 
-    With positive_only, only sets contained in some member with positive
-    weight are kept (the closure that matters for released frequencies).
     Returns the members as a tuple of index tuples, ordered by
     (cardinality, lexicographic).
     """
     closure = set()
-    for s, w in zip(workload.sets, workload.weights):
-        if positive_only and w <= 0:
-            continue
+    for s in workload.sets:
         for r in range(len(s) + 1):
             closure.update(itertools.combinations(s, r))
     return tuple(sorted(closure, key=lambda s: (len(s), s)))

@@ -42,14 +42,16 @@ sqrt(|U|) tau_a.  Three certificates follow:
     checked in the frequency basis, never formed (see LowerBoundWitness).
 
 Every dense matrix is a stack of per-set blocks, and each block is a
-product over attributes: V~ and U~ of per-attribute character tables
-omega_m^(a v), the witness's Z of the tables T_j = w_j omega_m^(a v)
-with w_j the prefix indicator 1{v <= t} or the identity, and each M_R
-of per-attribute factor tables times basis columns.  V~ is filled in
-place in its preallocated output, and a set's block of U~ or Z on its
-carried columns, by broadcasting one attribute's table over the grid at
-a time, in attribute order, so every entry is multiplied in the same
-order as a Kronecker product would, with no loop per frequency.
+product over attributes of per-attribute tables read at a frequency
+per column: V~ and U~ of the character tables omega_m^(a v), the
+witness's Z of the tables w_j omega_m^(a v) with w_j the prefix
+indicator 1{v <= t} or the identity, and each M_R of the tables
+[C_j 1 / sqrt(m_j) | C_j H_j[:, 1:]] at the basis columns of R, which
+are indexed like the frequencies of R.  One builder, _character_grid,
+fills them all in place, broadcasting one attribute's table over the
+grid at a time, in attribute order, so every entry is multiplied in
+the same order as a Kronecker product would, with no loop per
+frequency.
 
 Dense matrices are built only for small instances, as dense_refusal
 decides; past the caps the certificates fall back to closed forms: the
@@ -61,21 +63,21 @@ when a release would be.
 
 Memory holds one dense matrix at a time beside the pair: no temporary
 the size of L or R lives next to them, and neither W nor Q nor M is
-ever formed.  Each set's rows of a member block M_R are the product of
-two Kronecker products, one per half of its set's attributes, written
-straight into M_R, and one member block is alive at a time.
+ever formed.  Each set's rows of a member block M_R are filled in
+place in M_R, and one member block is alive at a time.
 build_factorization takes the SVDs of the member blocks before it
 allocates U~ and V~, and keeps the bound.  U~ and Z are filled set by
 set on the frequencies with supp(a) within the set, the only columns
-where a set's rows are nonzero.  The norms read L and R BLOCK rows or
-columns at a time, through the same elementwise operations and
-reductions as the whole matrix would, so each norm is the same float.
-The Gram residuals hold one BLOCK-wide column block of a Gram matrix,
-on and above its diagonal, plus one set's rows of L on the columns
-where they are nonzero: L* P L is summed set by set, so its residual
-equals that of the whole product up to the order of summation.  The
-range-query witness holds no matrix with |U| columns, only the rows x k
-factors P^(1/2) U~ and Z, with k the witness's frequencies.
+where a set's rows are nonzero, in place when a set carries every
+column.  The norms read L and R BLOCK rows or columns at a time,
+through the same elementwise operations and reductions as the whole
+matrix would, so each norm is the same float.  The Gram residuals
+hold one BLOCK-wide column block of a Gram matrix, on and above its
+diagonal, plus one set's rows of L on the columns where they are
+nonzero: L* P L is summed set by set, so its residual equals that of
+the whole product up to the order of summation.  The range-query
+witness holds no matrix with |U| columns, only the rows x k factors
+P^(1/2) U~ and Z, with k the witness's frequencies.
 """
 
 import functools
@@ -87,7 +89,7 @@ import numpy as np
 
 from . import budget, fourier, mechanism
 from .core import (NUMERICAL, FourierMarginalsError, Workload,
-                   downward_closure, normalize_weights)
+                   normalize_weights)
 
 DENSE_UNIVERSE_CAP = 4096
 DENSE_QUERY_CAP = 8192
@@ -171,7 +173,9 @@ class RealFactorization:
 class LowerBoundWitness:
     """The range-query test matrix Y = P^(1/2) U~ V~* / sqrt(|U|), read
     in the frequency basis; U~ holds the coefficients f_j (None for
-    categorical attributes in f_tables), column a divided by kappa_a.
+    categorical attributes in f_tables), column a divided by kappa[a],
+    the tau_a of the witness plan (see _witness_plan), so that each
+    column of P^(1/2) U~ is a unit vector.
 
     op_norm = ||Y||_2 <= 1, so trace_value = |tr(P^(1/2) W Y*)| / sqrt(|U|)
     bounds every factorization of the prefix query matrix W from below.
@@ -287,7 +291,8 @@ def _coefficient_matrix(workload, coeffs, tables, rows, freqs):
     """Entries coeff(S, a) prod_{j in S} tables[j][t_j, a_j] / |U_S| on
     supp(a) within S, and zero elsewhere: U~ when tables are the unit
     tables omega_m^(a v).  Each set's block is filled only on the
-    columns it carries, then copied into the zero matrix."""
+    columns it carries, in place when that is all of them, else apart
+    and then copied into the zero matrix."""
     universe = workload.universe
     freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
     out = np.zeros((len(rows), len(freqs)), dtype=complex)
@@ -298,13 +303,17 @@ def _coefficient_matrix(workload, coeffs, tables, rows, freqs):
         carried = ~freqs[:, outside].any(axis=1)
         sub = freqs[carried]
         scale = _coefficient_products(coeffs, sub, members)
-        block = np.ones((size, len(sub)), dtype=complex)
+        whole = len(sub) == len(freqs)
+        block = out[start:start + size] if whole \
+            else np.empty((size, len(sub)), dtype=complex)
+        block.fill(1.0)
         _character_grid(
             block.reshape(universe.subdomain_sizes(members) + (len(sub),)),
             tables, sub, members)
         np.multiply(scale / size, block, out=block)
         block[:, scale == 0] = 0.0
-        out[start:start + size, carried] = block
+        if not whole:
+            out[start:start + size, carried] = block
         start += size
     return out
 
@@ -354,6 +363,8 @@ def _trace_bound(w):
     Kronecker product over all attributes of H_j[:, 1:] for j in R and
     the constant column 1 / sqrt(m_j) elsewhere, where H_j is an
     orthogonal m_j x m_j basis whose first column is 1 / sqrt(m_j).
+    Column b of Q_R is indexed like a frequency of R, so M_R is built
+    from per-attribute tables as U~ is.
 
     Sound: ||A Q||_tr <= ||A||_tr for every Q with orthonormal columns,
     since Q* is a contraction, so the value of M = P^(1/2) W Q bounds
@@ -388,50 +399,33 @@ def _trace_bound(w):
     return trace / math.sqrt(w.universe.size), cutoff
 
 
-def _kron(a, b, out=None):
-    """np.kron of two matrices, written into out when given.
-
-    out is a 2-D view, split into four axes in place; a block of a
-    C-ordered matrix always can be.
-    """
-    shape = (a.shape[0], b.shape[0], a.shape[1], b.shape[1])
-    if out is None:
-        out = np.empty((shape[0] * shape[1], shape[2] * shape[3]))
-    np.multiply(a[:, None, :, None], b[None, :, None, :],
-                out=out.reshape(shape))
-    return out
-
-
 def _member_blocks(w):
     """(R, M_R) for each member R of the downward closure of the
     weighted sets, in closure order, one block alive at a time.
 
     M_R = P^(1/2) W Q_R is the column block of R (see _trace_bound),
     without the rows of the sets that do not contain R and of the sets
-    of weight zero, which are zero.  Its rows are those of the weighted
-    sets S >= R, in set order, each sqrt(P_S) prod_{j not in S}
-    sqrt(m_j) times the Kronecker product over j in S of C_j H_j[:, 1:]
-    (j in R) or C_j 1 / sqrt(m_j) (j not in R), where C_j is the
-    circulant of the factor table phi_j.  The Kronecker product of each
-    half of S is formed apart, and their product is written straight
-    into the block, so neither W nor Q nor a set's rows are held beside
-    it.  M_R has prod_{j in R} (m_j - 1) columns.
+    of weight zero, which are zero.  Column b of Q_R is indexed like a
+    frequency of R: b_j in 1 .. m_j - 1 for j in R and 0 elsewhere.  So
+    with T_j = [C_j 1 / sqrt(m_j) | C_j H_j[:, 1:]], where C_j is the
+    circulant of the factor table phi_j, the rows of each weighted set
+    S >= R, in set order, are sqrt(P_S) prod_{j not in S} sqrt(m_j)
+    times prod_{j in S} T_j[t_j, b_j], filled in place by
+    _character_grid as U~ is.  M_R has prod_{j in R} (m_j - 1) columns.
     """
     universe = w.universe
     sizes = universe.domain_sizes
-    inside = []
-    outside = []
+    tables = []
     for m, table in zip(sizes, w.phi_tables()):
         circulant = np.asarray(table, dtype=float)[
             (np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
         basis = np.eye(m)
         basis[:, 0] = 1.0
         basis = np.linalg.qr(basis)[0]
-        inside.append(circulant @ basis[:, 1:])
-        outside.append(circulant.sum(axis=1, keepdims=True) / math.sqrt(m))
+        outside = circulant.sum(axis=1, keepdims=True) / math.sqrt(m)
+        tables.append(np.hstack([outside, circulant @ basis[:, 1:]]))
     # the weighted sets containing each member, with their scales
-    covering = {member: [] for member
-                in downward_closure(w, positive_only=True)}
+    covering = {}
     for members, pS in zip(w.sets, w.weights):
         if pS <= 0:
             continue
@@ -440,21 +434,22 @@ def _member_blocks(w):
             math.sqrt(m) for j, m in enumerate(sizes) if j not in members)
         for r in range(len(members) + 1):
             for member in itertools.combinations(members, r):
-                covering[member].append((members, size, scale))
-    for member, sets in covering.items():
-        block = np.empty((sum(size for _, size, _ in sets),
-                          math.prod(sizes[j] - 1 for j in member)))
+                covering.setdefault(member, []).append((members, size, scale))
+    for member in sorted(covering, key=lambda s: (len(s), s)):
+        sets = covering[member]
+        # the columns of Q_R as frequencies of R, in row-major order
+        cols = np.zeros((math.prod(sizes[j] - 1 for j in member),
+                         universe.d), dtype=np.intp)
+        cols[:, list(member)] = list(
+            itertools.product(*(range(1, sizes[j]) for j in member)))
+        block = np.empty((sum(size for _, size, _ in sets), len(cols)))
         stop = 0
         for members, size, scale in sets:
-            half = len(members) // 2
-            factors = [inside[j] if j in member else outside[j]
-                       for j in members]
-            left = functools.reduce(_kron, factors[:half],
-                                    np.full((1, 1), scale))
-            right = functools.reduce(_kron, factors[half:], np.ones((1, 1)))
-            # the block's rows are split in place, and the inputs are
-            # apart from the block, so numpy copies nothing
-            _kron(left, right, out=block[stop:stop + size])
+            part = block[stop:stop + size]
+            part.fill(scale)
+            _character_grid(
+                part.reshape(universe.subdomain_sizes(members) + (len(cols),)),
+                tables, cols, members)
             stop += size
         yield member, block
 
@@ -726,27 +721,9 @@ def _witness(w, plan, f_tables, coeffs):
     numerical = _numerical_members(universe)
     roots = plan.roots(w.weights)
     # the frequencies of the members some weighted set covers, in
-    # lexicographic order
-    grid, _ = budget.released_rows(*plan.frequencies(roots))
-    freqs = tuple(map(tuple, grid.tolist()))
-    # kappa_a^2 adds, set by set, p(S) prod_{j in S numerical}
-    # |f_j(a_j)|^2 / |U_S|^2 over the weighted sets S covering supp(a)
-    squares = {j: np.array([abs(f_tables[j][v]) ** 2 for v in range(m)])
-               for j, m in enumerate(sizes) if j in numerical}
-    inner = np.zeros(len(freqs))
-    for members, pS in zip(w.sets, w.weights):
-        if pS <= 0:
-            continue
-        outside = [j for j in range(universe.d) if j not in members]
-        covered = ~grid[:, outside].any(axis=1)
-        prod = np.ones(len(freqs))
-        for j in members:
-            if j in numerical:
-                prod = prod * squares[j][grid[:, j]]
-        term = pS * prod / universe.subuniverse_size(members) ** 2
-        inner[covered] += term[covered]
-    norms = np.sqrt(inner)
-    kappa = dict(zip(freqs, norms.tolist()))
+    # lexicographic order, and their kappa_a: the plan's tau_a
+    freqs, norms = budget.released_rows(*plan.frequencies(roots))
+    kappa = dict(zip(map(tuple, freqs.tolist()), norms.tolist()))
     rows, P = _row_index(w)
     unit = [_unit_table(m) for m in sizes]
     # Z's tables T_j[t, a] = sum_x w_j[t, x] omega_m^(a x): prefix sums

@@ -1042,7 +1042,7 @@ PINNED_OUTPUTS = {
     ("extended", "predict-error"):
         "ee8fbf89307efc6337402f33a440d46b9ab26b65eb351e2f05fd47458df21095",
     ("extended", "verify"):
-        "859c4f3340f06acc3662dac2c9e3d51f10b8d9b0c8feed82f228a2b929be85d3",
+        "70db410fce55b887171877c5386340fd21d62b94f795fe65f277ca37452c734f",
     ("extended", "lower-bound"):
         "8e235218a63e3b168e33decd23439bc6f79ad203ccd579f41667b3c79c677723",
 }

@@ -62,15 +62,6 @@ def test_closure_of_all_pairs_of_three():
     assert all(len(s) <= 2 for s in members)
 
 
-def test_closure_positive_only_drops_uncovered():
-    u = core.build_universe([2, 2, 2])
-    w = core.Workload(universe=u, sets=((0, 1), (2,)),
-                      weights=np.array([1.0, 0.0]))
-    restricted = core.downward_closure(w, positive_only=True)
-    assert (2,) not in restricted
-    assert restricted == ((), (0,), (1,), (0, 1))
-
-
 @given(workloads())
 @settings(max_examples=50, deadline=None)
 def test_closure_idempotent_and_subset_closed(w):

@@ -416,6 +416,30 @@ def test_verify_of_one_full_set_holds_no_copy_of_l():
         make_workload((4,) * 5, [tuple(range(5))]))
 
 
+def test_coefficient_matrix_fills_a_set_carrying_every_column_in_place():
+    # one set over 5 size-4 attributes carries all 1,024 frequencies, so
+    # its block is the whole of U~
+    w = core.normalize_weights(make_workload((4,) * 5, [tuple(range(5))]))
+    product, plan, _ = mechanism.as_product(w)
+    indices, _ = budget.released_rows(
+        *plan.frequencies(plan.roots(product.weights)))
+    rows, _ = factorization._row_index(product)
+    unit = [factorization._unit_table(m) for m in (4,) * 5]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        U = factorization._coefficient_matrix(product, plan.spectrum.tables,
+                                              unit, rows, indices)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (1024, 1024)
+    assert np.array_equal(U, reference_coefficient_matrix(
+        product, plan.spectrum.tables, rows, tuple(map(tuple, indices))))
+    # U~ itself and per-attribute tables, no second 16 MiB block
+    assert peak <= U.nbytes + 2 ** 20
+
+
 def test_witness_in_place_products_keep_bits():
     w = make_workload((3, 4, 2), [(0, 1), (1, 2), (0, 2)], kind="extended",
                       kinds=(core.NUMERICAL, core.NUMERICAL,
@@ -691,8 +715,11 @@ def reference_extended_closed_form(workload):
     universe = workload.universe
     sizes = universe.domain_sizes
     numerical = factorization._numerical_members(universe)
+    closure = {subset for members, pS in zip(workload.sets, workload.weights)
+               if pS > 0 for r in range(len(members) + 1)
+               for subset in itertools.combinations(members, r)}
     total = 0.0
-    for subset in core.downward_closure(workload, positive_only=True):
+    for subset in sorted(closure, key=lambda s: (len(s), s)):
         gain = 1.0
         for j in subset:
             gain *= mechanism.zeta(sizes[j]) if j in numerical \
@@ -785,9 +812,18 @@ def test_property_builders_equal_loop_references(w):
         assert np.array_equal(
             factorization._coefficient_matrix(w, coeffs, unit, rows, freqs),
             reference_coefficient_matrix(w, coeffs, rows, freqs))
+        # kappa is the witness plan's tau, bit for bit
+        plan, _, _ = factorization._witness_plan(w)
+        grid, tau = budget.released_rows(
+            *plan.frequencies(plan.roots(w.weights)))
+        assert freqs == tuple(map(tuple, grid.tolist()))
+        assert list(witness.kappa.values()) == tau.tolist()
+        # and the set-by-set sum within rounding
         reference = reference_kappa(w, f_tables, freqs)
         assert list(witness.kappa) == list(reference)
-        assert all(witness.kappa[a] == reference[a] for a in reference)
+        eps = np.finfo(float).eps
+        assert all(abs(witness.kappa[a] - reference[a])
+                   <= 8 * eps * reference[a] for a in reference)
 
 
 def set_rows(fact):
@@ -964,6 +1000,66 @@ def test_property_member_blocks_split_the_projection(w):
     # over the rows of the sets with weight
     A = (np.sqrt(den.P)[:, None] * den.W)[den.P > 0]
     assert np.abs(M @ M.T - A @ A.T).max() <= 1e-12 * np.abs(A @ A.T).max()
+
+
+def reference_member_factors(product):
+    """(C_j 1 / sqrt(m_j), C_j H_j[:, 1:]) per attribute: the circulant
+    of phi_j times the constant column and the other columns of the QR
+    basis whose first column is constant."""
+    factors = []
+    for m, table in zip(product.universe.domain_sizes,
+                        product.phi_tables()):
+        shift = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
+        circulant = np.asarray(table, dtype=float)[shift]
+        basis = np.eye(m)
+        basis[:, 0] = 1.0
+        basis = np.linalg.qr(basis)[0]
+        factors.append((circulant.sum(axis=1, keepdims=True) / math.sqrt(m),
+                        circulant @ basis[:, 1:]))
+    return factors
+
+
+@settings(deadline=None, max_examples=80)
+@given(builder_workloads())
+def test_property_member_block_rows_are_kronecker_products(w):
+    product, _ = mechanism.product_form(core.normalize_weights(w))
+    universe = product.universe
+    sizes = universe.domain_sizes
+    factors = reference_member_factors(product)
+    weighted = [(members, pS) for members, pS
+                in zip(product.sets, product.weights) if pS > 0]
+    closure = {member for members, _ in weighted
+               for r in range(len(members) + 1)
+               for member in itertools.combinations(members, r)}
+    blocks = list(factorization._member_blocks(product))
+    # exactly the closure of the weighted sets, in (size, lex) order
+    assert [member for member, _ in blocks] == sorted(
+        closure, key=lambda s: (len(s), s))
+    for member, block in blocks:
+        stop = 0
+        for members, pS in weighted:
+            if not set(member) <= set(members):
+                continue
+            scale = math.sqrt(pS / universe.subuniverse_size(members)) \
+                * math.prod(math.sqrt(m) for j, m in enumerate(sizes)
+                            if j not in members)
+            # np.kron folded from the scale, one factor per attribute:
+            # the builder multiplies in the same order, so every entry,
+            # for sets of any size, has the same bits
+            reference = functools.reduce(
+                np.kron, [factors[j][j in member] for j in members],
+                np.full((1, 1), scale))
+            assert np.array_equal(block[stop:stop + len(reference)],
+                                  reference)
+            stop += len(reference)
+        assert stop == len(block)
+
+
+def test_member_blocks_skip_members_only_zero_weight_sets_cover():
+    w = make_workload((2, 2, 2), [(0, 1), (2,)], weights=[1.0, 0.0])
+    members = [member for member, _ in factorization._member_blocks(
+        core.normalize_weights(w))]
+    assert members == [(), (0,), (1,), (0, 1)]
 
 
 def test_member_blocks_of_the_dense_certify_shape():
