@@ -20,12 +20,13 @@ The residual compares the scaled partial derivatives
 SubsetPlan.derivatives, which must not exceed min over weighted sets S'
 of D_{S'} at an optimum; D_S is proportional to sigma_S^2, so the same
 check certifies variance maximality.  Near the optimum a damped Newton
-step solves the first-order equations on the support of p: its bordered
-system is dense, k + 1 square for a support of k sets, but its Jacobian
-is assembled from the plan's pairs with G_R coef(R, S) > 0, member by
-member.  Every run is deterministic.  On the workloads in the test
-suite convergence takes well under a thousand iterations; pathological
-instances raise NoConvergence with the best iterate attached.
+step solves the first-order equations on the support of p by conjugate
+gradients: no Jacobian is formed, each product with it is two bincounts
+over the plan's pairs with G_R coef(R, S) > 0, and a step over a
+support of k sets holds O(pairs + k) memory.  Every run is
+deterministic.  On the workloads in the test suite convergence takes
+well under a thousand iterations; pathological instances raise
+NoConvergence with the best iterate attached.
 """
 
 from dataclasses import dataclass, field
@@ -39,9 +40,8 @@ from .core import FourierMarginalsError, normalize_weights
 # first-order conditions guarantee strict positivity at the optimum
 SUM_FLOOR = 1e-14
 SUPPORT_TOL = 1e-12
-# a member on at least 1/WIDE_SHARE of the Newton support enters the
-# Jacobian as a dense row
-WIDE_SHARE = 32
+# the Newton step's conjugate gradients stop at this relative residual
+CG_TOL = 1e-14
 
 
 class NoConvergence(FourierMarginalsError):
@@ -85,45 +85,57 @@ def _floored(plan, roots):
     return bool((roots[plan.need_member] ** 2 < SUM_FLOOR).any())
 
 
-def _jacobian(plan, roots, idx):
-    """J = -1/2 C_s^T diag(G / r^3) C_s on the support idx.
+def _newton_step(plan, roots, D, idx):
+    """Newton direction on the support idx.
 
-    C_s holds coef(R, S) of the plan's needed pairs, those with
-    G_R coef(R, S) > 0, on the sets of idx, taken member by member.  A
-    member on at least 1/WIDE_SHARE of the support (the empty member is
-    on all of it) adds its rank-one term through one matrix product of
-    the wide members' dense rows; every other member adds the products
-    of its pairs one entry at a time, so the cost is O(wide members *
-    k^2 + sum over the others of their pair count squared), not
-    O(members * k^2).
+    Solves the bordered Newton system of the first-order equations,
+    -J delta = D_s - mean(D_s) with delta summing to zero, where
+    -J = 1/2 C_s^T diag(G / r^3) C_s is symmetric positive definite
+    while every needed root is positive.  Conjugate gradients run on
+    the zero-sum subspace: each product with -J is two bincounts over
+    the plan's needed pairs on idx with the mean projected out, so an
+    iteration costs O(pairs) time and the step holds O(pairs + k)
+    memory.  CG stops once the residual falls to CG_TOL of its start,
+    after k = idx.size iterations, or at a curvature d.(-J d) that is
+    not positive and finite; it returns its last iterate (zero when the
+    first curvature fails, which ends the polish).
     """
     k = idx.size
     column = np.full(len(plan.sets), -1)
     column[idx] = np.arange(k)
     col = column[plan.need_set]
-    keep = np.flatnonzero(col >= 0)
-    keep = keep[np.argsort(plan.need_member[keep], kind="stable")]
+    keep = col >= 0
     member, col, coef = plan.need_member[keep], col[keep], \
         plan.need_coef[keep]
-    # members no set needs may have r_R = 0; their weight is never read
-    weight = np.zeros(len(plan.members))
-    np.divide(-0.5 * plan.gains, roots ** 3, out=weight, where=roots > 0)
-    degree = np.bincount(member, minlength=weight.size)
-    wide = degree[member] * WIDE_SHARE >= k
-    rows, row = np.unique(member[wide], return_inverse=True)
-    dense = np.zeros((rows.size, k))
-    dense[row, col[wide]] = coef[wide]
-    J = (dense.T * weight[rows]) @ dense
-    # the other pairs, in whole member blocks: each one meets every
-    # pair of its block, itself included
-    member, col, coef = member[~wide], col[~wide], coef[~wide]
-    count = degree[member]
-    first = np.repeat(np.arange(member.size), count)
-    shift = np.searchsorted(member, member) - (np.cumsum(count) - count)
-    second = np.repeat(shift, count) + np.arange(first.size)
-    np.add.at(J.reshape(-1), col[first] * k + col[second],
-              weight[member[first]] * coef[first] * coef[second])
-    return J
+    scaled = coef * (0.5 * plan.gains[member] / roots[member] ** 3)
+
+    def product(v):
+        inner = np.bincount(member, weights=coef * v[col],
+                            minlength=len(plan.members))
+        out = np.bincount(col, weights=scaled * inner[member], minlength=k)
+        return out - out.mean()
+
+    residual = D[idx] - D[idx].mean()
+    # the subtraction leaves a rounding-sized mean that no product can
+    # reduce; remove it, or it sets the floor of the residual
+    residual -= residual.mean()
+    delta = np.zeros(k)
+    direction = residual.copy()
+    square = float(residual @ residual)
+    stop = CG_TOL ** 2 * square
+    for _ in range(k):
+        if square <= stop:
+            break
+        bent = product(direction)
+        curvature = float(direction @ bent)
+        if not 0.0 < curvature < np.inf:
+            break
+        alpha = square / curvature
+        delta += alpha * direction
+        residual -= alpha * bent
+        square, previous = float(residual @ residual), square
+        direction = residual + (square / previous) * direction
+    return delta
 
 
 def _project_simplex(v):
@@ -162,19 +174,7 @@ def _newton_polish(plan, p, tol, trace):
         idx = np.flatnonzero(p > SUPPORT_TOL)
         if idx.size <= 1 or (roots[plan.need_member] <= 0).any():
             break
-        k = idx.size
-        system = np.zeros((k + 1, k + 1))
-        system[:k, :k] = _jacobian(plan, roots, idx)
-        system[:k, k] = -1.0
-        system[k, :k] = 1.0
-        lam = float(D[idx].mean())
-        rhs = np.concatenate([lam - D[idx], [0.0]])
-        try:
-            delta = np.linalg.solve(system, rhs)[:k]
-        except np.linalg.LinAlgError:
-            break
-        # free the (k + 1)^2 system before the next step builds its own
-        del system
+        delta = _newton_step(plan, roots, D, idx)
         alpha = 1.0
         cand = None
         while alpha > 1e-12:

@@ -3,8 +3,8 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import unittest
-import unittest.mock
 
 import numpy as np
 
@@ -460,9 +460,10 @@ class StructureFromSubsetPlan(unittest.TestCase):
                              mechanism.predicted_error(w, p=p)[
                                  "per_set_sigma"])
 
-    def test_jacobian_equals_dense_product(self):
+    def test_newton_step_equals_dense_bordered_solve(self):
         # 2- and 3-way sets over 8 attributes, on full and partial
-        # supports, with every member dense, some or none
+        # supports: the CG step solves the (k + 1)^2 bordered system
+        # [J, -1; 1^T, 0] built from the double loop's dense C
         sets = tuple(s for r in (2, 3)
                      for s in itertools.combinations(range(8), r))
         w = workload((2, 3, 2, 4, 3, 2, 3, 2), sets)
@@ -473,16 +474,106 @@ class StructureFromSubsetPlan(unittest.TestCase):
         roots = plan.roots(p)
         c = C[active] @ p
         np.testing.assert_allclose(roots[active] ** 2, c, rtol=1e-14)
+        D = plan.derivatives(roots)
         for idx in (np.arange(len(sets)), np.arange(0, len(sets), 3)):
             Cs = C[active][:, idx]
-            dense = -0.5 * Cs.T @ (Cs * (G[active] / c ** 1.5)[:, None])
-            for share in (1, 4, 10 ** 6):
-                with unittest.mock.patch.object(optimizer, "WIDE_SHARE",
-                                                share):
-                    np.testing.assert_allclose(
-                        optimizer._jacobian(plan, roots, idx), dense,
-                        rtol=1e-12, atol=0)
+            k = idx.size
+            system = np.zeros((k + 1, k + 1))
+            system[:k, :k] = -0.5 * Cs.T @ (Cs * (G[active]
+                                                  / c ** 1.5)[:, None])
+            system[:k, k] = -1.0
+            system[k, :k] = 1.0
+            rhs = np.concatenate([D[idx].mean() - D[idx], [0.0]])
+            dense = np.linalg.solve(system, rhs)[:k]
+            np.testing.assert_allclose(
+                optimizer._newton_step(plan, roots, D, idx), dense,
+                rtol=1e-12, atol=0)
 
+    def test_newton_step_ends_at_curvature_not_positive_and_finite(self):
+        # negated roots make -J negative definite; a root whose cube
+        # underflows makes it infinite: either way no step is taken
+        w = workload((2, 3), ((0,), (1,), (0, 1)))
+        _, plan, _ = mechanism.as_product(w)
+        roots = plan.roots(np.array([0.2, 0.3, 0.5]))
+        D = plan.derivatives(roots)
+        idx = np.arange(3)
+        self.assertTrue(optimizer._newton_step(plan, roots, D, idx).any())
+        tiny = roots.copy()
+        tiny[plan.need_member[0]] = 1e-120
+        with np.errstate(all="ignore"):
+            for bad in (-roots, tiny):
+                np.testing.assert_array_equal(
+                    optimizer._newton_step(plan, bad, D, idx), np.zeros(3))
+
+
+def random_workload(rng, kind):
+    """A marginal, product or extended workload of up to 60 sets of 1
+    to 3 attributes over 2 to 7 attributes of sizes 2 to 4; product
+    tables have zeros, which puts some p* on the simplex boundary."""
+    d = int(rng.integers(2, 8))
+    sizes = tuple(int(m) for m in rng.integers(2, 5, d))
+    pool = [s for r in (1, 2, 3) for s in itertools.combinations(range(d), r)]
+    n = int(rng.integers(2, min(60, len(pool)) + 1))
+    sets = tuple(pool[i]
+                 for i in sorted(rng.choice(len(pool), n, replace=False)))
+    kinds = phi = None
+    if kind == "product":
+        phi = tuple(tuple((rng.uniform(0.0, 2.0, m)
+                           * (rng.random(m) > 0.2)).tolist())
+                    for m in sizes)
+    if kind == "extended":
+        kinds = tuple(core.NUMERICAL if numerical else core.CATEGORICAL
+                      for numerical in rng.random(d) < 0.5)
+    return workload(sizes, sets, kinds=kinds, kind=kind, phi=phi)
+
+
+class NewtonStepByConjugateGradients(unittest.TestCase):
+
+    def test_all_455_two_and_three_way_sets_match_the_dense_solver(self):
+        # 14 size-3 attributes: the optimizer holds less than one dense
+        # k x k Jacobian at any time
+        sets = tuple(s for r in (2, 3)
+                     for s in itertools.combinations(range(14), r))
+        w = workload((3,) * 14, sets)
+        p, objective, _, iterations = reference_optimize_pstar(w)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            new = optimizer.optimize_pstar(w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        self.assertEqual(len(sets), 455)
+        np.testing.assert_allclose(new.p_star, p, rtol=0, atol=1e-12)
+        self.assertEqual(new.iterations, iterations)
+        self.assertAlmostEqual(new.objective, objective, delta=1e-12)
+        self.assertLess(peak, len(sets) ** 2 * 8)
+
+    def test_random_workloads_reach_the_dense_solvers_objective(self):
+        # objectives, not p*: a product workload can have many maximizers
+        rng = np.random.default_rng(20251221)
+        cases = [random_workload(rng, kind) for _ in range(20)
+                 for kind in ("marginal", "product", "extended")]
+        # a zero-gain set (phi_0 = 0 gives D = 0) on the support of the
+        # first Newton step: the derivatives are small from the start
+        cases.append(workload((2, 2, 3), ((0,), (1,), (2,), (1, 2)),
+                              kind="product",
+                              phi=((0.0, 0.0), (1e-4, 2e-4),
+                                   (3e-4, 1e-4, 2e-4))))
+        compared = boundary = 0
+        for w in cases:
+            try:
+                p, objective, _, _ = reference_optimize_pstar(w)
+            except AssertionError:
+                continue
+            new = optimizer.optimize_pstar(w)
+            self.assertLessEqual(abs(new.objective - objective),
+                                 1e-12 * abs(objective))
+            self.assertLessEqual(new.kkt_residual, 1e-8)
+            compared += 1
+            boundary += bool((p <= optimizer.SUPPORT_TOL).any())
+        self.assertGreaterEqual(compared, 55)
+        self.assertGreaterEqual(boundary, 5)
 
 if __name__ == "__main__":
     unittest.main()
