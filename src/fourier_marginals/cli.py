@@ -169,7 +169,10 @@ def _build_parser():
                        help="trace-norm lower bound next to the achieved "
                             "error")
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--dense-cap", dest="dense_cap", type=int)
+    p.add_argument("--dense-cap", dest="dense_cap", type=int,
+                   help="override the dense universe cap of the range "
+                        "witness; the trace bound of other kinds is not "
+                        "capped by universe size")
 
     p = sub.add_parser("plot-data", parents=[output],
                        help="CSV tables for the accuracy figures")
@@ -486,21 +489,16 @@ def cmd_lower_bound(config):
     universe, workload, names = _load_workload(config.workload)
     upper = mechanism.predicted_error(workload, mu=config.mu)["weighted_rms"]
     doc = {"kind": workload.kind, "mu": config.mu, "upper_bound": upper}
-    # the witness of a range bound lives over the original universe, as
-    # does the dense matrix of every other kind
-    dense = factorization.dense_refusal(workload, config.dense_cap) is None
     if workload.kind == "extended":
         lower = factorization.extended_lower_bound(
             workload, dense_cap=config.dense_cap) / config.mu
         if core.NUMERICAL in universe.attribute_kind:
             doc["note"] = factorization.WITNESS_NOTE
-    elif dense:
-        lower = factorization.svd_lower_bound(
-            workload, dense_cap=config.dense_cap) / config.mu
+        # the range witness lives over the original universe
+        doc["dense_witness"] = factorization.dense_refusal(
+            workload, config.dense_cap) is None
     else:
-        # past the caps the mechanism's own error is the certified bound
-        lower = upper
-    doc["dense_witness"] = dense
+        lower = factorization.svd_lower_bound(workload) / config.mu
     doc["lower_bound"] = lower
     doc["ratio"] = doc["lower_bound"] / upper if upper > 0 else None
     _emit(_json_text(doc), config.out)

@@ -22,15 +22,11 @@ sqrt(|U|) tau_a.  Three certificates follow:
     weighted sets.  A projection never raises a trace norm, so the
     value is a lower bound whatever Q is (sound); every weighted row of
     W lies in the range of Q, so no singular value is lost (tight).
-    The column blocks M_R = P^(1/2) W Q_R are mutually orthogonal,
-    because a circulant maps the constant vector to a multiple of
-    itself and the other basis columns are orthogonal to it; so the
-    singular values of M are the union of the blocks' own, and the
-    bound is one small dense SVD per member, summed.  M_R is nonzero
-    only on the rows of the weighted sets S >= R and has
-    prod_{j in R} (m_j - 1) columns: for all 2- and 3-way sets of five
-    size-4 attributes the largest blocks are 800 x 1, 448 x 3, 208 x 9
-    and 64 x 27, against the 800 x 1,024 of W;
+    The column blocks M_R = P^(1/2) W Q_R are mutually orthogonal, and
+    each M_R* M_R is a scalar times a Kronecker product of
+    per-attribute Gram matrices, so the bound is one numeric SVD of an
+    m_j x m_j matrix per attribute and one scalar per member, with no
+    matrix of W formed (see _trace_bound);
   * at the optimizer's weights ||L||_{2->inf} ||R||_{1->2} meets the
     same bound, so the mechanism's worst-case error is optimal too;
   * for range-marginal workloads a Fourier test matrix gives a closed
@@ -43,41 +39,38 @@ sqrt(|U|) tau_a.  Three certificates follow:
 
 Every dense matrix is a stack of per-set blocks, and each block is a
 product over attributes of per-attribute tables read at a frequency
-per column: V~ and U~ of the character tables omega_m^(a v), the
+per column: V~ and U~ of the character tables omega_m^(a v), and the
 witness's Z of the tables w_j omega_m^(a v) with w_j the prefix
-indicator 1{v <= t} or the identity, and each M_R of the tables
-[C_j 1 / sqrt(m_j) | C_j H_j[:, 1:]] at the basis columns of R, which
-are indexed like the frequencies of R.  One builder, _character_grid,
+indicator 1{v <= t} or the identity.  One builder, _character_grid,
 fills them all in place, broadcasting one attribute's table over the
 grid at a time, in attribute order, so every entry is multiplied in
 the same order as a Kronecker product would, with no loop per
 frequency.
 
 Dense matrices are built only for small instances, as dense_refusal
-decides; past the caps the certificates fall back to closed forms: the
-weighted error is sum_R G_R r_R from mechanism.predicted_error, summed
-per member of the downward closure.  Whether every set can be
-estimated is decided by the release's own rule, an infinite sigma_S
-read off the budget.SubsetPlan, so a factorization is refused exactly
-when a release would be.
+decides: past the caps build_factorization refuses, and the range
+bound is the closed form sum_R G_R r_R of its plan, unchecked.  The
+trace bound forms no matrix of W, so neither the universe nor the
+query rows cap it; svd_lower_bound refuses only an attribute larger
+than DENSE_UNIVERSE_CAP, whose own SVD would be too large.
+Whether every set can be estimated is decided by the release's own
+rule, an infinite sigma_S read off the budget.SubsetPlan, so a
+factorization is refused exactly when a release would be.
 
 Memory holds one dense matrix at a time beside the pair: no temporary
-the size of L or R lives next to them, and neither W nor Q nor M is
-ever formed.  Each set's rows of a member block M_R are filled in
-place in M_R, and one member block is alive at a time.
-build_factorization takes the SVDs of the member blocks before it
-allocates U~ and V~, and keeps the bound.  U~ and Z are filled set by
-set on the frequencies with supp(a) within the set, the only columns
-where a set's rows are nonzero, in place when a set carries every
-column.  The norms read L and R BLOCK rows or columns at a time,
-through the same elementwise operations and reductions as the whole
-matrix would, so each norm is the same float.  The Gram residuals
-hold one BLOCK-wide column block of a Gram matrix, on and above its
-diagonal, plus one set's rows of L on the columns where they are
-nonzero: L* P L is summed set by set, so its residual equals that of
-the whole product up to the order of summation.  The range-query
-witness holds no matrix with |U| columns, only the rows x k factors
-P^(1/2) U~ and Z, with k the witness's frequencies.
+the size of L or R lives next to them, and neither W nor Q is ever
+formed.  U~ and Z are filled set by set on the frequencies with
+supp(a) within the set, the only columns where a set's rows are
+nonzero, in place when a set carries every column.  The norms read L
+and R BLOCK rows or columns at a time, through the same elementwise
+operations and reductions as the whole matrix would, so each norm is
+the same float.  The Gram residuals hold one BLOCK-wide column block
+of a Gram matrix, on and above its diagonal, plus one set's rows of L
+on the columns where they are nonzero: L* P L is summed set by set, so
+its residual equals that of the whole product up to the order of
+summation.  The range-query witness holds no matrix with |U| columns,
+only the rows x k factors P^(1/2) U~ and Z, with k the witness's
+frequencies.
 """
 
 import functools
@@ -111,13 +104,9 @@ class ExplicitFactorization:
     matrix the pair factors; rows lists the (set, target) index of every
     row of L, freqs the frequency vector of every column; E and P are
     the diagonals of the normalization and row-weight matrices, and tau
-    the importance weight of each kept frequency.  trace_bound is
-    (1/sqrt(|U|)) ||P^(1/2) W||_tr of the same workload, from one dense
-    SVD per closure member of the column blocks of P^(1/2) W Q
-    assembled from the query definitions (see _trace_bound), with
-    singular values below rank_cutoff dropped; it does not depend on
-    L, R or E.  row_norms and col_norms, the norms of the rows of L and
-    the columns of R, are computed once per pair, on first use.
+    the importance weight of each kept frequency.  row_norms and
+    col_norms, the norms of the rows of L and the columns of R, are
+    computed once per pair, on first use.
     """
 
     workload: Workload
@@ -128,8 +117,6 @@ class ExplicitFactorization:
     E: np.ndarray
     P: np.ndarray
     tau: np.ndarray
-    trace_bound: float
-    rank_cutoff: float
 
     @functools.cached_property
     def row_norms(self):
@@ -146,7 +133,7 @@ class NormReport:
 
     gammaF_value = frob_weighted * col_max and gamma2_value =
     row_max * col_max; svd_lower_bound is (1/sqrt(|U|)) ||P^(1/2) W||_tr
-    with singular values below rank_cutoff dropped from the sum.
+    of the pair's workload (see _trace_bound).
     """
 
     col_max: float
@@ -155,7 +142,6 @@ class NormReport:
     gammaF_value: float
     gamma2_value: float
     svd_lower_bound: float
-    rank_cutoff: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +188,10 @@ def dense_refusal(workload, dense_cap=None):
     exceed the caps, or None when they fit.
 
     The universe must be within dense_cap (DENSE_UNIVERSE_CAP when None)
-    and the query rows within DENSE_QUERY_CAP.  Every choice between a
-    dense certificate and a closed form is made here.
+    and the query rows within DENSE_QUERY_CAP.  It decides whether
+    build_factorization and the range witness run; the trace bound
+    forms no matrix of W and caps only the size of each attribute (see
+    svd_lower_bound).
     """
     cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
     size = workload.universe.size
@@ -337,9 +325,6 @@ def build_factorization(workload, p=None, dense_cap=None):
     indices, tau = budget.released_rows(*structure.frequencies(roots))
     E = tau / tau.sum()
     rows, P = _row_index(w)
-    # the member blocks and LAPACK's copies of them are gone before U~
-    # and V~ are allocated
-    bound, cutoff = _trace_bound(w)
     U = _coefficient_matrix(w, structure.spectrum.tables,
                             [_unit_table(m) for m in w.universe.domain_sizes],
                             rows, indices)
@@ -350,21 +335,19 @@ def build_factorization(workload, p=None, dense_cap=None):
     np.multiply(np.sqrt(E)[:, None], R, out=R)
     return ExplicitFactorization(workload=w, rows=rows,
                                  freqs=tuple(map(tuple, indices.tolist())),
-                                 L=L, R=R, E=E, P=P, tau=tau,
-                                 trace_bound=bound, rank_cutoff=cutoff)
+                                 L=L, R=R, E=E, P=P, tau=tau)
 
 
 def _trace_bound(w):
-    """((1 / sqrt(|U|)) ||P^(1/2) W||_tr, cutoff) from one dense SVD per
-    member block M_R = P^(1/2) W Q_R (see _member_blocks).
+    """(1 / sqrt(|U|)) ||P^(1/2) W||_tr of the product form w, from one
+    numeric SVD per attribute and one scalar per closure member.
 
     Q = (Q_R) has orthonormal real columns, one block Q_R per member R
     of the downward closure of the sets with positive weight: the
     Kronecker product over all attributes of H_j[:, 1:] for j in R and
     the constant column 1 / sqrt(m_j) elsewhere, where H_j is an
-    orthogonal m_j x m_j basis whose first column is 1 / sqrt(m_j).
-    Column b of Q_R is indexed like a frequency of R, so M_R is built
-    from per-attribute tables as U~ is.
+    orthogonal m_j x m_j basis whose first column is 1 / sqrt(m_j),
+    from QR.
 
     Sound: ||A Q||_tr <= ||A||_tr for every Q with orthonormal columns,
     since Q* is a contraction, so the value of M = P^(1/2) W Q bounds
@@ -376,82 +359,68 @@ def _trace_bound(w):
     P^(1/2) W W* P^(1/2), and the nonzero singular values of M are
     those of P^(1/2) W.
 
-    Split: the column blocks of M are mutually orthogonal, M_R* M_R' = 0
-    for R != R'.  Each set block of M_R* M_R' is a Kronecker product
-    over the attributes of the set, and an attribute j in R but not in
-    R' contributes (C_j H_j[:, 1:])* C_j 1 / sqrt(m_j), which is zero:
-    the circulant C_j maps the constant vector to a multiple of itself,
-    and so does C_j*, and the columns of H_j[:, 1:] are orthogonal to 1.
-    So M* M is block diagonal, the singular values of M are the union of
-    those of its blocks, and ||M||_tr is the sum of the blocks' trace
-    norms.  Without the orthogonality that sum could exceed ||M||_tr.
-    Each block keeps a numeric SVD, so the value stays independent of
-    the mechanism's closed form sum_R G_R r_R.  Singular values below
-    RANK_CUTOFF times the largest over all blocks are dropped from the
-    sum.
+    Split: the column blocks M_R = P^(1/2) W Q_R are mutually
+    orthogonal, M_R* M_R' = 0 for R != R'.  Each set block of M_R* M_R'
+    is a Kronecker product over the attributes of the set, and an
+    attribute j in R but not in R' contributes A_j* u_j, which is zero,
+    with A_j = C_j H_j[:, 1:], u_j = C_j 1 / sqrt(m_j) and C_j the
+    circulant of the factor table phi_j: C_j maps the constant vector
+    to a multiple of itself, and so does C_j*, and the columns of
+    H_j[:, 1:] are orthogonal to 1.  So M* M is block diagonal, and
+    ||M||_tr is the sum of the blocks' trace norms.  Without the
+    orthogonality that sum could exceed ||M||_tr.
+
+    Factored: the rows of a weighted set S >= R in M_R are scale_S
+    times the Kronecker product of A_j for j in R and u_j for j in
+    S - R, with scale_S = sqrt(p_S / |U_S|) prod_{j not in S} sqrt(m_j).
+    So M_R* M_R = c_R kron_{j in R} A_j* A_j, with c_R the sum over the
+    sets S >= R with p_S > 0 of scale_S^2 prod_{j in S - R} ||u_j||^2,
+    and ||M_R||_tr = sqrt(c_R) prod_{j in R} ||A_j||_tr.  The value
+    reads neither |phi^_j| nor a budget.SubsetPlan, so it stays
+    independent of the mechanism's closed form sum_R G_R r_R.
+
+    Singular values of A_j below RANK_CUTOFF times the largest singular
+    value of C_j, ||u_j|| among them, are dropped from ||A_j||_tr: an
+    exact zero comes only from a zero coefficient of phi^_j, so it is
+    one attribute's, and it is judged against the scale of phi_j, which
+    a zero coefficient does not shrink.  Only the attributes of the
+    sets with positive weight are factored.
     """
-    # normalized weights leave at least one weighted set, so at least
-    # the empty member has a block
-    values = np.concatenate([np.linalg.svd(block, compute_uv=False)
-                             for _, block in _member_blocks(w)])
-    cutoff = RANK_CUTOFF * float(values.max())
-    trace = float(values[values >= cutoff].sum())
-    return trace / math.sqrt(w.universe.size), cutoff
-
-
-def _member_blocks(w):
-    """(R, M_R) for each member R of the downward closure of the
-    weighted sets, in closure order, one block alive at a time.
-
-    M_R = P^(1/2) W Q_R is the column block of R (see _trace_bound),
-    without the rows of the sets that do not contain R and of the sets
-    of weight zero, which are zero.  Column b of Q_R is indexed like a
-    frequency of R: b_j in 1 .. m_j - 1 for j in R and 0 elsewhere.  So
-    with T_j = [C_j 1 / sqrt(m_j) | C_j H_j[:, 1:]], where C_j is the
-    circulant of the factor table phi_j, the rows of each weighted set
-    S >= R, in set order, are sqrt(P_S) prod_{j not in S} sqrt(m_j)
-    times prod_{j in S} T_j[t_j, b_j], filled in place by
-    _character_grid as U~ is.  M_R has prod_{j in R} (m_j - 1) columns.
-    """
-    universe = w.universe
-    sizes = universe.domain_sizes
-    tables = []
-    for m, table in zip(sizes, w.phi_tables()):
-        circulant = np.asarray(table, dtype=float)[
-            (np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
-        basis = np.eye(m)
-        basis[:, 0] = 1.0
-        basis = np.linalg.qr(basis)[0]
-        outside = circulant.sum(axis=1, keepdims=True) / math.sqrt(m)
-        tables.append(np.hstack([outside, circulant @ basis[:, 1:]]))
-    # the weighted sets containing each member, with their scales
-    covering = {}
-    for members, pS in zip(w.sets, w.weights):
-        if pS <= 0:
-            continue
-        size = universe.subuniverse_size(members)
-        scale = math.sqrt(pS / size) * math.prod(
-            math.sqrt(m) for j, m in enumerate(sizes) if j not in members)
+    sizes = w.universe.domain_sizes
+    tables = w.phi_tables()
+    weighted = [(members, pS) for members, pS in zip(w.sets, w.weights)
+                if pS > 0]
+    # ||A_j||_tr and ||u_j||^2 per attribute
+    norms = {j: _attribute_norms(tables[j])
+             for j in sorted({j for members, _ in weighted for j in members})}
+    # c_R of each member of the closure of the weighted sets
+    c = {}
+    for members, pS in weighted:
+        squared_scale = pS / w.universe.subuniverse_size(members) \
+            * math.prod(m for j, m in enumerate(sizes) if j not in members)
         for r in range(len(members) + 1):
             for member in itertools.combinations(members, r):
-                covering.setdefault(member, []).append((members, size, scale))
-    for member in sorted(covering, key=lambda s: (len(s), s)):
-        sets = covering[member]
-        # the columns of Q_R as frequencies of R, in row-major order
-        cols = np.zeros((math.prod(sizes[j] - 1 for j in member),
-                         universe.d), dtype=np.intp)
-        cols[:, list(member)] = list(
-            itertools.product(*(range(1, sizes[j]) for j in member)))
-        block = np.empty((sum(size for _, size, _ in sets), len(cols)))
-        stop = 0
-        for members, size, scale in sets:
-            part = block[stop:stop + size]
-            part.fill(scale)
-            _character_grid(
-                part.reshape(universe.subdomain_sizes(members) + (len(cols),)),
-                tables, cols, members)
-            stop += size
-        yield member, block
+                c[member] = c.get(member, 0.0) + squared_scale * math.prod(
+                    norms[j][1] for j in members if j not in member)
+    trace = sum(math.sqrt(value) * math.prod(norms[j][0] for j in member)
+                for member, value in c.items())
+    return trace / math.sqrt(w.universe.size)
+
+
+def _attribute_norms(table):
+    """(||A_j||_tr, ||u_j||^2) of one factor table phi_j, with A_j =
+    C_j H_j[:, 1:] and u_j = C_j 1 / sqrt(m_j) (see _trace_bound)."""
+    table = np.asarray(table, dtype=float)
+    m = len(table)
+    circulant = table[(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
+    basis = np.eye(m)
+    basis[:, 0] = 1.0
+    basis = np.linalg.qr(basis)[0]
+    values = np.linalg.svd(circulant @ basis[:, 1:], compute_uv=False)
+    u = circulant.sum(axis=1) / math.sqrt(m)
+    outside = float(u @ u)
+    largest = max(math.sqrt(outside), float(values.max(initial=0.0)))
+    return float(values[values >= RANK_CUTOFF * largest].sum()), outside
 
 
 def _blocks(total):
@@ -552,9 +521,9 @@ def _gram_residuals(fact):
 def norm_report(fact):
     """Norms of the pair next to the trace-norm lower bound.
 
-    The bound is the one build_factorization computed, before L and R
-    existed, from matrices assembled directly from the query
-    definitions, not from L R, so agreement is evidence.
+    The bound is computed from the workload's query definitions by
+    _trace_bound, which reads neither L, R nor E, so agreement is
+    evidence.
     """
     col = fact.col_norms
     row = fact.row_norms
@@ -564,26 +533,31 @@ def norm_report(fact):
     return NormReport(col_max=col_max, frob_weighted=frob, row_max=row_max,
                       gammaF_value=frob * col_max,
                       gamma2_value=row_max * col_max,
-                      svd_lower_bound=fact.trace_bound,
-                      rank_cutoff=fact.rank_cutoff)
+                      svd_lower_bound=_trace_bound(fact.workload))
 
 
-def svd_lower_bound(workload, p=None, dense_cap=None):
+def svd_lower_bound(workload, p=None):
     """(1 / sqrt(|U|)) ||P^(1/2) W||_tr of the product form, from
-    P^(1/2) W projected onto the closure's Kronecker basis, one dense
-    SVD per closure member.
+    P^(1/2) W projected onto the closure's Kronecker basis, factored
+    per attribute and per closure member (see _trace_bound).
 
     Valid for every factorization of W, whatever mechanism produced it:
     a projection never raises a trace norm, and this one keeps every
-    nonzero singular value.  The projection's column blocks, one per
-    member, are mutually orthogonal, since each circulant C_j maps the
-    constant vector to a multiple of itself, for C_j* too, and the
-    other basis columns are orthogonal to it; so its trace norm is the
-    sum of the blocks' (see _trace_bound).  Plans nothing.
+    nonzero singular value.  Forms no matrix of P^(1/2) W, so the
+    universe and the query rows have no cap; the SVD of each attribute
+    holds m_j x m_j matrices, so raises DenseTooLarge before any is
+    allocated when an attribute of a weighted set is larger than
+    DENSE_UNIVERSE_CAP.  Plans nothing.
     """
     w, _ = mechanism.product_form(normalize_weights(workload, p))
-    _check_dense_caps(w, dense_cap)
-    return _trace_bound(w)[0]
+    sizes = w.universe.domain_sizes
+    largest = max((sizes[j] for members, pS in zip(w.sets, w.weights)
+                   if pS > 0 for j in members), default=0)
+    if largest > DENSE_UNIVERSE_CAP:
+        raise DenseTooLarge(
+            f"attribute size {largest} exceeds the dense cap "
+            f"{DENSE_UNIVERSE_CAP} of the trace bound's per-attribute SVD")
+    return _trace_bound(w)
 
 
 def realify_pair(L, R):

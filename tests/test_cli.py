@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import locale
 import math
@@ -895,7 +896,6 @@ def test_lower_bound_marginal_is_tight(tmp_path, capsys):
     assert doc["lower_bound"] == pytest.approx(GOLDEN_PAIR / 2.0, abs=1e-9)
     assert doc["upper_bound"] == pytest.approx(GOLDEN_PAIR / 2.0, abs=1e-12)
     assert doc["ratio"] == pytest.approx(1.0, abs=1e-8)
-    assert doc["dense_witness"] is True
 
 
 def test_lower_bound_extended_below_upper(tmp_path, capsys):
@@ -924,14 +924,72 @@ def test_lower_bound_extended_plans_the_witness_once(tmp_path, capsys,
     assert len(calls) == 2
 
 
-def test_lower_bound_beyond_cap_uses_closed_form(tmp_path, capsys):
+def test_lower_bound_beyond_cap_computes_the_bound(tmp_path, capsys,
+                                                  monkeypatch):
+    bound = factorization.svd_lower_bound
+    values = []
+
+    def counted(*args, **kwargs):
+        values.append(bound(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(factorization, "svd_lower_bound", counted)
     doc = {"attributes": [{"name": f"c{j}", "size": 2} for j in range(13)],
            "sets": [{"attrs": [f"c{j}"], "weight": 1.0} for j in range(13)]}
     workload = write_json(tmp_path, doc)
     report = run_json(capsys, "lower-bound", "--workload", workload)
-    assert report["dense_witness"] is False
+    assert values == [report["lower_bound"]]
+    assert "dense_witness" not in report
     assert report["ratio"] == pytest.approx(1.0, abs=1e-12)
 
+
+def _assert_lower_bound_meets_upper(tmp_path, capsys, doc):
+    workload = write_json(tmp_path, doc)
+    report = run_json(capsys, "lower-bound", "--workload", workload)
+    assert math.isclose(report["lower_bound"], report["upper_bound"],
+                        rel_tol=1e-12)
+    assert "dense_witness" not in report
+
+
+def test_lower_bound_of_all_triples_of_20_size_8_attributes(tmp_path,
+                                                            capsys):
+    # 1,140 sets over |U| = 8^20, far past both dense caps
+    names = [f"a{j}" for j in range(20)]
+    _assert_lower_bound_meets_upper(tmp_path, capsys, {
+        "attributes": [{"name": name, "size": 8} for name in names],
+        "sets": [{"attrs": list(s), "weight": 1.0}
+                 for s in itertools.combinations(names, 3)]})
+
+
+def test_lower_bound_of_a_product_past_the_caps_with_a_zero_coefficient(
+        tmp_path, capsys):
+    # phi of a is (1, 1, 1), whose coefficients vanish at every a != 0;
+    # 9 size-3 attributes make |U| = 19,683
+    names = "abcdefghi"
+    _assert_lower_bound_meets_upper(tmp_path, capsys, {
+        "attributes": [{"name": name, "size": 3} for name in names],
+        "sets": [{"attrs": list(s), "weight": 1.0 + i % 3}
+                 for i, s in enumerate(itertools.combinations(names, 2))],
+        "kind": "product",
+        "phi": {name: [1, 1, 1] if name == "a" else [1, 0.5, 0.25]
+                for name in names}})
+
+
+
+def test_lower_bound_refuses_a_huge_attribute_before_allocating(tmp_path,
+                                                                capsys):
+    # one size-10^5 attribute: its per-attribute SVD would hold 80 GB
+    huge = {"attributes": [{"name": "a", "size": 10 ** 5}],
+            "sets": [{"attrs": ["a"], "weight": 1.0}]}
+    workload = write_json(tmp_path, huge)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lower-bound", "--workload", workload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: attribute size 100000 exceeds the dense cap "
+                   f"{factorization.DENSE_UNIVERSE_CAP} of the trace "
+                   f"bound's per-attribute SVD\n")
 
 # ------------------------------------------------------------ plot-data
 
@@ -1024,7 +1082,7 @@ PINNED_OUTPUTS = {
     ("marginal", "verify"):
         "db414547ba7f6217a6f811502d21a7bd8c598fe9ba70ff26aa1afd05120520f9",
     ("marginal", "lower-bound"):
-        "41d81ec94deae5a56d2756c243f0cd337a54154af3df4f3a3d7329a23a99b537",
+        "525c58aa5e99c788a9773622f5c6dc67359cac8e050f20fd9d5fd21143415651",
     ("product", "release"):
         "e1ac62027a6d65a5da9c0bc6e7b0212e03aa6269e3d059ad9da218eb089a29a7",
     ("product", "release-csv"):
@@ -1032,9 +1090,9 @@ PINNED_OUTPUTS = {
     ("product", "predict-error"):
         "cd116a0ce6144dba0f107e6dce1535be4c192745de6b497594f1fa6a7da9e991",
     ("product", "verify"):
-        "eb23824a54f38e913c19991beb7be30dbc982be8bd410a1c66a6000aa9b7d3c3",
+        "92254e4cb30796fdb0d1973aba4b13222433c7a7841a7c906a3e8033a682ff65",
     ("product", "lower-bound"):
-        "eb4775976bb7daae28e41e7d3ed869358d7a8a8896067135ae4c8ab2301ea7aa",
+        "06b1fe8e10e4a873198aa0dd8b8a390e1a001ac8d4483953f3390762a2d2068f",
     ("extended", "release"):
         "5d93c4137d321dd7727f1076f64c89fea5d630bafada6e5a82509effcddd3b93",
     ("extended", "release-csv"):

@@ -81,8 +81,10 @@ def test_universe_cap_rejected():
     w = make_workload((2,) * 13, [tuple(range(13))])
     with pytest.raises(factorization.DenseTooLarge):
         factorization.build_factorization(w)
-    with pytest.raises(factorization.DenseTooLarge):
-        factorization.svd_lower_bound(w)
+    # the trace bound forms no matrix of W, so |U| does not cap it
+    assert math.isclose(factorization.svd_lower_bound(w),
+                        mechanism.predicted_error(w)["weighted_rms"],
+                        rel_tol=1e-12)
 
 
 def test_row_cap_rejected():
@@ -344,7 +346,8 @@ def test_blocked_norms_and_residuals_equal_whole_matrices(w, monkeypatch):
     # the pair, its workload and its bound all come from w's own kind
     assert np.abs(fact.L @ fact.R
                   - reference_dense_matrix(fact.workload)).max() <= 1e-9
-    assert fact.trace_bound == factorization.svd_lower_bound(w)
+    assert factorization._trace_bound(fact.workload) \
+        == factorization.svd_lower_bound(w)
     monkeypatch.setattr(factorization, "BLOCK", 16)
     assert len(factorization._blocks(len(fact.freqs))) >= 3
     col = np.linalg.norm(fact.R, axis=0)
@@ -380,14 +383,12 @@ def test_blocks_start_at_multiples_and_never_leave_one():
     assert factorization._blocks(block + 2)[-1] == slice(block, block + 2)
 
 
-def test_trace_bound_is_kept_from_before_the_pair():
+def test_norm_report_bound_does_not_read_the_pair():
     w = _dense_certify_workload()
     fact = factorization.build_factorization(w)
-    assert fact.trace_bound == factorization.svd_lower_bound(w)
-    corrupted = dataclasses.replace(fact, E=fact.E * 1.01)
+    corrupted = dataclasses.replace(fact, E=fact.E * 1.01, L=fact.L * 1.01)
     report = factorization.norm_report(corrupted)
-    assert report.svd_lower_bound == fact.trace_bound
-    assert report.rank_cutoff == fact.rank_cutoff
+    assert report.svd_lower_bound == factorization.svd_lower_bound(w)
 
 
 def _assert_verify_holds_one_dense_matrix_beside_the_pair(w):
@@ -942,9 +943,57 @@ def full_svd_trace_bound(product):
     return float(kept.sum()) / math.sqrt(product.universe.size), den
 
 
+def reference_member_blocks(w):
+    """(R, M_R) for each member R of the downward closure of the
+    weighted sets, in (size, lex) order.
+
+    M_R = P^(1/2) W Q_R is the column block of R (see
+    factorization._trace_bound), without the rows of the sets that do
+    not contain R and of the sets of weight zero, which are zero.
+    Column b of Q_R is indexed like a frequency of R: b_j in
+    1 .. m_j - 1 for j in R and 0 elsewhere.  So with
+    T_j = [C_j 1 / sqrt(m_j) | C_j H_j[:, 1:]] (reference_member_factors),
+    the rows of each weighted set S >= R, in set order, are
+    sqrt(P_S) prod_{j not in S} sqrt(m_j) times
+    prod_{j in S} T_j[t_j, b_j], filled in place by _character_grid.
+    """
+    universe = w.universe
+    sizes = universe.domain_sizes
+    tables = [np.hstack(factors) for factors in reference_member_factors(w)]
+    # the weighted sets containing each member, with their scales
+    covering = {}
+    for members, pS in zip(w.sets, w.weights):
+        if pS <= 0:
+            continue
+        size = universe.subuniverse_size(members)
+        scale = math.sqrt(pS / size) * math.prod(
+            math.sqrt(m) for j, m in enumerate(sizes) if j not in members)
+        for r in range(len(members) + 1):
+            for member in itertools.combinations(members, r):
+                covering.setdefault(member, []).append((members, size, scale))
+    for member in sorted(covering, key=lambda s: (len(s), s)):
+        sets = covering[member]
+        # the columns of Q_R as frequencies of R, in row-major order
+        cols = np.zeros((math.prod(sizes[j] - 1 for j in member),
+                         universe.d), dtype=np.intp)
+        cols[:, list(member)] = list(
+            itertools.product(*(range(1, sizes[j]) for j in member)))
+        block = np.empty((sum(size for _, size, _ in sets), len(cols)))
+        stop = 0
+        for members, size, scale in sets:
+            part = block[stop:stop + size]
+            part.fill(scale)
+            factorization._character_grid(
+                part.reshape(universe.subdomain_sizes(members) + (len(cols),)),
+                tables, cols, members)
+            stop += size
+        yield member, block
+
+
 def assembled_member_blocks(product):
-    """The member blocks of _member_blocks placed into M = P^(1/2) W Q
-    over the rows of the weighted sets, with each member's columns."""
+    """The member blocks of reference_member_blocks placed into
+    M = P^(1/2) W Q over the rows of the weighted sets, with each
+    member's columns."""
     universe = product.universe
     starts = {}
     stop = 0
@@ -952,7 +1001,7 @@ def assembled_member_blocks(product):
         if pS > 0:
             starts[members] = stop
             stop += universe.subuniverse_size(members)
-    blocks = list(factorization._member_blocks(product))
+    blocks = list(reference_member_blocks(product))
     M = np.zeros((stop, sum(block.shape[1] for _, block in blocks)))
     columns = []
     left = 0
@@ -1002,6 +1051,67 @@ def test_property_member_blocks_split_the_projection(w):
     assert np.abs(M @ M.T - A @ A.T).max() <= 1e-12 * np.abs(A @ A.T).max()
 
 
+@settings(deadline=None, max_examples=80)
+@given(builder_workloads())
+def test_property_factored_bound_equals_member_block_svds(w):
+    product, _ = mechanism.product_form(core.normalize_weights(w))
+    values = np.concatenate([np.linalg.svd(block, compute_uv=False)
+                             for _, block in reference_member_blocks(product)])
+    kept = values[values >= factorization.RANK_CUTOFF * values.max()]
+    reference = float(kept.sum()) / math.sqrt(product.universe.size)
+    got = factorization.svd_lower_bound(w)
+    assert abs(got - reference) <= 1e-12 * reference
+
+
+def test_trace_bound_reads_neither_the_plan_nor_the_closed_form(
+        monkeypatch):
+    # 13 binary attributes, |U| = 8,192, past the dense cap; phi_0 =
+    # (1, 1) has a zero coefficient at a_0 = 1
+    sets = [(0, j) for j in range(1, 13)] + [(1, 2, 3)]
+    w = make_workload((2,) * 13, sets, kind="product",
+                      phi=((1.0, 1.0),) + ((1.0, 0.5),) * 12)
+    assert factorization.dense_refusal(w) is not None
+    expected = mechanism.predicted_error(w)["weighted_rms"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read the mechanism")
+
+    monkeypatch.setattr(budget, "subset_plan", refuse)
+    monkeypatch.setattr(mechanism, "predicted_error", refuse)
+    assert math.isclose(factorization.svd_lower_bound(w), expected,
+                        rel_tol=1e-12)
+
+
+
+def test_attribute_norms_drop_only_what_vanishes_against_the_table():
+    # phi = (1, 1, 1, 1, 1) has no coefficient but the constant one, so
+    # A_j is zero up to rounding (singular values up to 9e-16 here),
+    # judged against ||u_j|| = 5, and dropped
+    trace, outside = factorization._attribute_norms((1.0,) * 5)
+    assert trace == 0.0
+    assert outside == pytest.approx(25.0, rel=1e-15)
+    # a coefficient 1e-10 of phi_j's scale is a value, and is kept:
+    # |phi^(a)| = 1e-10 at a = 1 and 2
+    trace, _ = factorization._attribute_norms((1.0 + 1e-10, 1.0, 1.0))
+    assert trace == pytest.approx(2e-10, rel=1e-5)
+
+
+def test_svd_lower_bound_refuses_an_attribute_past_the_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored")
+
+    big = factorization.DENSE_UNIVERSE_CAP + 1
+    monkeypatch.setattr(factorization, "_attribute_norms", refuse)
+    with pytest.raises(factorization.DenseTooLarge,
+                       match=f"attribute size {big} exceeds"):
+        factorization.svd_lower_bound(make_workload((big, 2), [(0, 1)]))
+    monkeypatch.undo()
+    # an attribute of no set with positive weight is never factored
+    w = make_workload((big, 2), [(0,), (1,)], weights=(0.0, 1.0))
+    assert math.isclose(factorization.svd_lower_bound(w),
+                        mechanism.predicted_error(w)["weighted_rms"],
+                        rel_tol=1e-12)
+
 def reference_member_factors(product):
     """(C_j 1 / sqrt(m_j), C_j H_j[:, 1:]) per attribute: the circulant
     of phi_j times the constant column and the other columns of the QR
@@ -1031,7 +1141,7 @@ def test_property_member_block_rows_are_kronecker_products(w):
     closure = {member for members, _ in weighted
                for r in range(len(members) + 1)
                for member in itertools.combinations(members, r)}
-    blocks = list(factorization._member_blocks(product))
+    blocks = list(reference_member_blocks(product))
     # exactly the closure of the weighted sets, in (size, lex) order
     assert [member for member, _ in blocks] == sorted(
         closure, key=lambda s: (len(s), s))
@@ -1057,7 +1167,7 @@ def test_property_member_block_rows_are_kronecker_products(w):
 
 def test_member_blocks_skip_members_only_zero_weight_sets_cover():
     w = make_workload((2, 2, 2), [(0, 1), (2,)], weights=[1.0, 0.0])
-    members = [member for member, _ in factorization._member_blocks(
+    members = [member for member, _ in reference_member_blocks(
         core.normalize_weights(w))]
     assert members == [(), (0,), (1,), (0, 1)]
 
@@ -1070,7 +1180,7 @@ def test_member_blocks_of_the_dense_certify_shape():
     # itself, a triple's its own
     w = core.normalize_weights(_dense_certify_workload())
     assert w.universe.size == 1024
-    shapes = [block.shape for _, block in factorization._member_blocks(w)]
+    shapes = [block.shape for _, block in reference_member_blocks(w)]
     assert sorted(set(shapes)) == [(64, 27), (208, 9), (448, 3), (800, 1)]
     assert [shapes.count(shape) for shape in
             ((800, 1), (448, 3), (208, 9), (64, 27))] == [1, 5, 10, 10]
@@ -1086,9 +1196,9 @@ def test_certificates_plan_nothing_past_the_caps(monkeypatch):
 
     monkeypatch.setattr(budget, "subset_plan", refuse)
     w = make_workload((8, 8), [(0, 1)])
-    for certify in (factorization.build_factorization,
-                    factorization.svd_lower_bound):
-        with pytest.raises(factorization.DenseTooLarge):
-            certify(w, dense_cap=32)
-    # svd_lower_bound plans nothing within the caps either
+    with pytest.raises(factorization.DenseTooLarge):
+        factorization.build_factorization(w, dense_cap=32)
+    # svd_lower_bound plans nothing, within the caps or past them
     assert factorization.svd_lower_bound(w) > 0
+    assert factorization.svd_lower_bound(
+        make_workload((8,) * 5, [(0, 1), (2, 3, 4)])) > 0
