@@ -28,7 +28,10 @@ and the per-query noise variance of a set S is tau D_S with
     D_S = sum_{R <= S} G_R z_{S - R} / (|U_S|^2 r_R).
 
 Error predictions and weight optimization therefore cost
-O(sum_S 2^|S|), not one term per frequency.  A release broadcasts the
+O(sum_S 2^|S|), not one term per frequency.  The plan itself is built
+by numpy, a few calls per distinct set size and per attribute column,
+not by a Python loop over sets and subsets; its arrays have the bits
+such a loop gives (see subset_plan).  A release broadcasts the
 roots to its frequencies member block by member block, into the arrays
 of a BudgetPlan: one row per frequency, in the order noise is drawn.
 
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import fourier
 from .core import (FourierMarginalsError, LengthMismatch, Universe,
-                   downward_closure)
+                   subset_pairs)
 
 
 class BadArity(FourierMarginalsError):
@@ -197,7 +200,10 @@ class SubsetPlan:
     computed once, when the plan is made.
     set_square holds |U_S|^2 per set and spectrum the fourier.PhiSpectrum
     of the factor tables, the unit spectrum for plain marginals.
-    Storage is O(sum_S 2^|S|).
+    Storage is O(sum_S 2^|S|).  subset_plan builds the members and
+    pairs with core.subset_pairs, and every array equals, bit for bit
+    and dtype included, what a loop over sets, then over the size of R,
+    then over itertools.combinations gives.
     """
 
     universe: Universe
@@ -308,41 +314,43 @@ def subset_plan(workload, spectrum):
     """SubsetPlan of a workload's sets under the spectrum of its factor
     tables.
 
-    The workload's weights are not read: roots() takes them.
+    The members and pairs are core.subset_pairs'.  gains and pair_zero
+    are multiplied one attribute column of R, or of S - R, at a time,
+    in ascending attribute order, from per-attribute factor tables in
+    which the sentinel attribute d has the factor 1.0.  Each value is
+    thus the product taken term by term in attribute order, as a loop
+    over the attributes takes it; a factor of exactly 1.0, for padding
+    or for an attribute whose table is exactly one, changes no bit.
+    |U_S|^2 is rounded once from the exact integer.  The workload's
+    weights are not read: roots() takes them.
     """
     universe = workload.universe
-    members = downward_closure(workload)
-    index = {sub: i for i, sub in enumerate(members)}
+    members, rows, pair_member, pair_set, rest = subset_pairs(workload)
     # a table of exact ones has G_j = m_j - 1 and |phi_hat_j(0)|^2 = 1
-    gains = [len(table) - 1.0 for table in spectrum.tables]
-    zeros = {}
+    gain = np.ones(universe.d + 1)
+    gain[:-1] = [len(table) - 1.0 for table in spectrum.tables]
+    zero = np.ones(universe.d + 1)
     for j in spectrum.scaled:
-        gains[j] = float(spectrum.magnitudes[j][1:].sum())
-        zeros[j] = float(spectrum.magnitudes[j][0]) ** 2
-    pair_member, pair_set, pair_zero = [], [], []
-    for k, s in enumerate(workload.sets):
-        # both guards only skip work, and a marginal workload's pair
-        # loop takes about 40 % longer without them
-        scaled = [j for j in s if j in zeros] if zeros else ()
-        for r in range(len(s) + 1):
-            for sub in itertools.combinations(s, r):
-                pair_member.append(index[sub])
-                pair_set.append(k)
-                z = 1.0
-                if scaled:
-                    for j in scaled:
-                        if j not in sub:
-                            z *= zeros[j]
-                pair_zero.append(z)
+        gain[j] = float(spectrum.magnitudes[j][1:].sum())
+        zero[j] = float(spectrum.magnitudes[j][0]) ** 2
+    gains = np.ones(len(members))
+    for column in rows.T:
+        gains *= gain[column]
+    pair_zero = np.ones(len(pair_member))
+    if spectrum.scaled:
+        for column in rest.T:
+            pair_zero *= zero[column]
+    # |U_S| as a python int, so it is exact at any size: each set's
+    # first pair is R = {}, the member at 0, whose rest is S itself
+    size = np.array(universe.domain_sizes + (1,), dtype=object)
+    subuniverse = np.ones(len(workload.sets), dtype=object)
+    for column in rest[pair_member == 0].T:
+        subuniverse *= size[column]
     return SubsetPlan(
         universe=universe, sets=workload.sets, members=members,
-        gains=np.array([math.prod(gains[j] for j in sub)
-                        for sub in members], dtype=float),
-        pair_member=np.array(pair_member, dtype=np.intp),
-        pair_set=np.array(pair_set, dtype=np.intp),
-        pair_zero=np.array(pair_zero, dtype=float),
-        set_square=np.array([float(universe.subuniverse_size(s) ** 2)
-                             for s in workload.sets]),
+        gains=gains, pair_member=pair_member, pair_set=pair_set,
+        pair_zero=pair_zero,
+        set_square=(subuniverse * subuniverse).astype(float),
         spectrum=spectrum)
 
 

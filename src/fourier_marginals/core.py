@@ -18,12 +18,14 @@ All types are immutable after construction and safe to share across
 threads.
 """
 
+import copy
 import csv
+import functools
 import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,16 +148,8 @@ class Workload:
         if len(set(canon)) != len(canon):
             raise AssignmentOutOfRange("duplicate sets in workload")
         object.__setattr__(self, "sets", canon)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(canon),):
-            raise LengthMismatch("one weight per set required")
-        if not np.isfinite(w).all():
-            raise AssignmentOutOfRange("weights must be finite")
-        if (w < 0).any():
-            raise AssignmentOutOfRange("negative weight")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights",
+                           _checked_weights(self.weights, len(canon)))
         if self.kind not in KINDS:
             raise AssignmentOutOfRange(f"unknown kind {self.kind!r}")
         if self.phi is not None:
@@ -177,6 +171,21 @@ class Workload:
             return self.phi
         return tuple((1.0,) + (0.0,) * (m - 1)
                      for m in self.universe.domain_sizes)
+
+
+def _checked_weights(weights, count):
+    """weights as a read-only float copy, checked as Workload checks
+    them: count finite, nonnegative numbers."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (count,):
+        raise LengthMismatch("one weight per set required")
+    if not np.isfinite(w).all():
+        raise AssignmentOutOfRange("weights must be finite")
+    if (w < 0).any():
+        raise AssignmentOutOfRange("negative weight")
+    w = w.copy()
+    w.flags.writeable = False
+    return w
 
 
 # rows hold values as int64, so no larger domain can be addressed
@@ -212,37 +221,121 @@ def build_universe(domain_sizes, kinds=None):
     return Universe(domain_sizes=sizes, attribute_kind=kinds)
 
 
+@functools.cache
+def _subset_positions(length):
+    """For the subsets R of range(length), by size and then in
+    itertools.combinations order, the positions in R and those outside
+    it: a (2^length, 2, length) array whose rows are ascending and
+    padded with length, kept read-only and as uint8 (a set of 256
+    attributes would have 2^256 subsets).  The cache holds one table
+    per set size seen."""
+    table = []
+    for r in range(length + 1):
+        for sub in itertools.combinations(range(length), r):
+            table.append((sub + (length,) * (length - r),
+                          tuple(j for j in range(length) if j not in sub)
+                          + (length,) * r))
+    table = np.array(table, dtype=np.uint8).reshape(len(table), 2, length)
+    table.flags.writeable = False
+    return table
+
+
+def subset_pairs(workload):
+    """Every pair R <= S of the workload's sets and its downward closure.
+
+    The pairs are listed set by set, and within a set by the size of R
+    and then in itertools.combinations order.  Returns (members, rows,
+    pair_member, pair_set, rest):
+
+    - members, the closure ordered by (cardinality, lexicographic), as
+      index tuples;
+    - rows, the members' attributes, one row each, ascending and padded
+      with the sentinel attribute d to the largest set size;
+    - pair_member and pair_set, the closure and set positions of each
+      pair;
+    - rest, the attributes of S - R of each pair, in the same padding.
+
+    The sets of each size are expanded at once through a cached table
+    of subset positions, and the closure is read off one lexicographic
+    sort of the pairs' member rows, so the number of numpy calls grows
+    with the set sizes, not with the number of sets.
+    """
+    sets, d = workload.sets, workload.universe.d
+    # the smallest integer type that holds the sentinel d: lexsort sorts
+    # keys of at most 16 bits by radix, several times faster than int64
+    attr = np.min_scalar_type(d)
+    lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    attrs = np.fromiter(itertools.chain.from_iterable(sets), dtype=attr,
+                        count=int(lengths.sum()))
+    start = np.cumsum(lengths) - lengths
+    counts = np.left_shift(1, lengths)
+    first = np.cumsum(counts) - counts
+    width = int(lengths.max(initial=0))
+    # pairs[i] holds the attributes of R and of S - R of pair i
+    pair_set = np.repeat(np.arange(len(sets), dtype=np.intp), counts)
+    pairs = np.full((len(pair_set), 2, width), d, dtype=attr)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        k = np.flatnonzero(lengths == length)
+        # the sets of this size, with the sentinel as one more column
+        block = np.full((len(k), length + 1), d, dtype=attr)
+        block[:, :length] = attrs[start[k, None] + np.arange(length)]
+        at = (first[k, None] + np.arange(1 << length)).ravel()
+        pairs[at, :, :length] = block[:, _subset_positions(length)] \
+            .reshape(len(at), 2, length)
+    rows, rest = pairs[:, 0], pairs[:, 1]
+    size = (rows < d).sum(axis=1, dtype=attr)
+    order = np.lexsort((*rows.T[::-1], size))
+    ranked = rows[order]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for column in ranked.T:
+        new[1:] |= column[1:] != column[:-1]
+    pair_member = np.empty(len(order), dtype=np.intp)
+    pair_member[order] = np.cumsum(new) - 1
+    rows = ranked[new]
+    cuts = np.searchsorted(size[order][new], np.arange(width + 2)).tolist()
+    members = ((),) * cuts[1] + tuple(itertools.chain.from_iterable(
+        zip(*rows[cuts[r]:cuts[r + 1], :r].T.tolist())
+        for r in range(1, width + 1)))
+    return members, rows, pair_member, pair_set, rest
+
+
 def downward_closure(workload):
     """Closure of the workload's sets under taking subsets.
 
     Returns the members as a tuple of index tuples, ordered by
-    (cardinality, lexicographic).
+    (cardinality, lexicographic): the members of subset_pairs.
     """
-    closure = set()
-    for s in workload.sets:
-        for r in range(len(s) + 1):
-            closure.update(itertools.combinations(s, r))
-    return tuple(sorted(closure, key=lambda s: (len(s), s)))
+    return subset_pairs(workload)[0]
 
 
 def normalize_weights(workload, p=None):
     """Scale the weights (p when given) to sum to one.
 
-    Membership, order, kind and factor tables are unchanged.
+    Membership, order, kind and factor tables are unchanged.  The sets
+    and tables of the workload were checked when it was made, so only a
+    given p is checked, as Workload checks weights; the result is a copy
+    of the workload with the divided weights, made without a second
+    check.  Its weights have the bits of dividing the checked weights
+    by their sum.
     """
     if not workload.sets:
         raise AllZeroWeights(
             "the workload has no sets, so it has no weights to normalize")
-    if p is not None:
-        workload = replace(workload, weights=p)
+    weights = workload.weights if p is None \
+        else _checked_weights(p, len(workload.sets))
     with np.errstate(over="ignore"):
-        total = float(workload.weights.sum())
+        total = float(weights.sum())
     if total == math.inf:
         raise WeightOverflow(f"the weights sum to {total}, beyond the float "
                              "range; scale them down")
     if total <= 0:
         raise AllZeroWeights("cannot normalize an all-zero weight vector")
-    return replace(workload, weights=workload.weights / total)
+    weights = weights / total
+    weights.flags.writeable = False
+    normalized = copy.copy(workload)
+    object.__setattr__(normalized, "weights", weights)
+    return normalized
 
 
 def marginal_eval(dataset, members, target):

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourier_marginals import budget, core, fourier
+from fourier_marginals import budget, core, fourier, mechanism
 
 from conftest import workloads
 
@@ -33,6 +33,142 @@ def reference_k_way_tau(d, k, m):
                 a[j] = v
             tau_map[tuple(a)] = value
     return tau_map
+
+
+def reference_subset_plan(workload, spectrum):
+    """SubsetPlan by loops over sets, subsets and attributes: the closure
+    as a set of tuples, and each pair's z_{S - R} multiplied in
+    attribute order over the scaled attributes of S - R."""
+    universe = workload.universe
+    closure = set()
+    for s in workload.sets:
+        for r in range(len(s) + 1):
+            closure.update(itertools.combinations(s, r))
+    members = tuple(sorted(closure, key=lambda s: (len(s), s)))
+    index = {sub: i for i, sub in enumerate(members)}
+    gains = [len(table) - 1.0 for table in spectrum.tables]
+    zeros = {}
+    for j in spectrum.scaled:
+        gains[j] = float(spectrum.magnitudes[j][1:].sum())
+        zeros[j] = float(spectrum.magnitudes[j][0]) ** 2
+    pair_member, pair_set, pair_zero = [], [], []
+    for k, s in enumerate(workload.sets):
+        scaled = [j for j in s if j in zeros]
+        for r in range(len(s) + 1):
+            for sub in itertools.combinations(s, r):
+                pair_member.append(index[sub])
+                pair_set.append(k)
+                z = 1.0
+                for j in scaled:
+                    if j not in sub:
+                        z *= zeros[j]
+                pair_zero.append(z)
+    return budget.SubsetPlan(
+        universe=universe, sets=workload.sets, members=members,
+        gains=np.array([math.prod(gains[j] for j in sub)
+                        for sub in members], dtype=float),
+        pair_member=np.array(pair_member, dtype=np.intp),
+        pair_set=np.array(pair_set, dtype=np.intp),
+        pair_zero=np.array(pair_zero, dtype=float),
+        set_square=np.array([float(universe.subuniverse_size(s) ** 2)
+                             for s in workload.sets]),
+        spectrum=spectrum)
+
+
+PLAN_ARRAYS = ("gains", "pair_member", "pair_set", "pair_zero",
+               "set_square", "pair_square", "need_member", "need_set",
+               "need_coef", "need")
+
+
+def assert_same_plan(plan, reference):
+    """Same members and every array equal bit for bit, dtype included."""
+    assert plan.members == reference.members
+    for name in PLAN_ARRAYS:
+        got, want = getattr(plan, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def planned_spectrum(workload):
+    """The product form of a workload and the spectrum as_product plans
+    it with."""
+    product, _ = mechanism.product_form(workload)
+    if product.kind == "marginal":
+        return product, fourier.unit_spectrum(product.universe.domain_sizes)
+    return product, fourier.phi_spectrum(product.phi_tables())
+
+
+# table entries whose transforms have zero and non-unit coefficients
+# ((1, 1) has phi_hat = (2, 0), (1, -1) has (0, 2)), and 0.3 and 0.7,
+# whose products round differently when taken in another order
+PHI_VALUES = (0.0, 1.0, -1.0, 0.5, 2.0, 0.3, 0.7)
+
+
+@st.composite
+def plan_workloads(draw):
+    """Marginal, product or extended workloads over up to 30 attributes
+    with up to six distinct sets of up to ten attributes; the empty
+    set and no sets at all are among them."""
+    kind = draw(st.sampled_from(("marginal", "product", "extended")))
+    d = draw(st.integers(1, 30))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    kinds = (core.CATEGORICAL, core.NUMERICAL) if kind == "extended" \
+        else (core.CATEGORICAL,)
+    universe = core.build_universe(sizes, draw(st.lists(
+        st.sampled_from(kinds), min_size=d, max_size=d)))
+    sets = draw(st.lists(
+        st.lists(st.integers(0, d - 1), max_size=10, unique=True)
+        .map(lambda s: tuple(sorted(s))), max_size=6, unique=True))
+    phi = None
+    if kind == "product":
+        phi = tuple(tuple(draw(st.lists(st.sampled_from(PHI_VALUES),
+                                        min_size=m, max_size=m)))
+                    for m in sizes)
+    return core.Workload(universe=universe, sets=tuple(sets),
+                         weights=np.ones(len(sets)), kind=kind, phi=phi)
+
+
+class TestSubsetPlan(unittest.TestCase):
+
+    @given(plan_workloads())
+    @settings(max_examples=150, deadline=None)
+    def test_property_arrays_equal_reference_loop(self, w):
+        product, spectrum = planned_spectrum(w)
+        assert_same_plan(budget.subset_plan(product, spectrum),
+                         reference_subset_plan(product, spectrum))
+
+    def test_no_sets_and_the_empty_set(self):
+        u = core.build_universe([3, 2])
+        for sets in ((), ((),), ((), (1,)), ((0, 1), ())):
+            w = core.Workload(universe=u, sets=sets, weights=np.ones(len(sets)))
+            spectrum = fourier.unit_spectrum(u.domain_sizes)
+            plan = budget.subset_plan(w, spectrum)
+            assert_same_plan(plan, reference_subset_plan(w, spectrum))
+            self.assertEqual(plan.members, core.downward_closure(w))
+
+    def test_set_sizes_beyond_float_precision(self):
+        # |U_S| = (10^6 + 3)^3 is past 2^53, so |U_S|^2 must be rounded
+        # once from the exact integer
+        u = core.build_universe([10 ** 6 + 3] * 3 + [7])
+        w = core.Workload(universe=u, sets=((0, 1, 2), (1, 3), (0, 1, 2, 3)),
+                          weights=np.ones(3))
+        spectrum = fourier.unit_spectrum(u.domain_sizes)
+        plan = budget.subset_plan(w, spectrum)
+        assert_same_plan(plan, reference_subset_plan(w, spectrum))
+        self.assertEqual(plan.set_square[0],
+                         float((10 ** 6 + 3) ** 6))
+
+    def test_product_sets_of_mixed_sizes(self):
+        u = core.build_universe([2, 3, 2, 4, 2])
+        phi = ((1.0, 1.0), (0.5, 2.0, 0.0), (1.0, -1.0), (1.0, 0.0, 0.0, 0.0),
+               (0.0, 2.0))
+        sets = ((0, 1, 2, 3, 4), (1,), (0, 2), (), (1, 3, 4))
+        w = core.Workload(universe=u, sets=sets, weights=np.ones(5),
+                          kind="product", phi=phi)
+        product, spectrum = planned_spectrum(w)
+        assert_same_plan(budget.subset_plan(product, spectrum),
+                         reference_subset_plan(product, spectrum))
 
 
 class TestTauMarginal(unittest.TestCase):

@@ -1,6 +1,7 @@
 """Universe, workload, and dataset model tests."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -75,6 +76,77 @@ def test_closure_idempotent_and_subset_closed(w):
     again = core.Workload(universe=w.universe, sets=closure,
                           weights=np.ones(len(closure)))
     assert core.downward_closure(again) == closure
+
+
+def replace_normalize_weights(workload, p=None):
+    """normalize_weights by building new workloads through
+    dataclasses.replace, which checks the sets and tables again."""
+    if not workload.sets:
+        raise core.AllZeroWeights("no sets")
+    if p is not None:
+        workload = dataclasses.replace(workload, weights=p)
+    with np.errstate(over="ignore"):
+        total = float(workload.weights.sum())
+    if total == math.inf:
+        raise core.WeightOverflow("sum to inf")
+    if total <= 0:
+        raise core.AllZeroWeights("all zero")
+    return dataclasses.replace(workload, weights=workload.weights / total)
+
+
+@given(workloads(max_d=4, max_sets=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_normalize_weights_matches_replace_bit_for_bit(w, data):
+    p = None
+    if data.draw(st.booleans()):
+        p = data.draw(st.lists(st.floats(0.0, 1e300), min_size=len(w.sets),
+                               max_size=len(w.sets)))
+        if not any(p):
+            p[0] = 1.0
+    got = core.normalize_weights(w, p)
+    want = replace_normalize_weights(w, p)
+    assert got is not w
+    assert got.weights.dtype == want.weights.dtype
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.universe, got.sets, got.kind, got.phi) \
+        == (want.universe, want.sets, want.kind, want.phi)
+    assert not got.weights.flags.writeable
+    with pytest.raises(ValueError):
+        got.weights[0] = 0.5
+    # the workload given keeps its own weights
+    assert w.weights is not got.weights
+
+
+def test_normalize_weights_keeps_kind_and_tables():
+    u = core.build_universe([2, 3])
+    w = core.Workload(universe=u, sets=((0,), (0, 1)),
+                      weights=np.array([1.0, 3.0]), kind="product",
+                      phi=((1.0, 0.5), (0.0, 1.0, 2.0)))
+    got = core.normalize_weights(w)
+    assert (got.kind, got.phi, got.sets) == (w.kind, w.phi, w.sets)
+    assert got.weights.tolist() == [0.25, 0.75]
+    assert w.weights.tolist() == [1.0, 3.0]
+
+
+@pytest.mark.parametrize("p, error", [
+    ([1.0], core.LengthMismatch),
+    ([1.0, 1.0, 1.0], core.LengthMismatch),
+    ([[1.0, 1.0]], core.LengthMismatch),
+    ([1.0, -0.5], core.AssignmentOutOfRange),
+    ([1.0, math.nan], core.AssignmentOutOfRange),
+    ([math.inf, 1.0], core.AssignmentOutOfRange),
+    ([0.0, 0.0], core.AllZeroWeights),
+    ([1.7e308, 1.7e308], core.WeightOverflow),
+])
+def test_normalize_weights_rejects_bad_p_as_before(p, error):
+    u = core.build_universe([2, 2])
+    w = core.Workload(universe=u, sets=((0,), (1,)),
+                      weights=np.array([1.0, 1.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(error):
+            replace_normalize_weights(w, p)
+        with pytest.raises(error):
+            core.normalize_weights(w, p)
 
 
 def test_normalize_weights_uniform():
