@@ -9,13 +9,17 @@ next to the achieved error, and plot-data emits the CSV tables behind
 the accuracy figures.
 
 Every command is deterministic given its flags; releases require an
-explicit --seed and nothing reads ambient entropy.  A release is
-written straight from the estimate arrays: the document skeleton
-(mechanism.release_skeleton) goes through json.dumps, and the tables,
-in JSON or --format csv, are written per target layout
-(mechanism.table_layouts), with the bytes json.dumps and csv.writer
-would give for the document that mechanism.release_document builds.
-An output path that cannot be written is an unusable flag.  The only
+explicit --seed and nothing reads ambient entropy.  Reports are written
+with the bytes of json.dumps(doc, sort_keys=True, indent=2), but their
+long members never go through it: the rest of the document does, and
+each long member is written from its arrays and spliced in at its key
+(_json_text).  These are the rows members, one {"attrs", number} entry
+per set (_rows_text): predict-error's per_set, optimize-weights' sets,
+and the weights of verify and of a max-variance release; and a
+release's sets, whose tables, in JSON or --format csv, are written per
+target layout (mechanism.table_layouts), with the bytes json.dumps and
+csv.writer would give for the document that mechanism.release_document
+builds.  An output path that cannot be written is an unusable flag.  The only
 environment variable consulted is FOURIER_MARGINALS_LOG, which sets
 the log level.
 
@@ -213,9 +217,56 @@ def _numpy_value(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=2,
-                      default=_numpy_value) + "\n"
+def _json_text(doc, spliced=None):
+    """json.dumps(doc, sort_keys=True, indent=2) plus a line break, with
+    numpy values written as plain ones.
+
+    spliced maps top-level keys of the document to the text of their
+    values, laid out as that call lays them out there (as _rows_text
+    and _release_json write them).  Those members go through json.dumps
+    as [] and their text is put in at their keys, so a long member never
+    meets json.dumps, whose indent falls back to the pure-Python
+    encoder.
+    """
+    spliced = spliced or {}
+    text = json.dumps(dict(doc, **dict.fromkeys(spliced, [])),
+                      sort_keys=True, indent=2, default=_numpy_value) + "\n"
+    for key, value in spliced.items():
+        # a line break followed by two spaces and a quote is indentation
+        # (strings escape their line breaks), so this text marks the one
+        # top-level member of that key
+        member = "\n  %s: " % json.dumps(key)
+        head, tail = text.split(member + "[]")
+        text = "".join((head, member, value, tail))
+    return text
+
+
+def _rows_text(field, sets, names, values):
+    """The text of a top-level rows member of a report: one
+    {"attrs": [names[j] for j in S], field: value} per set S, in order,
+    as _json_text lays it out.  field must sort after "attrs".
+
+    Each name is quoted once and the values are spelled by one
+    json.dumps of a flat list of floats, which writes float.__repr__ and
+    NaN, Infinity and -Infinity as it does inside a document.
+    """
+    if not sets:
+        return "[]"
+    quoted = list(map(json.dumps, names))
+    entry = '\n    {\n      "attrs": %s,\n      ' + json.dumps(field) \
+        + ': %s\n    }'
+    numbers = json.dumps(np.asarray(values, dtype=float).tolist())
+    return "[" + ",".join([
+        entry % (_attrs_text([quoted[j] for j in members]), number)
+        for members, number in zip(sets, numbers[1:-1].split(", "))]) \
+        + "\n  ]"
+
+
+def _attrs_text(quoted):
+    """The "attrs" list of an entry of a top-level list, as _json_text
+    lays it out, from its labels as json.dumps quotes them."""
+    return "[\n        " + ",\n        ".join(quoted) + "\n      ]" \
+        if quoted else "[]"
 
 
 # The text of a release document's sets as json.dumps(sort_keys=True,
@@ -230,10 +281,6 @@ _ROW_TAIL = "\n          ]\n        }"
 _ROW_EMPTY = ',\n          "t": []\n        }'
 _ROW_NEXT = ',\n        {\n          "estimate": '
 _SET_TAIL = "\n      ]\n    }"
-# The skeleton's "sets" member, where the sets are spliced in.  A line
-# break followed by two spaces is indentation (strings escape their line
-# breaks), so this text marks the one top-level "sets" key.
-_SETS_MEMBER = '\n  "sets": '
 
 
 def _cell_texts(axes, item, sep, head="", tail=""):
@@ -262,20 +309,19 @@ def _json_table_pieces(layout):
     return joins, joins.pop()[:-len(_ROW_NEXT)] + _SET_TAIL
 
 
-def _release_json(doc, result):
+def _release_json(doc, result, spliced=None):
     """_json_text of the release document of result, whose skeleton is
-    doc (mechanism.release_skeleton plus the CLI's meta and weights).
+    doc (mechanism.release_skeleton plus the CLI's meta and weights),
+    with the members of spliced put in as _json_text puts them.
 
-    The skeleton without its sets goes through json.dumps; the sets are
-    written from the arrays and spliced in, which gives the same bytes
-    without the pure-Python encoder.  The sigmas and estimates, in
-    document order, are encoded by one json.dumps of a flat list, which
-    spells floats with float.__repr__ and non-finite values as NaN,
-    Infinity and -Infinity, as it does inside the document.  The text
-    between them comes per layout of mechanism.table_layouts, built on
-    first use.
+    The sets are written from the arrays and spliced in at their key,
+    which gives the same bytes without the pure-Python encoder.  The
+    sigmas and estimates, in document order, are encoded by one
+    json.dumps of a flat list, which spells floats with float.__repr__
+    and non-finite values as NaN, Infinity and -Infinity, as it does
+    inside the document.  The text between them comes per layout of
+    mechanism.table_layouts, built on first use.
     """
-    head, tail = _json_text(dict(doc, sets=[])).split(_SETS_MEMBER + "[]")
     keys, layouts = mechanism.table_layouts(result)
     tables = {}
     pieces = []
@@ -285,18 +331,16 @@ def _release_json(doc, result):
         if key not in tables:
             tables[key] = _json_table_pieces(layouts[key])
         joins, after = tables[key]
-        attrs = [json.dumps(a) for a in entry["attrs"]]
-        attrs = ("[\n        " + ",\n        ".join(attrs) + "\n      ]"
-                 if attrs else "[]")
+        attrs = _attrs_text([json.dumps(a) for a in entry["attrs"]])
         pieces += [before + _SET_HEAD % attrs, _TABLE_HEAD, *joins]
         before = after + ","
         numbers.append(entry["sigma"])
         numbers += result.estimates[members].ravel().tolist()
     texts = json.dumps(numbers)[1:-1].split(", ")
     # a release has at least one set, so after closes the last entry
-    return "".join(itertools.chain(
-        (head, _SETS_MEMBER), itertools.chain.from_iterable(
-            zip(pieces, texts)), (after, "\n  ]", tail)))
+    sets = "".join(itertools.chain(itertools.chain.from_iterable(
+        zip(pieces, texts)), (after, "\n  ]")))
+    return _json_text(doc, dict(spliced or {}, sets=sets))
 
 
 def _csv_row(cells):
@@ -344,8 +388,9 @@ def _emit(text, out):
 def _load_workload(path):
     try:
         return core.read_workload_json(path)
+    # json.load recurses once per nesting level of arrays and objects
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+            ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read workload {path!r}: {exc}")
 
 
@@ -357,8 +402,8 @@ def _load_dataset(path, universe, names):
 
 
 def _weight_rows(solution, names):
-    return [{"attrs": [names[j] for j in members], "p": float(value)}
-            for members, value in zip(solution.sets, solution.p_star)]
+    """The text of a weights member: each set's solved weight p."""
+    return _rows_text("p", solution.sets, names, solution.p_star)
 
 
 def cmd_release(config):
@@ -377,10 +422,12 @@ def cmd_release(config):
     doc = mechanism.release_skeleton(result, names=names)
     doc["meta"]["objective"] = config.objective
     doc["meta"]["value_maps"] = value_maps
-    if solution is not None:
-        doc["weights"] = _weight_rows(solution, names)
-    writer = _release_csv if config.fmt == "csv" else _release_json
-    _emit(writer(doc, result), config.out)
+    if config.fmt == "csv":
+        text = _release_csv(doc, result)
+    else:
+        text = _release_json(doc, result, None if solution is None else
+                             {"weights": _weight_rows(solution, names)})
+    _emit(text, config.out)
     return EXIT_OK
 
 
@@ -392,15 +439,14 @@ def cmd_predict_error(config):
     doc = {
         "kind": workload.kind,
         "mu": config.mu,
-        "per_set": [{"attrs": [names[j] for j in members],
-                     "sigma": predicted["per_set_sigma"][members]}
-                    for members in workload.sets],
         "weighted_rms": predicted["weighted_rms"],
         "max_sigma": predicted["max_sigma"],
         "baseline_sigma": baseline,
         "improvement_ratio": predicted["weighted_rms"] / baseline,
     }
-    _emit(_json_text(doc), config.out)
+    sigmas = list(map(predicted["per_set_sigma"].__getitem__, workload.sets))
+    per_set = _rows_text("sigma", workload.sets, names, sigmas)
+    _emit(_json_text(doc, {"per_set": per_set}), config.out)
     return EXIT_OK
 
 
@@ -409,12 +455,12 @@ def cmd_optimize_weights(config):
     solution = optimizer.optimize_pstar(workload, tol=config.tol)
     doc = {
         "kind": workload.kind,
-        "sets": _weight_rows(solution, names),
         "objective": solution.objective,
         "kkt_residual": solution.kkt_residual,
         "iterations": solution.iterations,
     }
-    _emit(_json_text(doc), config.out)
+    _emit(_json_text(doc, {"sets": _weight_rows(solution, names)}),
+          config.out)
     return EXIT_OK
 
 
@@ -460,8 +506,9 @@ def cmd_verify(config):
         "svd_lower": report.svd_lower_bound,
         "residuals": residuals,
     }
+    rows = {}
     if solution is not None:
-        doc["weights"] = _weight_rows(solution, names)
+        rows["weights"] = _weight_rows(solution, names)
     if workload.kind == "extended":
         witness = factorization.lower_bound_witness(
             workload, p=p, dense_cap=config.dense_cap)
@@ -481,7 +528,7 @@ def cmd_verify(config):
                      for name, value, limit in checks]
     ok = all(entry["pass"] for entry in doc["checks"])
     doc["pass"] = ok
-    _emit(_json_text(doc), config.out)
+    _emit(_json_text(doc, rows), config.out)
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 

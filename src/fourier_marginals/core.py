@@ -139,10 +139,11 @@ class Workload:
     phi: tuple = None
 
     def __post_init__(self):
-        canon = tuple(tuple(sorted(int(j) for j in s)) for s in self.sets)
+        canon = tuple(map(tuple, map(sorted, map(_int_members, self.sets))))
+        d = self.universe.d
         for s in canon:
-            if s and (s[0] < 0 or s[-1] >= self.universe.d):
-                raise AssignmentOutOfRange(f"set {s} outside [0, {self.universe.d})")
+            if s and (s[0] < 0 or s[-1] >= d):
+                raise AssignmentOutOfRange(f"set {s} outside [0, {d})")
             if len(set(s)) != len(s):
                 raise AssignmentOutOfRange(f"set {s} repeats an attribute")
         if len(set(canon)) != len(canon):
@@ -171,6 +172,10 @@ class Workload:
             return self.phi
         return tuple((1.0,) + (0.0,) * (m - 1)
                      for m in self.universe.domain_sizes)
+
+
+# a set's members as Python integers, without a generator per set
+_int_members = functools.partial(map, int)
 
 
 def _checked_weights(weights, count):
@@ -370,9 +375,17 @@ def read_workload_json(source):
     workloads.  Names must be strings without leading or trailing
     whitespace, sizes integers, weights numbers and phi tables lists of
     finite numbers; strings and booleans are rejected, not converted.
-    A parsed document of any other shape raises AssignmentOutOfRange.
+    A parsed document of any other shape raises AssignmentOutOfRange,
+    naming the first offending entry.
     Accepts a path, a file object, or an already-parsed dict.
     Returns (universe, workload, attribute names).
+
+    The sets are read in one pass that costs little per entry: each
+    type is tested by identity before isinstance, which still decides
+    subclasses and numpy scalars; each name is looked up once; a float
+    weight is kept as parsed and the weights become an array in one
+    call, while any other number is converted where it is read, so that
+    an integer beyond the float range is reported at its own entry.
     """
     if isinstance(source, dict):
         doc = source
@@ -412,17 +425,24 @@ def read_workload_json(source):
     sets = []
     weights = []
     for entry in entries:
-        if not isinstance(entry, dict):
+        if type(entry) is not dict and not isinstance(entry, dict):
             raise AssignmentOutOfRange(f"set {entry!r} is not an object")
         members = entry.get("attrs")
-        if not isinstance(members, (list, tuple)):
+        if type(members) is not list \
+                and not isinstance(members, (list, tuple)):
             raise AssignmentOutOfRange(
                 f"attrs {members!r} is not a list of attribute names")
+        ids = []
         for name in members:
-            if not (isinstance(name, str) and name in index):
+            j = index.get(name) \
+                if type(name) is str or isinstance(name, str) else None
+            if j is None:
                 raise AssignmentOutOfRange(f"unknown attribute {name!r}")
-        sets.append(tuple(index[name] for name in members))
-        weights.append(_number(entry.get("weight", 1.0), "weight"))
+            ids.append(j)
+        sets.append(ids)
+        weight = entry.get("weight", 1.0)
+        weights.append(weight if type(weight) is float
+                       else _number(weight, "weight"))
     kind = doc.get("kind", "marginal")
     phi = doc.get("phi")
     if phi is not None and not isinstance(phi, dict):
@@ -468,8 +488,10 @@ def _number(value, what):
 
 
 def _is_number(value):
-    # JSON true and false are bools, which Python counts as integers
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # JSON true and false are bools, which Python counts as integers;
+    # the identity tests spare the numbers.Real check for JSON's own
+    return type(value) is float or type(value) is int \
+        or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 # Records read and converted at once by read_dataset_csv: lines on the

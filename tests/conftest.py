@@ -8,6 +8,20 @@ from hypothesis import strategies as st
 from fourier_marginals import budget, core, mechanism
 
 
+def reference_canonical_sets(sets, d):
+    """Workload's canonical sets as it built them with one generator per
+    set, raising what it raised, in the same order."""
+    canon = tuple(tuple(sorted(int(j) for j in s)) for s in sets)
+    for s in canon:
+        if s and (s[0] < 0 or s[-1] >= d):
+            raise core.AssignmentOutOfRange(f"set {s} outside [0, {d})")
+        if len(set(s)) != len(s):
+            raise core.AssignmentOutOfRange(f"set {s} repeats an attribute")
+    if len(set(canon)) != len(canon):
+        raise core.AssignmentOutOfRange("duplicate sets in workload")
+    return canon
+
+
 @st.composite
 def universes(draw, max_d=3, max_m=4, kinds=(core.CATEGORICAL,)):
     d = draw(st.integers(1, max_d))

@@ -8,6 +8,7 @@ import itertools
 import json
 import locale
 import math
+import numbers
 import os
 import pathlib
 import subprocess
@@ -16,13 +17,14 @@ import tempfile
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourier_marginals import budget, cli, core, factorization, mechanism
 
-from conftest import releases
+from conftest import reference_canonical_sets, releases
 
 GOLDEN_PAIR = (1.0 + math.sqrt(2.0)) / 2.0
 
@@ -300,6 +302,107 @@ def test_release_csv_writer_matches_reference(output):
     assert cli._release_csv(skeleton, result) == reference_release_csv(doc)
 
 
+# The top-level members of each JSON report other than its rows member,
+# and the (key, field) of its rows: the writer splices the rows in
+# between members that json.dumps lays out, so their keys must sort on
+# both sides of the rows key as they do in the reports.
+REPORT_MEMBERS = {
+    "predict-error": (("kind", "mu", "weighted_rms", "max_sigma",
+                       "baseline_sigma", "improvement_ratio"),
+                      ("per_set", "sigma")),
+    "optimize-weights": (("kind", "objective", "kkt_residual",
+                          "iterations"), ("sets", "p")),
+    "verify": (("kind", "objective", "tolerance", "gammaF", "gamma2",
+                "svd_lower", "residuals", "range_bound", "checks", "pass"),
+               ("weights", "p")),
+}
+REPORT_NUMBERS = st.sampled_from(SPECIAL_ESTIMATES) | st.floats() \
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def report_documents(draw):
+    """(doc, spliced, reference): a report's members other than its rows
+    as json.dumps writes them, the rows member as _rows_text writes it,
+    and the whole document as the commands built it before."""
+    command = draw(st.sampled_from(sorted(REPORT_MEMBERS)))
+    keys, (key, field) = REPORT_MEMBERS[command]
+    names = draw(st.lists(st.sampled_from(TRICKY_LABELS) | st.text(
+        max_size=4), min_size=1, max_size=4, unique=True))
+    sets = draw(st.lists(st.lists(st.sampled_from(range(len(names))),
+                                  max_size=len(names), unique=True)
+                         .map(sorted).map(tuple), max_size=5, unique=True))
+    values = draw(st.lists(REPORT_NUMBERS, min_size=len(sets),
+                           max_size=len(sets)))
+    member = st.one_of(REPORT_NUMBERS, st.text(max_size=4), st.booleans(),
+                       st.integers(), st.dictionaries(
+                           st.text(max_size=3), REPORT_NUMBERS, max_size=2),
+                       st.lists(REPORT_NUMBERS, max_size=2))
+    doc = {name: draw(member) for name in keys}
+    if command == "verify" and draw(st.booleans()):
+        doc["objective"] = "weighted-rms"
+        spliced = {}
+    else:
+        spliced = {key: cli._rows_text(field, sets, names, values)}
+    reference = dict(doc)
+    if spliced:
+        reference[key] = [{"attrs": [names[j] for j in members],
+                           field: value}
+                          for members, value in zip(sets, values)]
+    return doc, spliced, reference
+
+
+@given(report_documents())
+@settings(max_examples=200, deadline=None)
+def test_report_writer_matches_json_dumps(report):
+    """The rows members of predict-error, optimize-weights and verify,
+    spliced into the rest of the report, give json.dumps's bytes: names
+    that need escaping or read like the splice point, the empty set,
+    non-finite numbers, and verify without weights."""
+    doc, spliced, reference = report
+    expected = json.dumps(reference, sort_keys=True, indent=2,
+                          default=cli._numpy_value) + "\n"
+    assert cli._json_text(doc, spliced) == expected
+
+
+# names the reader accepts, from TRICKY_LABELS and beyond
+REPORT_NAMES = ("\x00table\x00", "%s", "%r%%", 'a,"b"', "é", "per_set")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["predict-error"], "per_set"), (["optimize-weights"], "sets"),
+    (["verify"], None), (["verify", "--objective", "max-variance"], "weights"),
+    (["release", "--seed", "3", "--objective", "max-variance"], "weights")])
+def test_reports_are_json_dumps_of_their_documents(tmp_path, capsys, argv,
+                                                   rows):
+    """Each command's report is json.dumps of the document it holds, on
+    names that need escaping and a workload with the empty set."""
+    doc = {"attributes": [{"name": name, "size": 2}
+                          for name in REPORT_NAMES],
+           "sets": [{"attrs": [], "weight": 0.5},
+                    {"attrs": ["\x00table\x00", "%s"], "weight": 1.0},
+                    {"attrs": ['a,"b"', "é", "per_set"], "weight": 2}]}
+    argv = [*argv, "--workload", write_json(tmp_path, doc)]
+    if argv[0] == "release":
+        argv += ["--dataset", write_rows(tmp_path, _csv_text(
+            [REPORT_NAMES, [0, 1, 0, 1, 1, 0], [1, 1, 0, 0, 1, 1]]))]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    if rows is None:
+        assert "weights" not in report
+    else:
+        assert [entry["attrs"] for entry in report[rows]] == [
+            entry["attrs"] for entry in doc["sets"]]
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 # ----------------------------------------------------------- failures
 
 
@@ -498,6 +601,158 @@ def test_workload_document_loads_or_exits_2(doc, target):
         assert json.loads(out.getvalue())["kind"] == workload.kind
 
 
+def reference_read_workload_json(source):
+    """core.read_workload_json as it was before its entry loop took
+    identity type checks and one lookup per name, with Workload's
+    per-set generator (reference_canonical_sets) in front of Workload."""
+    AssignmentOutOfRange = core.AssignmentOutOfRange
+    if isinstance(source, dict):
+        doc = source
+    elif hasattr(source, "read"):
+        doc = json.load(source)
+    else:
+        with open(source) as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise AssignmentOutOfRange(f"workload {doc!r} is not an object")
+    attrs = doc.get("attributes")
+    if not isinstance(attrs, list):
+        raise AssignmentOutOfRange(
+            f"attributes {attrs!r} is not a list of attribute objects")
+    for a in attrs:
+        if not (isinstance(a, dict) and isinstance(a.get("name"), str)
+                and "size" in a):
+            raise AssignmentOutOfRange(
+                f"attribute {a!r} is not an object with a name and a size")
+    names = [a["name"] for a in attrs]
+    for name in names:
+        if name != name.strip():
+            raise AssignmentOutOfRange(
+                f"attribute name {name!r} has leading or trailing "
+                "whitespace")
+    if len(set(names)) != len(names):
+        raise AssignmentOutOfRange("duplicate attribute names")
+    universe = core.build_universe(
+        [a["size"] for a in attrs],
+        [a.get("kind", core.CATEGORICAL) for a in attrs])
+    index = {name: j for j, name in enumerate(names)}
+    entries = doc.get("sets")
+    if not isinstance(entries, list):
+        raise AssignmentOutOfRange(f"sets {entries!r} is not a list of "
+                                   "set objects")
+    sets = []
+    weights = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise AssignmentOutOfRange(f"set {entry!r} is not an object")
+        members = entry.get("attrs")
+        if not isinstance(members, (list, tuple)):
+            raise AssignmentOutOfRange(
+                f"attrs {members!r} is not a list of attribute names")
+        for name in members:
+            if not (isinstance(name, str) and name in index):
+                raise AssignmentOutOfRange(f"unknown attribute {name!r}")
+        sets.append(tuple(index[name] for name in members))
+        weights.append(_reference_number(entry.get("weight", 1.0),
+                                         "weight"))
+    kind = doc.get("kind", "marginal")
+    phi = doc.get("phi")
+    if phi is not None and not isinstance(phi, dict):
+        raise AssignmentOutOfRange(
+            f"phi {phi!r} is not an object mapping attribute names to "
+            "tables")
+    if phi:
+        if kind != "product":
+            raise AssignmentOutOfRange(
+                "phi tables only apply to product workloads")
+        tables = [None] * universe.d
+        for name, table in phi.items():
+            if name not in index:
+                raise AssignmentOutOfRange(
+                    f"unknown attribute {name!r} in phi")
+            if not (isinstance(table, (list, tuple))
+                    and all(map(_reference_is_number, table))):
+                raise AssignmentOutOfRange(
+                    f"phi table {table!r} of {name!r} is not a list of "
+                    "numbers")
+            tables[index[name]] = tuple(
+                _reference_number(v, f"phi entry of {name!r}")
+                for v in table)
+        for j, table in enumerate(tables):
+            if table is None:
+                tables[j] = (1.0,) + (0.0,) * (universe.domain_sizes[j] - 1)
+        phi = tuple(tables)
+    else:
+        phi = None
+    workload = core.Workload(
+        universe=universe, sets=reference_canonical_sets(sets, universe.d),
+        weights=np.array(weights, dtype=float), kind=kind, phi=phi)
+    return universe, workload, names
+
+
+def _reference_number(value, what):
+    if not _reference_is_number(value):
+        raise core.AssignmentOutOfRange(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise core.AssignmentOutOfRange(f"{what} {value!r} is beyond the "
+                                        "float range")
+
+
+def _reference_is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+class Name(str):
+    """An attribute name of a str subclass, as a caller may pass one in
+    an already-parsed document."""
+
+
+def _loaded(reader, source):
+    """What reader makes of source: universe, names, sets, weight bits,
+    kind and phi, or the type and message of what it raised."""
+    try:
+        universe, workload, names = reader(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (universe, names, workload.sets, workload.weights.tobytes(),
+            workload.kind, workload.phi)
+
+
+NUMPY_DOC = {
+    "attributes": [{"name": Name("a"), "size": np.int64(2)},
+                   {"name": "b", "size": 3}],
+    "sets": [{"attrs": [Name("a")], "weight": np.float32(0.1)},
+             {"attrs": ("b", Name("a")), "weight": np.int64(3)},
+             {"attrs": ["b"], "weight": np.float64(0.7)},
+             {"attrs": [], "weight": 2}],
+    "kind": "product",
+    "phi": {Name("b"): [np.float32(0.5), 1, np.int8(0)]},
+}
+LATE_ERROR_DOC = dict(PAIR_DOC, sets=[{"attrs": ["a"], "weight": 10 ** 400},
+                                      {"attrs": ["zz"]}])
+
+
+@given(workload_documents())
+@example(NUMPY_DOC)
+@example(dict(NUMPY_DOC, sets=[*NUMPY_DOC["sets"], {"attrs": [Name("c")]}]))
+@example(dict(NUMPY_DOC, sets=[{"attrs": ["a"], "weight": np.bool_(True)}]))
+@example(LATE_ERROR_DOC)
+@example(OVERFLOW_DOC)
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_reference(doc):
+    """read_workload_json loads what the reference loads, bit for bit,
+    or raises the same error type with the same message, from a parsed
+    document (numpy scalars and str subclasses included) and from its
+    JSON text."""
+    expected = _loaded(reference_read_workload_json, doc)
+    assert _loaded(core.read_workload_json, doc) == expected
+    text = json.dumps(doc, default=cli._numpy_value)
+    assert _loaded(core.read_workload_json, io.StringIO(text)) \
+        == _loaded(reference_read_workload_json, io.StringIO(text))
+
+
 @pytest.mark.parametrize("command", ["optimize-weights", "verify",
                                      "release"])
 def test_empty_workload_max_variance_exits_2(tmp_path, capsys, command):
@@ -623,6 +878,20 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(capsys, "predict-error", "--workload", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["predict-error", "release"])
+def test_deeply_nested_workload_exits_2(tmp_path, capsys, command):
+    # json.load recurses once per open bracket
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    argv = [command, "--workload", str(path)]
+    if command == "release":
+        argv += ["--dataset", write_rows(tmp_path), "--seed", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read workload") \
+        and err.count("\n") == 1
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from fourier_marginals import budget, core, mechanism, oracle
 
-from conftest import datasets, universes, workloads
+from conftest import (datasets, reference_canonical_sets,
+                      universes, workloads)
 
 
 def test_build_universe_smallest_binary():
@@ -255,6 +256,32 @@ def test_workload_rejects_duplicates_and_negatives():
         core.Workload(universe=u, sets=((0,),), weights=np.array([-0.5]))
     with pytest.raises(core.LengthMismatch):
         core.Workload(universe=u, sets=((0,),), weights=np.array([1.0, 2.0]))
+
+
+def _outcome(call):
+    """call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SET_MEMBERS = st.integers(-1, 3) | st.integers(0, 3).map(np.int64)
+
+
+@given(st.lists(st.lists(SET_MEMBERS, max_size=4)
+                | st.tuples(SET_MEMBERS, SET_MEMBERS), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_workload_canonicalizes_sets_as_before(sets):
+    """Workload's sets and set errors equal those of the per-set
+    generator it used before: unsorted, repeated, out-of-range and
+    duplicate sets of Python and numpy integers."""
+    u = core.build_universe([2, 2, 2])
+    got = _outcome(lambda: core.Workload(
+        universe=u, sets=sets, weights=np.ones(len(sets))).sets)
+    assert got == _outcome(lambda: reference_canonical_sets(sets, u.d))
+    if got and not isinstance(got[0], type):
+        assert all(type(j) is int for s in got for j in s)
 
 
 def test_workload_phi_defaults_to_indicator():
