@@ -173,10 +173,6 @@ def _build_parser():
                        help="trace-norm lower bound next to the achieved "
                             "error")
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--dense-cap", dest="dense_cap", type=int,
-                   help="override the dense universe cap of the range "
-                        "witness; the trace bound of other kinds is not "
-                        "capped by universe size")
 
     p = sub.add_parser("plot-data", parents=[output],
                        help="CSV tables for the accuracy figures")
@@ -297,12 +293,12 @@ def _cell_texts(axes, item, sep, head="", tail=""):
     return texts if axes else [head + tail]
 
 
-def _json_table_pieces(layout):
-    """(joins, close) of a table of this layout: the text between each
-    estimate and the next, and the text after the last one, which
-    closes the set's entry."""
-    if layout.axes:
-        joins = _cell_texts(layout.axes, _ROW_ITEM, ",", _ROW_TARGET,
+def _json_table_pieces(axes):
+    """(joins, close) of a table of this layout, the targets of each
+    attribute: the text between each estimate and the next, and the
+    text after the last one, which closes the set's entry."""
+    if axes:
+        joins = _cell_texts(axes, _ROW_ITEM, ",", _ROW_TARGET,
                             _ROW_TAIL + _ROW_NEXT)
     else:
         joins = [_ROW_EMPTY + _ROW_NEXT]
@@ -364,7 +360,7 @@ def _release_csv(doc, result):
     out = [_csv_row(["attrs", "t", "sigma", "estimate"])]
     for entry, members, key in zip(doc["sets"], result.workload.sets, keys):
         if key not in labels:
-            labels[key] = _cell_texts(layouts[key].axes, "%d", "|")
+            labels[key] = _cell_texts(layouts[key], "%d", "|")
         attrs = "|".join(str(a) for a in entry["attrs"])
         row = _csv_row([attrs.replace("%", "%%"), "%s",
                         repr(float(entry["sigma"])), "%r"])
@@ -510,13 +506,9 @@ def cmd_verify(config):
     if solution is not None:
         rows["weights"] = _weight_rows(solution, names)
     if workload.kind == "extended":
-        witness = factorization.lower_bound_witness(
-            workload, p=p, dense_cap=config.dense_cap)
-        gap = abs(witness.trace_value - witness.closed_form) \
-            / max(1.0, witness.closed_form)
-        checks.append(("range_trace_gap", gap, max(tol, 1e-8)))
-        checks.append(("range_op_norm_excess",
-                       max(0.0, witness.op_norm - 1.0), max(tol, 1e-9)))
+        witness = factorization.lower_bound_witness(workload, p=p)
+        checks += [(name, value, max(tol, limit)) for name, value, limit
+                   in factorization.range_checks(witness)]
         doc["range_bound"] = {
             "closed_form": witness.closed_form,
             "trace_value": witness.trace_value,
@@ -537,13 +529,9 @@ def cmd_lower_bound(config):
     upper = mechanism.predicted_error(workload, mu=config.mu)["weighted_rms"]
     doc = {"kind": workload.kind, "mu": config.mu, "upper_bound": upper}
     if workload.kind == "extended":
-        lower = factorization.extended_lower_bound(
-            workload, dense_cap=config.dense_cap) / config.mu
+        lower = factorization.extended_lower_bound(workload) / config.mu
         if core.NUMERICAL in universe.attribute_kind:
             doc["note"] = factorization.WITNESS_NOTE
-        # the range witness lives over the original universe
-        doc["dense_witness"] = factorization.dense_refusal(
-            workload, config.dense_cap) is None
     else:
         lower = factorization.svd_lower_bound(workload) / config.mu
     doc["lower_bound"] = lower
@@ -603,6 +591,9 @@ def main(argv=None):
     except optimizer.NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except factorization.CertificateFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except core.FourierMarginalsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,33 +34,34 @@ sqrt(|U|) tau_a.  Three certificates follow:
     ratio of two explicit log-like sums per numerical attribute.  The
     bound is sum_R G_R r_R of the budget.SubsetPlan of the test
     matrix's tables over the original universe, and the test matrix
-    takes its frequencies from the same plan.  The test matrix is
-    checked in the frequency basis, never formed (see LowerBoundWitness).
+    takes its frequencies from the same plan.  Its trace value and
+    operator norm factor per attribute and per closure member like the
+    trace bound, so the test matrix is checked at every size, never
+    formed (see LowerBoundWitness).
 
 Every dense matrix is a stack of per-set blocks, and each block is a
 product over attributes of per-attribute tables read at a frequency
-per column: V~ and U~ of the character tables omega_m^(a v), and the
-witness's Z of the tables w_j omega_m^(a v) with w_j the prefix
-indicator 1{v <= t} or the identity.  One builder, _character_grid,
-fills them all in place, broadcasting one attribute's table over the
-grid at a time, in attribute order, so every entry is multiplied in
-the same order as a Kronecker product would, with no loop per
-frequency.
+per column: V~ and U~ of the character tables omega_m^(a v).  One
+builder, _character_grid, fills them in place, broadcasting one
+attribute's table over the grid at a time, in attribute order, so
+every entry is multiplied in the same order as a Kronecker product
+would, with no loop per frequency.
 
 Dense matrices are built only for small instances, as dense_refusal
-decides: past the caps build_factorization refuses, and the range
-bound is the closed form sum_R G_R r_R of its plan, unchecked.  The
-trace bound forms no matrix of W, so neither the universe nor the
-query rows cap it; svd_lower_bound refuses only an attribute larger
-than DENSE_UNIVERSE_CAP, whose own SVD would be too large.
+decides: past the caps build_factorization refuses.  The trace bound
+forms no matrix of W, so neither the universe nor the query rows cap
+it; svd_lower_bound refuses only an attribute larger than
+DENSE_UNIVERSE_CAP, whose own SVD would be too large.  The range
+witness holds one length-m_j array per attribute and one scalar per
+closure member, and has no cap.
 Whether every set can be estimated is decided by the release's own
 rule, an infinite sigma_S read off the budget.SubsetPlan, so a
 factorization is refused exactly when a release would be.
 
 Memory holds one dense matrix at a time beside the pair: no temporary
 the size of L or R lives next to them, and neither W nor Q is ever
-formed.  U~ and Z are filled set by set on the frequencies with
-supp(a) within the set, the only columns where a set's rows are
+formed.  U~ is filled set by set on the frequencies with supp(a)
+within the set, the only columns where a set's rows are
 nonzero, in place when a set carries every column.  The norms read L
 and R BLOCK rows or columns at a time, through the same elementwise
 operations and reductions as the whole matrix would, so each norm is
@@ -68,9 +69,7 @@ the same float.  The Gram residuals hold one BLOCK-wide column block
 of a Gram matrix, on and above its diagonal, plus one set's rows of L
 on the columns where they are nonzero: L* P L is summed set by set, so
 its residual equals that of the whole product up to the order of
-summation.  The range-query witness holds no matrix with |U| columns,
-only the rows x k factors P^(1/2) U~ and Z, with k the witness's
-frequencies.
+summation.
 """
 
 import functools
@@ -94,6 +93,10 @@ BLOCK = 128
 
 class DenseTooLarge(FourierMarginalsError):
     """The instance exceeds the caps for materializing dense matrices."""
+
+
+class CertificateFailed(FourierMarginalsError):
+    """A certificate the result rests on failed its check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,20 +161,30 @@ class RealFactorization:
 @dataclass(frozen=True, eq=False)
 class LowerBoundWitness:
     """The range-query test matrix Y = P^(1/2) U~ V~* / sqrt(|U|), read
-    in the frequency basis; U~ holds the coefficients f_j (None for
-    categorical attributes in f_tables), column a divided by kappa[a],
-    the tau_a of the witness plan (see _witness_plan), so that each
-    column of P^(1/2) U~ is a unit vector.
+    per attribute and per closure member R of the weighted sets.
 
-    op_norm = ||Y||_2 <= 1, so trace_value = |tr(P^(1/2) W Y*)| / sqrt(|U|)
-    bounds every factorization of the prefix query matrix W from below.
-    V~ / sqrt(|U|) has orthonormal columns, so op_norm is that of the
-    rows x k matrix P^(1/2) U~, and trace_value is
-    |sum_{r,a} P_r conj(U~_{r,a}) Z_{r,a}| with Z = W V~ / |U|.
+    U~ holds the coefficients c_j of _witness_plan (f_j in f_tables,
+    None where c_j = 1), column a divided by its plan weight tau_a =
+    r_R prod_{j in R} |c_j(a_j)|.  op_norm = ||Y||_2 <= 1, so
+    trace_value = |tr(P^(1/2) W Y*)| / sqrt(|U|) bounds every
+    factorization of the prefix query matrix W from below.
+
+    V~ / sqrt(|U|) has orthonormal columns, and so, up to scale, has
+    P^(1/2) U~: two frequencies carried by one set differ on it.  So
+    op_norm is the largest column norm, max_R sqrt(c_R) / r_R with c_R
+    = sum_{S >= R, p_S > 0} p_S prod_{j in S - R} |c_j(0)|^2 / |U_S|^2,
+    summed apart from the plan so that it checks the plan's roots.  The
+    trace factors over the attributes of each set into
+
+        |sum_R (prod_{j in R} h_j / r_R)
+              sum_{S >= R, p_S > 0} p_S / |U_S|^3 prod_{j in S - R} h0_j|,
+
+    h_j = sum_{a > 0} conj(c_j(a)) g_j(a) / |c_j(a)| and h0_j =
+    conj(c_j(0)) g_j(0), with g_j(a) = sum_t omega^(-a t) sum_x
+    w_j[t, x] omega^(a x) for the prefix indicator or identity w_j.
     """
 
     f_tables: tuple
-    kappa: dict
     trace_value: float
     op_norm: float
     closed_form: float
@@ -189,9 +202,9 @@ def dense_refusal(workload, dense_cap=None):
 
     The universe must be within dense_cap (DENSE_UNIVERSE_CAP when None)
     and the query rows within DENSE_QUERY_CAP.  It decides whether
-    build_factorization and the range witness run; the trace bound
-    forms no matrix of W and caps only the size of each attribute (see
-    svd_lower_bound).
+    build_factorization runs; the trace bound forms no matrix of W and
+    caps only the size of each attribute (see svd_lower_bound), and the
+    range witness forms no matrix at all.
     """
     cap = DENSE_UNIVERSE_CAP if dense_cap is None else int(dense_cap)
     size = workload.universe.size
@@ -201,12 +214,6 @@ def dense_refusal(workload, dense_cap=None):
     if rows > DENSE_QUERY_CAP:
         return f"{rows} query rows exceed the dense cap {DENSE_QUERY_CAP}"
     return None
-
-
-def _check_dense_caps(workload, dense_cap=None):
-    refusal = dense_refusal(workload, dense_cap)
-    if refusal is not None:
-        raise DenseTooLarge(refusal)
 
 
 def _unit_table(m):
@@ -275,13 +282,13 @@ def _coefficient_products(coeffs, freqs, members):
     return scale
 
 
-def _coefficient_matrix(workload, coeffs, tables, rows, freqs):
-    """Entries coeff(S, a) prod_{j in S} tables[j][t_j, a_j] / |U_S| on
-    supp(a) within S, and zero elsewhere: U~ when tables are the unit
-    tables omega_m^(a v).  Each set's block is filled only on the
-    columns it carries, in place when that is all of them, else apart
-    and then copied into the zero matrix."""
+def _coefficient_matrix(workload, coeffs, rows, freqs):
+    """U~: entries coeff(S, a) prod_{j in S} omega_m^(a_j t_j) / |U_S| on
+    supp(a) within S, and zero elsewhere.  Each set's block is filled
+    only on the columns it carries, in place when that is all of them,
+    else apart and then copied into the zero matrix."""
     universe = workload.universe
+    tables = [_unit_table(m) for m in universe.domain_sizes]
     freqs = np.array(freqs, dtype=np.intp).reshape(len(freqs), universe.d)
     out = np.zeros((len(rows), len(freqs)), dtype=complex)
     start = 0
@@ -317,7 +324,9 @@ def build_factorization(workload, p=None, dense_cap=None):
     cap.
     """
     w, _ = mechanism.product_form(normalize_weights(workload, p))
-    _check_dense_caps(w, dense_cap)
+    refusal = dense_refusal(w, dense_cap)
+    if refusal is not None:
+        raise DenseTooLarge(refusal)
     _, structure, _ = mechanism.as_product(w)
     roots = structure.roots(w.weights)
     mechanism._require_estimable(
@@ -325,9 +334,7 @@ def build_factorization(workload, p=None, dense_cap=None):
     indices, tau = budget.released_rows(*structure.frequencies(roots))
     E = tau / tau.sum()
     rows, P = _row_index(w)
-    U = _coefficient_matrix(w, structure.spectrum.tables,
-                            [_unit_table(m) for m in w.universe.domain_sizes],
-                            rows, indices)
+    U = _coefficient_matrix(w, structure.spectrum.tables, rows, indices)
     V = _character_matrix(w.universe, indices)
     # L and R are scaled in place in the builders' arrays
     L = np.divide(U, np.sqrt(E)[None, :], out=U)
@@ -393,18 +400,31 @@ def _trace_bound(w):
     # ||A_j||_tr and ||u_j||^2 per attribute
     norms = {j: _attribute_norms(tables[j])
              for j in sorted({j for members, _ in weighted for j in members})}
-    # c_R of each member of the closure of the weighted sets
-    c = {}
-    for members, pS in weighted:
-        squared_scale = pS / w.universe.subuniverse_size(members) \
-            * math.prod(m for j, m in enumerate(sizes) if j not in members)
-        for r in range(len(members) + 1):
-            for member in itertools.combinations(members, r):
-                c[member] = c.get(member, 0.0) + squared_scale * math.prod(
-                    norms[j][1] for j in members if j not in member)
+    c = _member_sums(weighted, [
+        pS / w.universe.subuniverse_size(members)
+        * math.prod(m for j, m in enumerate(sizes) if j not in members)
+        for members, pS in weighted], {j: norms[j][1] for j in norms})
     trace = sum(math.sqrt(value) * math.prod(norms[j][0] for j in member)
                 for member, value in c.items())
     return trace / math.sqrt(w.universe.size)
+
+
+def _member_sums(weighted, scales, factors):
+    """{R: sum over the sets S >= R of scales[S] prod_{j in S - R}
+    factors[j]} for every member R of the downward closure of weighted,
+    a list of (S, p_S) pairs with one scale each.
+
+    One pass over the sets, in order, and over each set's subsets by
+    size, then lexicographically; every term is the scale times the
+    factors multiplied in attribute order.  Reads no budget.SubsetPlan.
+    """
+    sums = {}
+    for (members, _), scale in zip(weighted, scales):
+        for r in range(len(members) + 1):
+            for member in itertools.combinations(members, r):
+                sums[member] = sums.get(member, 0.0) + scale * math.prod(
+                    factors[j] for j in members if j not in member)
+    return sums
 
 
 def _attribute_norms(table):
@@ -638,109 +658,102 @@ def tightness_certificate(fact):
             "colnorm": float(col.max() - col.min()), "rownorm": rownorm}
 
 
-def _numerical_members(universe):
-    return set(j for j, kind in enumerate(universe.attribute_kind)
-               if kind == NUMERICAL)
-
-
 def _witness_plan(workload):
-    """(plan, f_tables, coeffs) of the range-query test matrix.
+    """budget.SubsetPlan of the range-query test matrix over the
+    original universe.
 
-    f_tables holds f_j(0) = (m + 1) / 2 and f_j(a) = 1 / (1 - omega_m^-a)
-    for every numerical attribute and None for categorical ones; coeffs
-    holds the witness's coefficients, f_j or ones.  plan is the
-    budget.SubsetPlan of coeffs over the original universe: |f_j| on
-    numerical attributes and ones on categorical ones.  Its sum_R G_R r_R
-    is the closed-form range bound: a numerical attribute adds
-    sum_{a > 0} |f_j(a)| = m_j zeta(m_j) / 2 to G_R when in R and
+    Its spectrum's tables are the witness's coefficients c_j: f_j(0) =
+    (m + 1) / 2 and f_j(a) = 1 / (1 - omega_m^-a) on every numerical
+    attribute, the scaled ones, and ones on categorical attributes.  Its
+    sum_R G_R r_R is the closed-form range bound: a numerical attribute
+    adds sum_{a > 0} |f_j(a)| = m_j zeta(m_j) / 2 to G_R when in R and
     |f_j(0)|^2 = (m_j + 1)^2 / 4 to z_{S - R} when in S - R.
     """
     universe = workload.universe
-    f_tables = []
+    coeffs = []
     for m, kind in zip(universe.domain_sizes, universe.attribute_kind):
         if kind == NUMERICAL:
             f = np.empty(m, dtype=complex)
             f[0] = (m + 1) / 2.0
             a = np.arange(1, m)
             f[1:] = 1.0 / (1.0 - np.exp(-2j * np.pi * a / m))
-            f_tables.append(f)
+            coeffs.append(f)
         else:
-            f_tables.append(None)
-    coeffs = tuple(np.ones(m) if f is None else f
-                   for m, f in zip(universe.domain_sizes, f_tables))
-    scaled = tuple(j for j, f in enumerate(f_tables) if f is not None)
-    plan = budget.subset_plan(
-        workload, fourier.PhiSpectrum(tables=coeffs, scaled=scaled))
-    return plan, tuple(f_tables), coeffs
+            coeffs.append(np.ones(m))
+    scaled = tuple(j for j, kind in enumerate(universe.attribute_kind)
+                   if kind == NUMERICAL)
+    return budget.subset_plan(
+        workload, fourier.PhiSpectrum(tables=tuple(coeffs), scaled=scaled))
 
 
-def lower_bound_witness(workload, p=None, dense_cap=None):
-    """The range-query test matrix in the frequency basis.
-
-    Builds P^(1/2) U~ and Z = W V~ / |U| (see LowerBoundWitness) from
-    per-attribute tables, never a matrix with |U| columns, and checks
-    nothing itself; callers compare trace_value against the closed form
-    and op_norm against 1.
+def lower_bound_witness(workload, p=None):
+    """The range-query test matrix, factored per attribute and per
+    closure member (see LowerBoundWitness): no matrix, no SVD and no
+    frequency is formed, so it runs at every size.  Checks nothing
+    itself (see range_checks).
     """
     w = normalize_weights(workload, p)
-    _check_dense_caps(w, dense_cap)
-    return _witness(w, *_witness_plan(w))
-
-
-def _witness(w, plan, f_tables, coeffs):
-    """lower_bound_witness of the normalized workload w, from the plan,
-    f_tables and coeffs _witness_plan(w) returns."""
-    universe = w.universe
-    sizes = universe.domain_sizes
-    numerical = _numerical_members(universe)
+    plan = _witness_plan(w)
+    sizes = w.universe.domain_sizes
+    coeffs = plan.spectrum.tables
+    numerical = plan.spectrum.scaled
+    weighted = [(members, pS) for members, pS in zip(w.sets, w.weights)
+                if pS > 0]
+    h = {}
+    h0 = {}
+    for j in sorted({j for members, _ in weighted for j in members}):
+        m = sizes[j]
+        c = coeffs[j]
+        # g_j(a) = sum_t omega^(-a t) sum_{x <= t} omega^(a x), the DFT
+        # of m - k, where w_j = 1{x <= t}; m where w_j is the identity
+        g = np.fft.fft(m - np.arange(m)) if j in numerical \
+            else np.full(m, float(m))
+        h[j] = complex((np.conj(c[1:]) * g[1:] / np.abs(c[1:])).sum())
+        h0[j] = complex(np.conj(c[0]) * g[0])
+    cells = [w.universe.subuniverse_size(members) for members, _ in weighted]
+    cube = _member_sums(weighted, [pS / n ** 3 for (_, pS), n
+                                   in zip(weighted, cells)], h0)
+    square = _member_sums(weighted, [pS / n ** 2 for (_, pS), n
+                                     in zip(weighted, cells)],
+                          {j: abs(coeffs[j][0]) ** 2 for j in h})
     roots = plan.roots(w.weights)
-    # the frequencies of the members some weighted set covers, in
-    # lexicographic order, and their kappa_a: the plan's tau_a
-    freqs, norms = budget.released_rows(*plan.frequencies(roots))
-    kappa = dict(zip(map(tuple, freqs.tolist()), norms.tolist()))
-    rows, P = _row_index(w)
-    unit = [_unit_table(m) for m in sizes]
-    # Z's tables T_j[t, a] = sum_x w_j[t, x] omega_m^(a x): prefix sums
-    # of the unit table where w_j = 1{x <= t}, the unit table where w_j
-    # is the identity
-    prefix = [np.cumsum(table, axis=0) if j in numerical else table
-              for j, table in enumerate(unit)]
-    root = np.sqrt(P)[:, None]
-    U = _coefficient_matrix(w, coeffs, unit, rows, freqs)
-    U /= norms[None, :]
-    U *= root
-    Z = _coefficient_matrix(w, [np.ones(m) for m in sizes], prefix, rows,
-                            freqs)
-    Z *= root
-    Z *= np.conj(U)
-    trace = abs(complex(Z.sum()))
-    del Z
-    op_norm = float(np.linalg.svd(U, compute_uv=False)[0])
-    return LowerBoundWitness(f_tables=f_tables, kappa=kappa, trace_value=trace,
-                             op_norm=op_norm,
-                             closed_form=float(plan.gains @ roots),
-                             note=WITNESS_NOTE)
+    root = dict(zip(plan.members, roots.tolist()))
+    trace = abs(sum(math.prod(h[j] for j in member) / root[member] * value
+                    for member, value in cube.items()))
+    op_norm = max(math.sqrt(value) / root[member]
+                  for member, value in square.items())
+    return LowerBoundWitness(
+        f_tables=tuple(c if j in numerical else None
+                       for j, c in enumerate(coeffs)),
+        trace_value=trace, op_norm=op_norm,
+        closed_form=float(plan.gains @ roots), note=WITNESS_NOTE)
 
 
-def extended_lower_bound(workload, p=None, dense_cap=None):
+def range_checks(witness):
+    """(name, value, limit) of the two checks of a range witness: the
+    gap between trace_value and the closed form, relative to
+    max(1, closed form), and how far op_norm exceeds 1."""
+    return (
+        ("range_trace_gap", abs(witness.trace_value - witness.closed_form)
+         / max(1.0, witness.closed_form), 1e-8),
+        ("range_op_norm_excess", max(0.0, witness.op_norm - 1.0), 1e-9),
+    )
+
+
+def extended_lower_bound(workload, p=None):
     """Error lower bound for range-marginal workloads, closed form.
 
     Every factorization that answers the prefix queries of these sets
-    has weighted error at least this value.  On instances within the
-    dense caps the test matrix is materialized and its trace value must
-    agree with the closed form; larger instances skip the check.
+    has weighted error at least this value.  The test matrix is checked
+    at every size (see lower_bound_witness): its trace value must agree
+    with the closed form and its operator norm be at most 1, or
+    CertificateFailed is raised.
     """
-    w = normalize_weights(workload, p)
-    plan, f_tables, coeffs = _witness_plan(w)
-    if dense_refusal(w, dense_cap) is not None:
-        return float(plan.gains @ plan.roots(w.weights))
-    witness = _witness(w, plan, f_tables, coeffs)
-    value = witness.closed_form
-    if abs(witness.trace_value - value) > 1e-8 * max(1.0, value):
-        raise FourierMarginalsError(
-            f"range bound mismatch: dense trace {witness.trace_value} "
-            f"vs closed form {value}")
-    if witness.op_norm > 1 + 1e-9:
-        raise FourierMarginalsError(
-            f"test matrix operator norm {witness.op_norm} exceeds 1")
-    return value
+    witness = lower_bound_witness(workload, p)
+    failed = [f"{name} {value} exceeds {limit}"
+              for name, value, limit in range_checks(witness)
+              if not value <= limit]
+    if failed:
+        raise CertificateFailed(
+            f"range witness check failed: {'; '.join(failed)}")
+    return witness.closed_form

@@ -267,10 +267,9 @@ def unit_spectrum(sizes):
     """The spectrum of plain marginals over the domain sizes: exact
     ones, where phi_spectrum of the indicator of zero can round away
     from 1 (first at m = 89).  Attributes of one size share one
-    read-only table."""
-    ones = {m: np.ones(m, dtype=complex) for m in set(sizes)}
-    for table in ones.values():
-        table.flags.writeable = False
+    read-only table, a zero-stride view of a single one, so no domain
+    size allocates memory."""
+    ones = {m: np.broadcast_to(np.complex128(1), (m,)) for m in set(sizes)}
     return PhiSpectrum(tables=tuple(ones[m] for m in sizes), scaled=())
 
 

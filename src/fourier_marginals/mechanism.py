@@ -555,28 +555,17 @@ def release_skeleton(result, names=None):
     }
 
 
-@dataclass(frozen=True, eq=False)
-class TableLayout:
-    """Targets of the cells of a table, in original coordinates.
-
-    axes[i] lists the targets of the table's i-th attribute in index
-    order: 0..m-1, and for a numerical attribute of a range release
-    0..m-1 then the suffixes -1..-m.  targets is their row-major
-    product, an int array of shape (cells, |S|) whose row i is the
-    target of cell i of table.ravel().
-    """
-
-    axes: tuple
-    targets: np.ndarray
-
-
 def table_layouts(result):
     """(keys, layouts): the target layout of each table of a release.
 
     keys[k] is the layout key of the k-th set of result.workload, one
     (size, lifted) pair per attribute, lifted for the numerical
-    attributes of a range release; layouts[key] is its TableLayout.
-    Each distinct layout is built once, one attribute at a time.
+    attributes of a range release.  layouts[key] holds the targets of
+    each attribute of the table in index order, in original
+    coordinates: 0..m-1, and for a numerical attribute of a range
+    release 0..m-1 then the suffixes -1..-m.  The target of cell i of
+    table.ravel() is row i of their row-major product.  Each distinct
+    layout is built once.
     """
     universe = result.workload.universe
     pairs = [(size, result.embedding is not None and kind == NUMERICAL)
@@ -596,13 +585,7 @@ def table_layouts(result):
                 m = size // 2
                 axis[m:] = range(-1, -m - 1, -1)
             axes.append(axis)
-        shape = tuple(size for size, _ in key)
-        grid = np.empty(shape + (len(key),), dtype=np.int64)
-        for i, axis in enumerate(axes):
-            grid[..., i] = np.reshape(axis, (-1,) + (1,) * (len(key) - 1 - i))
-        layouts[key] = TableLayout(
-            axes=tuple(axes),
-            targets=grid.reshape(math.prod(shape), len(key)))
+        layouts[key] = tuple(axes)
     return keys, layouts
 
 
@@ -613,14 +596,15 @@ def release_document(result, names=None):
     cell in row-major order.  Targets of range workloads are reported in
     original coordinates (negative values are suffixes).  names, when
     given, labels set attributes; otherwise zero-based indices are used.
-    The skeleton is release_skeleton and the targets table_layouts, which
-    the CLI writes from directly.
+    The skeleton is release_skeleton and the targets the row-major
+    product of the axes of table_layouts, which the CLI writes from
+    directly.
     """
     doc = release_skeleton(result, names)
     keys, layouts = table_layouts(result)
     for entry, members, key in zip(doc["sets"], result.workload.sets, keys):
         entry["table"] = [
-            {"t": t, "estimate": value} for t, value
-            in zip(layouts[key].targets.tolist(),
+            {"t": list(t), "estimate": value} for t, value
+            in zip(itertools.product(*layouts[key]),
                    result.estimates[members].ravel().tolist())]
     return doc

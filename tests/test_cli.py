@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -1177,6 +1178,81 @@ def test_lower_bound_extended_below_upper(tmp_path, capsys):
     assert "prefix" in doc["note"]
 
 
+def test_lower_bound_has_no_dense_cap(tmp_path, capsys):
+    workload = write_json(tmp_path, RANGE_DOC)
+    code, out, err = run(capsys, "lower-bound", "--workload", workload,
+                         "--dense-cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "--dense-cap" in err
+
+
+@pytest.mark.parametrize("kind", ["marginal", "product", "extended"])
+def test_lower_bound_documents_have_no_dense_witness_key(tmp_path, capsys,
+                                                         kind):
+    workload = write_json(tmp_path, PINNED_FIXTURES[kind][0])
+    report = run_json(capsys, "lower-bound", "--workload", workload)
+    assert "dense_witness" not in report
+
+
+def _off_witness(monkeypatch):
+    """Make every range witness's trace_value 1e-6 off."""
+    witness = factorization.lower_bound_witness
+
+    def off(*args, **kwargs):
+        found = witness(*args, **kwargs)
+        return dataclasses.replace(found,
+                                   trace_value=found.trace_value + 1e-6)
+
+    monkeypatch.setattr(factorization, "lower_bound_witness", off)
+
+
+def test_lower_bound_range_check_failure_exits_5(tmp_path, capsys,
+                                                 monkeypatch):
+    _off_witness(monkeypatch)
+    workload = write_json(tmp_path, RANGE_DOC)
+    code, out, err = run(capsys, "lower-bound", "--workload", workload)
+    assert code == cli.EXIT_CERTIFICATE == 5
+    assert out == ""
+    assert err.startswith("error: range witness check failed: "
+                          "range_trace_gap")
+    assert err.count("\n") == 1
+
+
+def test_verify_range_check_failure_exits_5(tmp_path, capsys, monkeypatch):
+    _off_witness(monkeypatch)
+    workload = write_json(tmp_path, RANGE_DOC)
+    code, out, _ = run(capsys, "verify", "--workload", workload)
+    assert code == 5
+    doc = json.loads(out)
+    failed = [check for check in doc["checks"] if not check["pass"]]
+    assert [check["name"] for check in failed] == ["range_trace_gap"]
+    # the limit lower-bound applies too, at verify's default tol
+    assert failed[0]["limit"] == 1e-8
+
+
+def test_commands_at_a_domain_size_past_the_address_space(tmp_path, capsys):
+    # one table of a size-10^13 attribute would take 146 TiB, more than
+    # a 128 TiB user address space: nothing may allocate it
+    workload = write_json(tmp_path, {
+        "attributes": [{"name": "a", "size": 10 ** 13},
+                       {"name": "b", "size": 3}, {"name": "c", "size": 4}],
+        "sets": [{"attrs": ["a"], "weight": 1.0},
+                 {"attrs": ["b", "c"], "weight": 0.5}]})
+    predicted = run_json(capsys, "predict-error", "--workload", workload)
+    assert math.isfinite(predicted["weighted_rms"])
+    solved = run_json(capsys, "optimize-weights", "--workload", workload)
+    assert len(solved["sets"]) == 2
+    code, out, err = run(capsys, "lower-bound", "--workload", workload)
+    assert (code, out) == (2, "")
+    assert "dense cap" in err
+    code, out, err = run(capsys, "release", "--workload", workload,
+                         "--dataset", write_rows(tmp_path, "a,b,c\n0,1,2\n"),
+                         "--seed", "3")
+    assert (code, out) == (2, "")
+    assert "release cap" in err
+
+
 def test_lower_bound_extended_plans_the_witness_once(tmp_path, capsys,
                                                     monkeypatch):
     plan = budget.subset_plan
@@ -1369,9 +1445,9 @@ PINNED_OUTPUTS = {
     ("extended", "predict-error"):
         "ee8fbf89307efc6337402f33a440d46b9ab26b65eb351e2f05fd47458df21095",
     ("extended", "verify"):
-        "70db410fce55b887171877c5386340fd21d62b94f795fe65f277ca37452c734f",
+        "a50651c4e6166e78526451d73370cce4a74e4a4a31ac68d952739c7fc67d1655",
     ("extended", "lower-bound"):
-        "8e235218a63e3b168e33decd23439bc6f79ad203ccd579f41667b3c79c677723",
+        "39eac4b59c29df67463bb6d54b517af642c6f2e5464ed658fae674e398ebb3c2",
 }
 
 PINNED_DEMOS = {

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -425,12 +426,11 @@ def test_coefficient_matrix_fills_a_set_carrying_every_column_in_place():
     indices, _ = budget.released_rows(
         *plan.frequencies(plan.roots(product.weights)))
     rows, _ = factorization._row_index(product)
-    unit = [factorization._unit_table(m) for m in (4,) * 5]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         U = factorization._coefficient_matrix(product, plan.spectrum.tables,
-                                              unit, rows, indices)
+                                              rows, indices)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -439,31 +439,6 @@ def test_coefficient_matrix_fills_a_set_carrying_every_column_in_place():
         product, plan.spectrum.tables, rows, tuple(map(tuple, indices))))
     # U~ itself and per-attribute tables, no second 16 MiB block
     assert peak <= U.nbytes + 2 ** 20
-
-
-def test_witness_in_place_products_keep_bits():
-    w = make_workload((3, 4, 2), [(0, 1), (1, 2), (0, 2)], kind="extended",
-                      kinds=(core.NUMERICAL, core.NUMERICAL,
-                             core.CATEGORICAL))
-    witness = factorization.lower_bound_witness(w)
-    # the witness's products out of place, on the weights it read
-    w = core.normalize_weights(w)
-    sizes = w.universe.domain_sizes
-    freqs = tuple(witness.kappa)
-    norms = np.array(list(witness.kappa.values()))
-    coeffs = tuple(np.ones(m) if f is None else f
-                   for m, f in zip(sizes, witness.f_tables))
-    unit = [factorization._unit_table(m) for m in sizes]
-    prefix = [table if f is None else np.cumsum(table, axis=0)
-              for table, f in zip(unit, witness.f_tables)]
-    rows, P = factorization._row_index(w)
-    root = np.sqrt(P)[:, None]
-    U = root * (factorization._coefficient_matrix(w, coeffs, unit, rows,
-                                                  freqs) / norms[None, :])
-    Z = root * factorization._coefficient_matrix(
-        w, [np.ones(m) for m in sizes], prefix, rows, freqs)
-    assert witness.trace_value == abs(complex((Z * np.conj(U)).sum()))
-    assert witness.op_norm == float(np.linalg.svd(U, compute_uv=False)[0])
 
 
 def test_range_witness_allocates_less_than_one_wide_matrix():
@@ -531,19 +506,37 @@ def test_range_bound_mixed_universe_witness_agrees():
     closed = factorization.extended_lower_bound(w)
     assert witness.trace_value == pytest.approx(closed, abs=1e-8)
     assert witness.op_norm <= 1 + 1e-9
-    assert witness.trace_value == pytest.approx(
-        sum(witness.kappa.values()), abs=1e-10)
+    _, kappa = witness_columns(core.normalize_weights(w))
+    assert witness.trace_value == pytest.approx(kappa.sum(), abs=1e-10)
     assert witness.f_tables[0] is None
     assert witness.f_tables[1][0] == pytest.approx(2.0)  # (m + 1) / 2 at m=3
     assert witness.note
 
 
-def test_range_witness_dense_cap():
-    w = make_workload((5000,), [(0,)], kind="extended", kinds=("numerical",))
-    with pytest.raises(factorization.DenseTooLarge):
-        factorization.lower_bound_witness(w)
-    # the closed form still answers
-    assert factorization.extended_lower_bound(w) > 0
+def test_range_witness_checks_past_the_old_dense_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a matrix")
+
+    for name in ("_row_index", "_unit_table", "_coefficient_matrix"):
+        monkeypatch.setattr(factorization, name, refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    # one size-100,000 numerical attribute, and the pairs over sizes
+    # (3,000, 3,000, 4): |U| = 36,000,000
+    for w in (make_workload((100_000,), [(0,)], kind="extended",
+                            kinds=(core.NUMERICAL,)),
+              make_workload((3000, 3000, 4),
+                            list(itertools.combinations(range(3), 2)),
+                            kind="extended",
+                            kinds=(core.NUMERICAL, core.NUMERICAL,
+                                   core.CATEGORICAL))):
+        assert factorization.dense_refusal(w) is not None
+        start = time.perf_counter()
+        value = factorization.extended_lower_bound(w)
+        assert time.perf_counter() - start < 1.0
+        witness = factorization.lower_bound_witness(w)
+        assert value == witness.closed_form
+        assert abs(witness.trace_value - value) <= 1e-12 * value
+        assert witness.op_norm <= 1 + 1e-9
 
 
 # ------------------------------------------------- matrix identities
@@ -685,10 +678,24 @@ def reference_dense_matrix(workload):
     return _reference_kron_blocks(workload, circulant)
 
 
+def numerical_members(universe):
+    return {j for j, kind in enumerate(universe.attribute_kind)
+            if kind == core.NUMERICAL}
+
+
+def witness_columns(w):
+    """The frequencies of the range witness of the normalized workload
+    w and their kappa_a, the tau_a of its plan."""
+    plan = factorization._witness_plan(w)
+    freqs, kappa = budget.released_rows(
+        *plan.frequencies(plan.roots(w.weights)))
+    return tuple(map(tuple, freqs.tolist())), kappa
+
+
 def reference_kappa(workload, f_tables, freqs):
     """kappa_a frequency by frequency and set by set."""
     universe = workload.universe
-    numerical = factorization._numerical_members(universe)
+    numerical = numerical_members(universe)
     kappa = {}
     for a in freqs:
         support = set(j for j, v in enumerate(a) if v)
@@ -715,7 +722,7 @@ def reference_extended_closed_form(workload):
     """
     universe = workload.universe
     sizes = universe.domain_sizes
-    numerical = factorization._numerical_members(universe)
+    numerical = numerical_members(universe)
     closure = {subset for members, pS in zip(workload.sets, workload.weights)
                if pS > 0 for r in range(len(members) + 1)
                for subset in itertools.combinations(members, r)}
@@ -779,13 +786,11 @@ def test_property_builders_equal_loop_references(w):
     freqs = tuple(sorted(a for members in core.downward_closure(product)
                          for a in frequency_vectors(universe, members)))
     coeffs = plan.spectrum.tables
-    unit = [factorization._unit_table(m) for m in universe.domain_sizes]
     rows, _ = factorization._row_index(product)
     assert np.array_equal(factorization._character_matrix(universe, freqs),
                           reference_character_matrix(universe, freqs))
     assert np.array_equal(
-        factorization._coefficient_matrix(product, coeffs, unit, rows,
-                                          freqs),
+        factorization._coefficient_matrix(product, coeffs, rows, freqs),
         reference_coefficient_matrix(product, coeffs, rows, freqs))
     try:
         fact = factorization.build_factorization(w)
@@ -800,31 +805,16 @@ def test_property_builders_equal_loop_references(w):
         assert np.array_equal(fact.L, U / np.sqrt(fact.E)[None, :])
         assert np.array_equal(fact.R, np.sqrt(fact.E)[:, None] * V.conj().T)
     if w.kind == "extended":
-        # the witness's coefficients mix float ones and complex f_j
         witness = factorization.lower_bound_witness(w)
         # the weights the witness read: normalized once more
         w = core.normalize_weights(w)
-        f_tables = witness.f_tables
-        coeffs = tuple(np.ones(m) if f is None else f
-                       for m, f in zip(w.universe.domain_sizes, f_tables))
-        freqs = tuple(witness.kappa)
-        unit = [factorization._unit_table(m) for m in w.universe.domain_sizes]
-        rows, _ = factorization._row_index(w)
-        assert np.array_equal(
-            factorization._coefficient_matrix(w, coeffs, unit, rows, freqs),
-            reference_coefficient_matrix(w, coeffs, rows, freqs))
-        # kappa is the witness plan's tau, bit for bit
-        plan, _, _ = factorization._witness_plan(w)
-        grid, tau = budget.released_rows(
-            *plan.frequencies(plan.roots(w.weights)))
-        assert freqs == tuple(map(tuple, grid.tolist()))
-        assert list(witness.kappa.values()) == tau.tolist()
-        # and the set-by-set sum within rounding
-        reference = reference_kappa(w, f_tables, freqs)
-        assert list(witness.kappa) == list(reference)
+        # the witness's kappa, the plan's tau, is the set-by-set sum
+        # within rounding
+        freqs, kappa = witness_columns(w)
+        reference = reference_kappa(w, witness.f_tables, freqs)
         eps = np.finfo(float).eps
-        assert all(abs(witness.kappa[a] - reference[a])
-                   <= 8 * eps * reference[a] for a in reference)
+        assert all(abs(k - reference[a]) <= 8 * eps * reference[a]
+                   for a, k in zip(freqs, kappa.tolist()))
 
 
 def set_rows(fact):
@@ -906,8 +896,7 @@ def test_property_witness_equals_dense_test_matrix(w):
     universe = w.universe
     den = dense_oracle(w, kind="extended",
                        attr_kinds=universe.attribute_kind)
-    freqs = tuple(witness.kappa)
-    norms = np.array(list(witness.kappa.values()))
+    freqs, norms = witness_columns(w)
     coeffs = tuple(np.ones(m) if f is None else f
                    for m, f in zip(universe.domain_sizes, witness.f_tables))
     U = reference_coefficient_matrix(w, coeffs, den.rows, freqs) \

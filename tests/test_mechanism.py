@@ -1160,7 +1160,13 @@ def test_table_layouts_share_one_layout_per_shape():
     # attributes 0 and 2 are both numerical of size 2
     assert keys[1] == keys[2] == ((4, True),)
     assert len(layouts) == 4
-    assert layouts[keys[0]].targets.shape == (1, 0)
-    assert layouts[keys[1]].axes == ([0, 1, -1, -2],)
-    np.testing.assert_array_equal(
-        layouts[keys[3]].targets[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
+    assert layouts[keys[0]] == ()
+    assert layouts[keys[1]] == ([0, 1, -1, -2],)
+    # the document's targets are the row-major product of the axes
+    tables = [entry["table"] for entry in
+              mechanism.release_document(result)["sets"]]
+    assert [row["t"] for row in tables[0]] == [[]]
+    assert [row["t"] for row in tables[3][:4]] == [[0, 0], [0, 1], [0, 2],
+                                                   [1, 0]]
+    assert [row["t"] for row in tables[4]] == [
+        [t, u] for t in range(3) for u in (0, 1, -1, -2)]
