@@ -32,8 +32,13 @@ O(sum_S 2^|S|), not one term per frequency.  The plan itself is built
 by numpy, a few calls per distinct set size and per attribute column,
 not by a Python loop over sets and subsets; its arrays have the bits
 such a loop gives (see subset_plan).  A release broadcasts the
-roots to its frequencies member block by member block, into the arrays
-of a BudgetPlan: one row per frequency, in the order noise is drawn.
+roots to its frequencies member block by member block
+(SubsetPlan.frequencies) and keeps the rows with tau_a > 0 in
+lexicographic order (released_rows), the order noise is drawn in.
+Those rows and weights are the one statement of what a workload
+releases: plan_from_arrays turns them into a BudgetPlan, and
+check_plan accepts a given plan only if it holds the same rows with
+weights in proportion.
 
 The sampler wraps a counter-tracked PCG64 generator.  Identical seeds
 reproduce identical streams bit for bit within one build of this
@@ -398,44 +403,25 @@ def _tau_dict(structure, p):
     return dict(zip(map(tuple, indices.tolist()), tau.tolist()))
 
 
-def check_plan(plan, structure, roots, mu):
-    """Reject a BudgetPlan that does not serve this workload at mu.
+def check_plan(plan, indices, tau, mu):
+    """Reject a BudgetPlan that does not serve a workload at mu.
 
-    The plan must be made for mu and hold exactly the frequencies the
-    workload gives positive weight, as distinct rows in lexicographic
-    order, each with the workload's own tau_a = r_R prod_{j in R}
-    |phi_hat_j(a_j)| up to one common factor (plans are valid in any
-    scale).  The expected weights are formed on the plan's own rows, so
-    no frequency of the workload is enumerated.  Raises BudgetMismatch;
-    returns nothing.
+    indices and tau are the workload's own released rows, released_rows
+    of its SubsetPlan.frequencies.  The plan must be made for mu and
+    hold exactly those rows, as an integer array, with weights
+    proportional to tau by one positive factor (plans are valid in any
+    scale).  Raises BudgetMismatch; returns nothing.
     """
     if plan.mu != float(mu):
         raise BudgetMismatch(f"plan was made for mu={plan.mu}, the release "
                              f"asks for mu={mu}")
     mismatch = BudgetMismatch("plan does not match the workload's weights")
-    sizes = structure.universe.domain_sizes
-    spectrum = structure.spectrum
-    a = plan.indices
-    if a.dtype.kind != "i" or a.shape != (len(plan.tau), len(sizes)) \
-            or (a < 0).any() or (a >= np.array(sizes)).any():
+    if not (plan.indices.dtype.kind == "i"
+            and np.array_equal(plan.indices, indices)
+            and plan.tau.shape == tau.shape):
         raise mismatch
-    # strictly increasing rows: the first nonzero step of each is up
-    step = a[1:] - a[:-1]
-    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
-        raise mismatch
-    supports, support_of = fourier._group_rows(a != 0)
-    expected = _weights_at(
-        a, structure.support_members(supports)[support_of], roots, spectrum)
-    nonzero = [len(table) - 1 for table in spectrum.tables]
-    for j in spectrum.scaled:
-        nonzero[j] = np.count_nonzero(spectrum.magnitudes[j][1:])
-    count = sum(math.prod(nonzero[j] for j in members)
-                for members, root in zip(structure.members, roots.tolist())
-                if root > 0)
-    if len(a) != count or not (expected > 0).all():
-        raise mismatch
-    if len(a):
-        ratios = plan.tau / expected
+    if len(tau):
+        ratios = plan.tau / tau
         low = ratios.min()
         if not (low > 0 and ratios.max() - low <= 1e-9 * low):
             raise mismatch
@@ -498,7 +484,8 @@ def k_way_budget(d, k, m, mu):
     Uses the closed form: a frequency of Hamming weight l has importance
     weight sqrt(binom(d-l, k-l)), and the total is k_way_tau_sum / mu^2.
     This is the uniform-weight plan up to one global scale factor on
-    tau_a, which leaves every variance and share unchanged.
+    tau_a, which leaves every variance and share unchanged up to
+    rounding, so mechanism.release_k_way accepts it as its plan.
     """
     d, k, m = int(d), int(k), int(m)
     _check_arity(d, k, m)

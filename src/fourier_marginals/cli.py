@@ -86,8 +86,9 @@ class RunConfig:
             raise ConfigError("release draws noise and needs --seed")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got "
+                              f"{self.tol}")
         if self.dense_cap is not None and self.dense_cap < 1:
             raise ConfigError(f"dense cap must be at least 1, got "
                               f"{self.dense_cap}")

@@ -295,15 +295,6 @@ def _require_estimable(per_set_sigma):
                 "positive weight or cover it by a larger weighted set")
 
 
-def _size_refusal(frequencies, cells):
-    if frequencies > RELEASE_FREQUENCY_CAP:
-        return (f"{frequencies} frequencies exceed the release cap "
-                f"{RELEASE_FREQUENCY_CAP}")
-    if cells > RELEASE_CELL_CAP:
-        return f"{cells} table cells exceed the release cap {RELEASE_CELL_CAP}"
-    return None
-
-
 def release_refusal(plan):
     """The release-cap rule: why releasing the workload of plan, a
     budget.SubsetPlan, would exceed the caps, or None when it fits.
@@ -317,10 +308,15 @@ def release_refusal(plan):
     release's counterpart of factorization.dense_refusal.
     """
     universe = plan.universe
-    return _size_refusal(
-        sum(math.prod(universe.domain_sizes[j] - 1 for j in members)
-            for members in plan.members),
-        sum(map(universe.subuniverse_size, plan.sets)))
+    frequencies = sum(math.prod(universe.domain_sizes[j] - 1 for j in members)
+                      for members in plan.members)
+    if frequencies > RELEASE_FREQUENCY_CAP:
+        return (f"{frequencies} frequencies exceed the release cap "
+                f"{RELEASE_FREQUENCY_CAP}")
+    cells = sum(map(universe.subuniverse_size, plan.sets))
+    if cells > RELEASE_CELL_CAP:
+        return f"{cells} table cells exceed the release cap {RELEASE_CELL_CAP}"
+    return None
 
 
 def _require_servable(refusal):
@@ -403,16 +399,18 @@ def _reconstruct(structure, table, values):
 
 def _run_release(dataset, workload, mu, sampler, plan):
     """Release a workload with normalized weights in the product form
-    as_product gives it.  A given plan is checked against that form and
-    mu and used as it is; otherwise the plan is made from the weights."""
+    as_product gives it.  The weights fix the released rows and their
+    tau_a: without a plan, the plan is made from them; a given plan is
+    used only if budget.check_plan finds it made for mu and equal to
+    them up to one scale."""
     kind = workload.kind
     workload, structure, embedding = as_product(workload)
     _require_servable(release_refusal(structure))
     if embedding is not None:
         dataset = Dataset(universe=embedding.embedded, rows=dataset.rows)
     roots = structure.roots(workload.weights)
+    indices, tau = structure.frequencies(roots)
     if plan is None:
-        indices, tau = structure.frequencies(roots)
         if (tau > 0).any():
             plan = budget.plan_from_arrays(mu, indices, tau)
         else:
@@ -422,7 +420,7 @@ def _run_release(dataset, workload, mu, sampler, plan):
                                      indices=indices[:0], tau=tau[:0],
                                      variance=tau[:0], share=tau[:0])
     else:
-        budget.check_plan(plan, structure, roots, mu)
+        budget.check_plan(plan, *budget.released_rows(indices, tau), mu)
     if len(plan.tau):
         budget.accounting(plan)
     # sigma_S is invariant under scaling the plan, so the workload's
@@ -449,12 +447,13 @@ def release_product(dataset, workload, p=None, mu=1.0, sampler=None,
 
     Weights are normalized internally; every set of the workload is
     reconstructed, including zero-weight sets whose frequencies are
-    already paid for.  sampler=None skips the noise (test mode).  A
-    given plan is used as it is, after checks: it must be made for mu
-    and for this workload's weights, in any scale (BudgetMismatch).  A
-    product workload with the indicator-of-zero tables releases as the
-    marginal workload up to the rounding of their FFT (not exactly one
-    from m = 89).
+    already paid for.  sampler=None skips the noise (test mode).  The
+    weights fix the plan up to one scale, so a given plan only saves
+    its assembly: it must be made for mu and hold the workload's own
+    released rows with weights in proportion, or BudgetMismatch is
+    raised (budget.check_plan).  A product workload with the
+    indicator-of-zero tables releases as the marginal workload up to
+    the rounding of their FFT (not exactly one from m = 89).
     """
     return _run_release(dataset, normalize_weights(workload, p), mu,
                         sampler, plan)
@@ -479,25 +478,19 @@ def release_extended(dataset, workload, p=None, mu=1.0, sampler=None):
 def release_k_way(dataset, k, mu=1.0, sampler=None, plan=None):
     """Private estimates of all k-way marginals of a uniform domain.
 
-    A given plan is checked as in release_product.  Without one, the
-    release caps are applied to the closed-form counts before the
-    k-way plan is made.
+    Releases every k-set of attributes, weighted alike, as
+    release_product does, with the plan given or none;
+    budget.k_way_budget is that workload's plan in closed form.  Raises
+    NonUniformDomain when the attribute sizes differ and BadArity unless
+    1 <= k <= d.
     """
     universe = dataset.universe
     sizes = set(universe.domain_sizes)
     if len(sizes) != 1:
         raise NonUniformDomain(f"attribute sizes {sorted(sizes)} differ")
-    m = sizes.pop()
-    d = universe.d
-    if plan is None:
-        if 1 <= k <= d:
-            # k_way_budget enumerates the frequencies, so the counts are
-            # checked first; k_way_budget rejects any other k
-            _require_servable(_size_refusal(
-                sum(math.comb(d, l) * (m - 1) ** l for l in range(k + 1)),
-                math.comb(d, k) * m ** k))
-        plan = budget.k_way_budget(d, k, m, mu)
-    sets = tuple(itertools.combinations(range(d), k))
+    if not 1 <= k <= universe.d:
+        raise BadArity(f"need 1 <= k <= d, got k={k}, d={universe.d}")
+    sets = tuple(itertools.combinations(range(universe.d), k))
     workload = Workload(universe=universe, sets=sets,
                         weights=np.full(len(sets), 1.0 / len(sets)))
     return _run_release(dataset, workload, mu, sampler, plan)

@@ -29,6 +29,7 @@ well under a thousand iterations; pathological instances raise
 NoConvergence with the best iterate attached.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,10 +208,16 @@ def optimize_pstar(workload, tol=1e-8, max_iter=20000):
 
     The workload's weights are ignored (they are the variable being
     solved for).  Raises NoConvergence with the best iterate attached
-    when the residual fails to reach tol within max_iter accepted steps.
+    when the residual fails to reach tol within max_iter accepted steps,
+    and FourierMarginalsError unless 0 < tol < inf and max_iter is an
+    integer >= 0.
     """
-    if tol <= 0:
-        raise FourierMarginalsError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise FourierMarginalsError(
+            f"tol must be positive and finite, got {tol}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise FourierMarginalsError(
+            f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not workload.sets:
         raise FourierMarginalsError(
             "the workload has no sets, so it has no weights to optimize")

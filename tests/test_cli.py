@@ -432,6 +432,23 @@ def test_unusable_mu_exits_2(tmp_path, capsys, mu):
         assert code == 2 and "mu" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8"])
+@pytest.mark.parametrize("command", [
+    ("verify", "--corrupt-scale", "2"), ("optimize-weights",),
+    ("release", "--objective", "max-variance", "--seed", "1")])
+def test_unusable_tol_exits_2(tmp_path, capsys, command, tol):
+    # a limit of inf would pass any residual, even of a corrupted
+    # factorization, and stop the optimizer at its uniform start
+    args = list(command) + ["--workload", write_json(tmp_path, PAIR_DOC),
+                            f"--tol={tol}"]
+    if command[0] == "release":
+        args += ["--dataset", write_rows(tmp_path)]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: tol must be positive and finite, got " \
+        f"{float(tol)}\n"
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
 def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
     doc = json.loads(json.dumps(PAIR_DOC))

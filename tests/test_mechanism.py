@@ -193,13 +193,22 @@ def test_k_way_rejects_non_uniform_domain():
 
 def test_k_way_refuses_past_the_caps_before_planning(monkeypatch):
     def refuse(*args):
-        raise AssertionError("planned")
+        raise AssertionError("enumerated")
 
-    monkeypatch.setattr(budget, "k_way_budget", refuse)
+    monkeypatch.setattr(budget, "_member_frequencies", refuse)
     # 1 + 2 * 3,999 + 3,999^2 frequencies, over the frequency cap
     data = make_dataset((4000, 4000), [(0, 0)])
     with pytest.raises(mechanism.ReleaseTooLarge, match="frequencies"):
         mechanism.release_k_way(data, 2, mu=1.0)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_k_way_refuses_an_arity_outside_one_to_d(k):
+    data = make_dataset((2, 2), [(0, 1)])
+    plan = budget.k_way_budget(2, 2, 2, mu=1.0)
+    for given in (None, plan):
+        with pytest.raises(budget.BadArity, match=f"k={k}"):
+            mechanism.release_k_way(data, k, mu=1.0, plan=given)
 
 
 def test_improvement_ratio_tends_to_quarter():
@@ -802,15 +811,11 @@ def test_product_form_is_as_product_unplanned(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", RELEASE_CASES[:2], ids=lambda c: c[0])
-def test_planned_release_computes_no_tau(case, monkeypatch):
+def test_planned_release_equals_unplanned_release(case):
     data, w, release = release_case(*case)
     product, _ = product_form(w)
     plan = budget.plan_from_tau(0.8, product_tau(product))
     expected = release(data, w, mu=0.8, sampler=budget.SeededSampler(4))
-
-    def no_tau(self, roots):
-        raise AssertionError("a planned release computed tau")
-    monkeypatch.setattr(budget.SubsetPlan, "frequencies", no_tau)
     result = release(data, w, mu=0.8, sampler=budget.SeededSampler(4),
                      plan=plan)
     for s in w.sets:
@@ -882,6 +887,111 @@ def test_inconsistent_plan_fails_accounting():
     broken = dataclasses.replace(plan, variance=variance)
     with pytest.raises(budget.BudgetMismatch):
         mechanism.release_marginals(data, w, mu=1.0, plan=broken)
+
+
+def reference_check_plan(plan, structure, roots, mu):
+    """budget.check_plan as it was when it validated the plan's own rows:
+    integer dtype, range and strictly increasing order, then each row's
+    weight formed on its closure member and the rows counted against
+    the members with budget.  Rows are mapped to members one by one
+    here, where the package grouped them by support first."""
+    if plan.mu != float(mu):
+        raise budget.BudgetMismatch("plan made for another mu")
+    mismatch = budget.BudgetMismatch("plan does not match the weights")
+    sizes = structure.universe.domain_sizes
+    spectrum = structure.spectrum
+    a = plan.indices
+    if a.dtype.kind != "i" or a.shape != (len(plan.tau), len(sizes)) \
+            or (a < 0).any() or (a >= np.array(sizes)).any():
+        raise mismatch
+    # strictly increasing rows: the first nonzero step of each is up
+    step = a[1:] - a[:-1]
+    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+        raise mismatch
+    index = {members: i for i, members in enumerate(structure.members)}
+    member_of = np.array(
+        [index.get(tuple(np.flatnonzero(row).tolist()), len(index))
+         for row in a], dtype=np.intp)
+    expected = budget._weights_at(a, member_of, roots, spectrum)
+    nonzero = [len(table) - 1 for table in spectrum.tables]
+    for j in spectrum.scaled:
+        nonzero[j] = np.count_nonzero(spectrum.magnitudes[j][1:])
+    count = sum(math.prod(nonzero[j] for j in members)
+                for members, root in zip(structure.members, roots.tolist())
+                if root > 0)
+    if len(a) != count or not (expected > 0).all():
+        raise mismatch
+    if len(a):
+        ratios = plan.tau / expected
+        low = ratios.min()
+        if not (low > 0 and ratios.max() - low <= 1e-9 * low):
+            raise mismatch
+
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except budget.BudgetMismatch:
+        return False
+    return True
+
+
+# each perturbation of a workload's own plan, with the verdict it must
+# get (None: either, the two checks only have to agree)
+PLAN_PERTURBATIONS = {"own": True, "drop": False, "duplicate": False,
+                      "swap": None, "one_tau": None, "scale_small": True,
+                      "scale_large": True, "float": False, "mu": False,
+                      "weights": None}
+
+
+@given(kinded_workloads(), st.sampled_from(sorted(PLAN_PERTURBATIONS)),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_check_plan_agrees_with_reference(w, perturbation, data):
+    """Comparing a plan with the workload's released rows accepts and
+    rejects exactly the plans the row-by-row validation did."""
+    mu = 0.8
+    product, structure, _ = mechanism.as_product(core.normalize_weights(w))
+    roots = structure.roots(product.weights)
+    rows = budget.released_rows(*structure.frequencies(roots))
+    if not len(rows[1]):
+        return
+    plan = budget.plan_from_arrays(mu, *rows)
+    indices, tau = plan.indices, plan.tau
+    i = data.draw(st.integers(0, len(tau) - 1))
+    if perturbation == "drop":
+        indices, tau = np.delete(indices, i, axis=0), np.delete(tau, i)
+    elif perturbation == "duplicate":
+        indices = np.insert(indices, i, indices[i], axis=0)
+        tau = np.insert(tau, i, tau[i])
+    elif perturbation == "swap":
+        j = data.draw(st.integers(0, len(tau) - 1))
+        order = np.arange(len(tau))
+        order[[i, j]] = order[[j, i]]
+        indices, tau = indices[order], tau[order]
+    elif perturbation == "one_tau":
+        tau = tau.copy()
+        tau[i] *= 1 + 1e-6
+    elif perturbation.startswith("scale"):
+        tau = tau * (1e-3 if perturbation == "scale_small" else 3.0)
+    elif perturbation == "float":
+        indices = indices.astype(float)
+    elif perturbation == "mu":
+        plan = dataclasses.replace(plan, mu=1.6)
+    elif perturbation == "weights":
+        other = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.01, 2.0),
+            min_size=len(w.sets), max_size=len(w.sets))))
+        other_rows = budget.released_rows(
+            *structure.frequencies(structure.roots(other)))
+        if not len(other_rows[1]):
+            return
+        indices, tau = other_rows
+    given = dataclasses.replace(plan, indices=indices, tau=tau)
+    verdict = accepts(reference_check_plan, given, structure, roots, mu)
+    assert accepts(budget.check_plan, given, *rows, mu) == verdict
+    if PLAN_PERTURBATIONS[perturbation] is not None:
+        assert verdict == PLAN_PERTURBATIONS[perturbation]
 
 
 @given(kinded_workloads(), st.sampled_from([0.25, 1.0, 1.7, 40.0]))

@@ -199,8 +199,19 @@ class SolverBehaviour(unittest.TestCase):
 
     def test_rejects_bad_tolerance(self):
         w = workload((2, 2), ((0,),))
-        with self.assertRaises(core.FourierMarginalsError):
-            optimizer.optimize_pstar(w, tol=0.0)
+        for tol in (0.0, -1e-8, math.inf, math.nan):
+            with self.assertRaisesRegex(core.FourierMarginalsError,
+                                        "positive and finite"):
+                optimizer.optimize_pstar(w, tol=tol)
+
+    def test_rejects_bad_iteration_limit(self):
+        w = workload((2, 2), ((0,),))
+        for max_iter in (-1, 2.5, "10", None):
+            with self.assertRaisesRegex(core.FourierMarginalsError,
+                                        "max_iter"):
+                optimizer.optimize_pstar(w, max_iter=max_iter)
+        self.assertEqual(optimizer.optimize_pstar(
+            w, max_iter=np.int64(5)).iterations, 0)
 
     def test_rejects_empty_workload(self):
         w = core.Workload(universe=core.build_universe([2]), sets=(),
